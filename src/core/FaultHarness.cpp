@@ -58,7 +58,6 @@ FaultedRun core::runProgramWithFaults(const codegen::CompiledLoop &CL,
   emu::RunLimits Limits;
   Limits.MaxInstructions = Plan.MaxInstructions;
   Limits.MaxRtmRetries = Plan.MaxRtmRetries;
-  Limits.Dispatch = Plan.Dispatch;
   Limits.Simd = Plan.Simd;
   Run.Outcome.Exec = Machine.run(CL.Prog, Limits);
   Run.Outcome.Ok = Run.Outcome.Exec.Reason == emu::StopReason::Halted;
@@ -93,7 +92,6 @@ FaultedRun core::runProgramMultiWithFaults(
   emu::RunLimits Limits;
   Limits.MaxInstructions = Plan.MaxInstructions;
   Limits.MaxRtmRetries = Plan.MaxRtmRetries;
-  Limits.Dispatch = Plan.Dispatch;
   Limits.Simd = Plan.Simd;
   for (const ir::Bindings &B : Invocations) {
     Machine.resetRegisters();

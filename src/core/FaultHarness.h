@@ -35,9 +35,6 @@ struct FaultPlan {
   faults::TxFaultPlan Tx;
   uint64_t MaxInstructions = 1ULL << 32;
   unsigned MaxRtmRetries = 4;
-  /// Dispatch loop the machine runs under (JitEquivalenceTest pins both
-  /// modes to prove fault delivery is dispatch-invariant).
-  emu::DispatchMode Dispatch = emu::DispatchMode::Auto;
   /// SIMD lane-kernel backend (SimdEquivalenceTest pins each backend to
   /// prove fault storms are backend-invariant too).
   emu::SimdBackend Simd = emu::SimdBackend::Auto;

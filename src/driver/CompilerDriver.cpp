@@ -156,12 +156,6 @@ public:
     R.Traditional = lower(Ctx, CodeGenKind::Traditional);
     R.Speculative = lower(Ctx, CodeGenKind::Speculative);
     R.FlexVec = lower(Ctx, CodeGenKind::FlexVec);
-    if (!R.FlexVec && !R.Remarks.empty()) {
-      // Legacy diagnostic surface, kept for callers of PipelineResult.
-      const Remark &Last = R.Remarks.remarks().back();
-      if (Last.Kind == RemarkKind::Missed && Last.Variant == "flexvec")
-        R.Diagnostics.push_back("flexvec: " + Last.Message);
-    }
     R.Rtm = lower(Ctx, CodeGenKind::FlexVecRtm);
     {
       std::unique_ptr<LoweringStrategy> S =

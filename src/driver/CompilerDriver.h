@@ -74,9 +74,6 @@ struct CompileResult {
   std::optional<codegen::CompiledLoop> FlexVecOpt;
   codegen::PeepholeStats OptStats;
   std::string PdgDump;
-  /// Legacy diagnostic strings ("flexvec: <why>"); derived from the missed
-  /// remarks for callers that predate the remark engine.
-  std::vector<std::string> Diagnostics;
   /// Structured remarks from every pass: what was recognized, what was
   /// generated, and why each variant that is absent was declined.
   RemarkStream Remarks;

@@ -64,6 +64,13 @@ Remark &RemarkStream::emit(RemarkKind K, std::string Pass, std::string Id,
   return All.back();
 }
 
+const Remark *RemarkStream::lastMissed(const std::string &Variant) const {
+  for (auto It = All.rbegin(); It != All.rend(); ++It)
+    if (It->Kind == RemarkKind::Missed && It->Variant == Variant)
+      return &*It;
+  return nullptr;
+}
+
 Json RemarkStream::toJson() const {
   Json A = Json::array();
   for (const Remark &R : All)

@@ -92,6 +92,10 @@ public:
     return N;
   }
 
+  /// The most recent Missed remark tagged \p Variant (why that variant was
+  /// declined), or nullptr when there is none.
+  const Remark *lastMissed(const std::string &Variant) const;
+
   /// The whole stream as a deterministic JSON array.
   Json toJson() const;
 

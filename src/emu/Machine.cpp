@@ -240,9 +240,6 @@ void Machine::predecode(const Program &P) {
     D.Imm = I.Imm;
     D.Disp = I.Disp;
     D.Target = I.Target;
-    // Dispatch token: plain opcodes; fusePlan() may later rewrite heads of
-    // fusable sequences to superinstruction tokens (>= NumOpcodes).
-    D.Handler = static_cast<uint16_t>(I.Op);
     Plan.push_back(D);
   }
 }
@@ -301,23 +298,6 @@ bool Machine::memWrite(uint64_t Addr, const void *Data, uint64_t Size) {
 
 namespace {
 
-/// Dispatch tokens >= HandlerFusedBase select superinstruction handlers,
-/// indexed by FusedKind.
-constexpr uint16_t HandlerFusedBase = static_cast<uint16_t>(isa::NumOpcodes);
-
-/// Minimum static-pair-histogram frequency before a site is fused. Every
-/// fusion decision is a pure function of the static opcode sequence (the
-/// histogram and the per-site checks below), never of loop names or
-/// instruction addresses — the cache-safety contract.
-constexpr uint64_t MinStaticPairCount = 1;
-
-/// Middle ops admissible in a gather->op->scatter superinstruction: the
-/// register-register vector ALU ranges (no memory, no masks written).
-bool isFusableVectorOp(Opcode Op) {
-  return (Op >= Opcode::VAdd && Op <= Opcode::VMax) ||
-         (Op >= Opcode::VFAdd && Op <= Opcode::VFMax);
-}
-
 double applyScalarFpOp(Opcode Op, double A, double B) {
   switch (Op) {
   case Opcode::FAdd:
@@ -339,93 +319,6 @@ double applyScalarFpOp(Opcode Op, double A, double B) {
 
 } // namespace
 
-DispatchMode emu::defaultDispatchMode() {
-  static const DispatchMode Cached = [] {
-    if (const char *Env = std::getenv("FLEXVEC_DISPATCH")) {
-      if (std::strcmp(Env, "plain") == 0)
-        return DispatchMode::Plain;
-      if (std::strcmp(Env, "threaded") == 0)
-        return DispatchMode::Threaded;
-    }
-    return DispatchMode::Threaded;
-  }();
-  return Cached;
-}
-
-const char *emu::fusedKindName(FusedKind K) {
-  switch (K) {
-  case FusedKind::CmpBr:
-    return "cmp+br";
-  case FusedKind::KTestBr:
-    return "ktest+br";
-  case FusedKind::AddImmCmp:
-    return "addi+cmp";
-  case FusedKind::GatherOpScatter:
-    return "gather+op+scatter";
-  }
-  unreachable("unknown fused kind");
-}
-
-void Machine::fusePlan() {
-  Fusion.Pairs.clear();
-  Fusion.Sites.clear();
-  const size_t N = Plan.size();
-  IsJumpTarget.assign(N, 0);
-  if (N < 2)
-    return;
-
-  // Static pair histogram over the finalized plan; the fusion table below
-  // is driven by it, so what fuses is a pure function of the static
-  // opcode sequence.
-  for (size_t I = 0; I + 1 < N; ++I)
-    Fusion.Pairs.add(static_cast<unsigned>(Plan[I].Op),
-                     static_cast<unsigned>(Plan[I + 1].Op));
-
-  // A follower that is a branch (or abort-handler) target must stay
-  // individually dispatchable: control flow can enter the sequence in the
-  // middle. XBegin is not isBranch() but its abort target is a real entry
-  // point (the scalar fallback body).
-  for (const DecodedInstr &D : Plan)
-    if (((D.Flags & FlagBranch) || D.Op == Opcode::XBegin) && D.Target >= 0 &&
-        static_cast<size_t>(D.Target) < N)
-      IsJumpTarget[static_cast<size_t>(D.Target)] = 1;
-
-  // Greedy left-to-right matching of the dominant static shapes observed
-  // across the workload suite (see tests/golden/histogram.golden):
-  // compare->mask-branch, gather->op->scatter, index-increment->compare.
-  for (size_t I = 0; I + 1 < N; ++I) {
-    const DecodedInstr &A = Plan[I];
-    const DecodedInstr &B = Plan[I + 1];
-    if (IsJumpTarget[I + 1])
-      continue;
-    const bool CondBr = B.Op == Opcode::BrZero || B.Op == Opcode::BrNonZero;
-    FusedKind Kind;
-    uint8_t Len = 2;
-    if ((A.Op == Opcode::Cmp || A.Op == Opcode::CmpImm) && CondBr &&
-        B.Src1 == A.Dst) {
-      Kind = FusedKind::CmpBr;
-    } else if (A.Op == Opcode::KTest && CondBr && B.Src1 == A.Dst) {
-      Kind = FusedKind::KTestBr;
-    } else if (A.Op == Opcode::AddImm &&
-               (B.Op == Opcode::Cmp || B.Op == Opcode::CmpImm)) {
-      Kind = FusedKind::AddImmCmp;
-    } else if (A.Op == Opcode::VGather && I + 2 < N &&
-               isFusableVectorOp(B.Op) && Plan[I + 2].Op == Opcode::VScatter &&
-               !IsJumpTarget[I + 2]) {
-      Kind = FusedKind::GatherOpScatter;
-      Len = 3;
-    } else {
-      continue;
-    }
-    if (Fusion.Pairs.count(static_cast<unsigned>(A.Op),
-                           static_cast<unsigned>(B.Op)) < MinStaticPairCount)
-      continue;
-    Plan[I].Handler = HandlerFusedBase + static_cast<uint16_t>(Kind);
-    Fusion.Sites.push_back({static_cast<uint32_t>(I), Kind, Len});
-    I += Len - 1; // Consumed followers cannot head another fusion.
-  }
-}
-
 ExecResult Machine::run(const Program &P, RunLimits Limits, TraceSink *Sink) {
   if (P.empty())
     return ExecResult();
@@ -434,53 +327,15 @@ ExecResult Machine::run(const Program &P, RunLimits Limits, TraceSink *Sink) {
   // (string-carrying) isa::Instruction records again except to hand trace
   // consumers their static-instruction pointer.
   predecode(P);
-  Fusion.Pairs.clear();
-  Fusion.Sites.clear();
-
-  DispatchMode Mode = Limits.Dispatch;
-  if (Mode == DispatchMode::Auto)
-    Mode = defaultDispatchMode();
 
   // Bind the lane-kernel table for this run. Resolution clamps to what
-  // the build and host support, so every dispatch loop below can index
-  // the table unconditionally.
+  // the build and host support, so the dispatch loop can index the table
+  // unconditionally.
   SimdKern = &simd::kernelsFor(Limits.Simd);
-
-  if (Mode == DispatchMode::Threaded) {
-    // Superinstructions batch dispatch only; component instructions still
-    // retire statistics individually. A sink needs every component staged
-    // as its own DynInstr, so fusion is engaged only for untraced runs —
-    // traced runs take threaded dispatch with an unfused plan.
-    if (!Sink)
-      fusePlan();
-    return runThreaded(P, Limits, Sink);
-  }
-  return runPlain(P, Limits, Sink);
+  return interpret(P, Limits, Sink);
 }
 
-// Instantiate the shared interpreter body (emu/Interp.inc) twice: the
-// token-threaded switch (reference), then computed-goto dispatch where the
-// `&&label` extension exists.
-#define FLEXVEC_INTERP_GOTO 0
-#define FLEXVEC_INTERP_FN runPlain
 #include "emu/Interp.inc"
-#undef FLEXVEC_INTERP_FN
-#undef FLEXVEC_INTERP_GOTO
-
-#if defined(__GNUC__) || defined(__clang__)
-#define FLEXVEC_INTERP_GOTO 1
-#define FLEXVEC_INTERP_FN runThreaded
-#include "emu/Interp.inc"
-#undef FLEXVEC_INTERP_FN
-#undef FLEXVEC_INTERP_GOTO
-#else
-// Without the computed-goto extension, token-threaded dispatch over the
-// predecoded Handler tokens (superinstructions included) IS threaded mode.
-ExecResult Machine::runThreaded(const Program &P, RunLimits Limits,
-                                TraceSink *Sink) {
-  return runPlain(P, Limits, Sink);
-}
-#endif
 
 // --- Metrics export ------------------------------------------------------===//
 

@@ -17,7 +17,6 @@
 
 #include "isa/Program.h"
 #include "memory/Memory.h"
-#include "obs/StaticPairs.h"
 #include "rtm/Transaction.h"
 
 #include <array>
@@ -190,30 +189,11 @@ struct ExecResult {
 /// when set to a non-negative integer, else 4. Read once per process.
 unsigned defaultRtmRetries();
 
-/// Interpreter dispatch strategy. Threaded and Plain are observably
-/// identical — same ExecStats field for field, same trace-batch stream,
-/// same memory effects (JitEquivalenceTest holds the contract) — so the
-/// choice is purely a speed knob.
-enum class DispatchMode : uint8_t {
-  /// Resolve via the FLEXVEC_DISPATCH environment variable ("plain" or
-  /// "threaded"); threaded when unset.
-  Auto,
-  /// The reference token-threaded switch loop, superinstructions off.
-  Plain,
-  /// Computed-goto threaded dispatch (token-threaded where the `&&label`
-  /// extension is unavailable) plus the superinstruction pass on
-  /// sinkless runs.
-  Threaded,
-};
-
-/// The process-default dispatch mode (resolves DispatchMode::Auto).
-DispatchMode defaultDispatchMode();
-
 /// Host-SIMD lane-kernel backend for the hot vector handler bodies
 /// (src/emu/simd). Every backend is observably identical to Scalar —
 /// ExecStats field for field, trace streams, memory effects, deterministic
-/// payloads (SimdEquivalenceTest holds the contract) — so, like
-/// DispatchMode, the choice is purely a speed knob.
+/// payloads (SimdEquivalenceTest holds the contract) — so the choice is
+/// purely a speed knob.
 enum class SimdBackend : uint8_t {
   /// Resolve via the FLEXVEC_SIMD environment variable
   /// ("scalar" | "avx2" | "avx512" | "native"); Native when unset.
@@ -244,41 +224,6 @@ namespace simd {
 const KernelTable &kernelsFor(SimdBackend B);
 } // namespace simd
 
-/// Superinstructions: dominant static pairs/triples the peephole fusion
-/// pass collapses into one dispatch (docs/PERFORMANCE.md). Component
-/// semantics, statistics, and fault behaviour are preserved exactly —
-/// fusion is batched dispatch, nothing more.
-enum class FusedKind : uint8_t {
-  CmpBr,           ///< Cmp/CmpImm feeding BrZero/BrNonZero on its result.
-  KTestBr,         ///< KTest feeding BrZero/BrNonZero on its result.
-  AddImmCmp,       ///< AddImm followed by Cmp/CmpImm (index += k; bounds).
-  GatherOpScatter, ///< VGather -> vector ALU op -> VScatter triple.
-};
-inline constexpr unsigned NumFusedKinds = 4;
-
-const char *fusedKindName(FusedKind K);
-
-/// One fusion decision over the predecoded plan.
-struct FusionSite {
-  uint32_t PC = 0;    ///< Plan index of the fused head.
-  FusedKind Kind = FusedKind::CmpBr;
-  uint8_t Len = 2;    ///< Component instructions collapsed (2 or 3).
-
-  bool operator==(const FusionSite &O) const {
-    return PC == O.PC && Kind == O.Kind && Len == O.Len;
-  }
-};
-
-/// What the superinstruction pass decided for one program: the static
-/// opcode-pair histogram it keyed every decision on, and the fused sites.
-/// Both are pure functions of the static opcode/operand sequence —
-/// never of loop names or addresses — which is what makes fusion safe
-/// under compiled-loop cache sharing.
-struct FusionReport {
-  obs::StaticPairHistogram Pairs;
-  std::vector<FusionSite> Sites;
-};
-
 /// Execution budget and resilience policy.
 struct RunLimits {
   /// Instruction-budget watchdog: stops runaway loops (a Vector
@@ -295,8 +240,6 @@ struct RunLimits {
   /// Cap on the exponential-backoff shift: retry k stalls 2^min(k, cap)
   /// simulated cycles.
   unsigned MaxRtmBackoffShift = 16;
-  /// Interpreter dispatch strategy; Auto defers to FLEXVEC_DISPATCH.
-  DispatchMode Dispatch = DispatchMode::Auto;
   /// Lane-kernel backend; Auto defers to FLEXVEC_SIMD.
   SimdBackend Simd = SimdBackend::Auto;
 };
@@ -334,11 +277,6 @@ public:
   ExecResult run(const isa::Program &P, RunLimits Limits = RunLimits(),
                  TraceSink *Sink = nullptr);
 
-  /// The superinstruction pass's decisions for the most recent run that
-  /// engaged it (threaded dispatch, no sink); empty otherwise. Valid
-  /// until the next run() call.
-  const FusionReport &fusionReport() const { return Fusion; }
-
 private:
   struct RegSnapshot {
     std::array<int64_t, isa::NumScalarRegs> R;
@@ -362,9 +300,6 @@ private:
     uint8_t EffMask; ///< Write-mask register; NoEffMask = all lanes.
     uint8_t Scale;
     uint8_t Flags;    ///< FlagBranch | FlagVector | FlagSrc2Valid | FlagMemory.
-    /// Dispatch token: the opcode value, or NumOpcodes + FusedKind when
-    /// the superinstruction pass made this instruction a fused head.
-    uint16_t Handler;
     uint64_t AllMask; ///< lowBitMask(Lanes).
     int64_t Imm;
     int64_t Disp;
@@ -382,20 +317,9 @@ private:
   /// reused.
   void predecode(const isa::Program &P);
 
-  /// The superinstruction pass: rewrites Handler fields of fused heads.
-  /// Engaged only for sinkless threaded runs — with a sink attached the
-  /// per-instruction trace stream must be produced anyway, so fusion
-  /// would buy nothing and is simply skipped.
-  void fusePlan();
-
-  /// The two interpreter loops, generated from the same body
-  /// (emu/Interp.inc): runPlain is the token-threaded switch (also the
-  /// fallback where computed goto is unavailable), runThreaded the
-  /// computed-goto loop.
-  ExecResult runPlain(const isa::Program &P, RunLimits Limits,
-                      TraceSink *Sink);
-  ExecResult runThreaded(const isa::Program &P, RunLimits Limits,
-                         TraceSink *Sink);
+  /// The dispatch loop (emu/Interp.inc) over the predecoded plan.
+  ExecResult interpret(const isa::Program &P, RunLimits Limits,
+                       TraceSink *Sink);
 
   /// Delivers the staged batch (if any) to \p Sink and resets it.
   void flushBatch(TraceSink *Sink, ExecStats &Stats);
@@ -441,12 +365,6 @@ private:
   std::array<DynInstr, TraceBatchSize> Batch;
   std::array<uint32_t, TraceBatchSize> BatchAddrOff;
   size_t BatchLen = 0;
-
-  /// Superinstruction pass state (see fusionReport()).
-  FusionReport Fusion;
-  /// Scratch: instruction indices that are branch (or abort) targets and
-  /// therefore must stay dispatchable on their own.
-  std::vector<uint8_t> IsJumpTarget;
 };
 
 /// Exports \p S into \p R under the `emu.` metric namespace (counters plus

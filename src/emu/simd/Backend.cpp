@@ -2,10 +2,10 @@
 //
 // Runtime backend resolution: the FLEXVEC_SIMD override, CPUID capability
 // queries, and the clamp from a requested backend to one this build and
-// host can execute. Mirrors the FLEXVEC_DISPATCH / DispatchMode plumbing.
+// host can execute.
 //
-// Also pins, at compile time, the opcode/enum layout the kernel-table
-// index helpers (emu/simd/Kernels.h) silently rely on.
+// Also pins, at compile time, the opcode/enum layout the kernel-table slot
+// constants (emu/Interp.inc, emu/simd/Kernels.h) silently rely on.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,8 +18,8 @@
 using namespace flexvec;
 using namespace flexvec::emu;
 
-// The *Idx helpers map opcodes to table slots by subtraction; freeze the
-// enum intervals they assume.
+// Table slots are opcode offsets inside each family; freeze the enum
+// intervals they assume.
 #define FV_ASSERT_NEXT(A, B)                                                  \
   static_assert(static_cast<unsigned>(isa::Opcode::B) ==                      \
                     static_cast<unsigned>(isa::Opcode::A) + 1,                \

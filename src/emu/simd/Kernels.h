@@ -67,23 +67,13 @@ using VecConflictFn = uint64_t (*)(const uint8_t *V1, const uint8_t *V2,
 using GatherAddrFn = void (*)(uint64_t *Addrs, const uint8_t *Idx,
                               uint64_t Base, int64_t Disp, uint8_t Scale);
 
-/// Slot indices for the contiguous opcode families; the *Idx helpers below
-/// map opcodes onto them and static_asserts in Backend.cpp pin the enum
-/// layout they rely on.
+/// Slot counts for the contiguous opcode families. A slot is the opcode's
+/// offset inside its family; static_asserts in Backend.cpp pin the enum
+/// layout that relies on.
 inline constexpr unsigned NumIntBinOps = 8; ///< VAdd..VMax.
 inline constexpr unsigned NumIntImmOps = 3; ///< VAddImm, VMulImm, VShlImm.
 inline constexpr unsigned NumFpBinOps = 6;  ///< VFAdd..VFMax.
 
-inline unsigned intBinIdx(isa::Opcode Op) {
-  return static_cast<unsigned>(Op) - static_cast<unsigned>(isa::Opcode::VAdd);
-}
-inline unsigned intImmIdx(isa::Opcode Op) {
-  return static_cast<unsigned>(Op) -
-         static_cast<unsigned>(isa::Opcode::VAddImm);
-}
-inline unsigned fpBinIdx(isa::Opcode Op) {
-  return static_cast<unsigned>(Op) - static_cast<unsigned>(isa::Opcode::VFAdd);
-}
 /// FP tables are indexed F32=0, F64=1.
 inline unsigned fpTypeIdx(isa::ElemType Ty) {
   return Ty == isa::ElemType::F64 ? 1u : 0u;

@@ -1,10 +1,10 @@
 //===- workloads/Figure8.h - Table 2 matrix on the parallel engine -*- C++ -*-===//
 //
-// Adapts the 18 Table 2 benchmarks onto core::runSweep: builds the
-// benchmark set at a given iteration scale and exposes it as the engine's
-// SweepWorkload views, plus the one-call wrapper every driver
-// (flexvec-bench, bench_figure8, the determinism tests) goes through so
-// they all measure exactly the same matrix.
+// Adapts the 18 Table 2 benchmarks and the 7 kernel-family rows onto
+// core::runSweep: builds the benchmark set at a given iteration scale and
+// exposes it as the engine's SweepWorkload views, plus the one-call wrapper
+// every driver (flexvec-bench, the perf benchmark, the determinism tests)
+// goes through so they all measure exactly the same matrix.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +17,7 @@
 namespace flexvec {
 namespace workloads {
 
-/// The 18 benchmarks plus the engine views into them. Views hold pointers
+/// The 25 benchmark rows plus the engine views into them. Views hold pointers
 /// into Benchmarks, so keep the suite alive for the duration of the sweep.
 struct Figure8Suite {
   std::vector<Benchmark> Benchmarks;
@@ -26,7 +26,7 @@ struct Figure8Suite {
 
 Figure8Suite buildFigure8Suite(double IterationScale = 1.0);
 
-/// Runs the full 18 x 6 Figure 8 / Table 2 sweep with \p Opts (Opts.Scale
+/// Runs the full 25 x 6 Figure 8 / Table 2 sweep with \p Opts (Opts.Scale
 /// sizes the workloads). \p Cache optionally persists compiled loops
 /// across sweeps.
 core::SweepResult runFigure8Sweep(const core::SweepOptions &Opts,

@@ -533,10 +533,11 @@ TEST_P(PipelineEquivalence, DriverMatchesLegacyGenerators) {
     expectSameProgram("flexvec", C.Name, FlexVec, PR.FlexVec);
     expectSameProgram("flexvec-rtm", C.Name, Rtm, PR.Rtm);
 
-    // The legacy FlexVec decline diagnostic surface is preserved.
+    // The FlexVec decline reason survives as the variant's missed remark.
     if (!FlexVec && !WhyNot.empty()) {
-      ASSERT_EQ(PR.Diagnostics.size(), 1u) << C.Name;
-      EXPECT_EQ(PR.Diagnostics[0], "flexvec: " + WhyNot) << C.Name;
+      const driver::Remark *Decline = PR.Remarks.lastMissed("flexvec");
+      ASSERT_NE(Decline, nullptr) << C.Name;
+      EXPECT_EQ(Decline->Message, WhyNot) << C.Name;
     }
 
     // Peepholed FlexVec matches optimizing the legacy program.

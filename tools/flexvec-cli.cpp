@@ -449,8 +449,9 @@ int main(int Argc, char **Argv) {
   if (Opts.Remarks)
     std::printf("== Remarks ==\n%s\n", PR.Remarks.render().c_str());
 
-  for (const std::string &D : PR.Diagnostics)
-    std::printf("note: %s\n", D.c_str());
+  if (!PR.FlexVec)
+    if (const driver::Remark *Why = PR.Remarks.lastMissed("flexvec"))
+      std::printf("note: flexvec: %s\n", Why->Message.c_str());
 
   if (Opts.FaultDiff)
     return runFaultDiff(F, PR, Opts);
