@@ -15,9 +15,10 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Measure.h"
+#include "core/Evaluator.h"
 #include "core/Pipeline.h"
 #include "profile/LoopProfiler.h"
+#include "sim/OooCore.h"
 #include "support/Table.h"
 #include "workloads/Benchmarks.h"
 
@@ -30,7 +31,7 @@ using namespace flexvec::workloads;
 namespace {
 
 void sweep(const char *Title, const ir::LoopFunction &F,
-           const std::function<BenchInstance(Rng &, double)> &Gen) {
+           const std::function<core::WorkloadInstance(Rng &, double)> &Gen) {
   std::printf("== %s ==\n", Title);
   core::PipelineResult PR = core::compileLoop(F);
   if (!PR.FlexVec) {
@@ -43,7 +44,7 @@ void sweep(const char *Title, const ir::LoopFunction &F,
   const double Probs[] = {0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.35, 0.5};
   for (double P : Probs) {
     Rng R(0xEFF + static_cast<uint64_t>(P * 1000));
-    BenchInstance In = Gen(R, P);
+    core::WorkloadInstance In = Gen(R, P);
 
     profile::LoopProfiler Prof(F, PR.Plan);
     mem::Memory M = In.Image.clone();

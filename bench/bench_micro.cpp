@@ -8,10 +8,11 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Measure.h"
+#include "core/Evaluator.h"
 #include "core/Pipeline.h"
 #include "emu/simd/Kernels.h"
 #include "isa/Program.h"
+#include "sim/OooCore.h"
 #include "workloads/PaperLoops.h"
 
 #include <benchmark/benchmark.h>
@@ -27,9 +28,11 @@ struct Fixture {
   std::unique_ptr<ir::LoopFunction> F = buildH264Loop();
   core::PipelineResult PR = core::compileLoop(*F);
   LoopInputs In;
+  std::vector<ir::Bindings> Invocations; ///< One: In.B.
   Fixture() {
     Rng R(31);
     In = genH264Inputs(*F, R, 20000, 0.02);
+    Invocations = {In.B};
   }
 };
 
@@ -42,8 +45,8 @@ void BM_EmulatorScalar(benchmark::State &State) {
   Fixture &Fx = fixture();
   uint64_t Instrs = 0;
   for (auto _ : State) {
-    core::RunOutcome Out =
-        core::runProgram(Fx.PR.Scalar, Fx.In.Image, Fx.In.B);
+    core::RunOutcome Out = core::runProgramMulti(*Fx.F, Fx.PR.Scalar,
+                                                 Fx.In.Image, Fx.Invocations);
     Instrs += Out.Exec.Stats.Instructions;
     benchmark::DoNotOptimize(Out.MemFingerprint);
   }
@@ -55,8 +58,8 @@ void BM_EmulatorFlexVec(benchmark::State &State) {
   Fixture &Fx = fixture();
   uint64_t Instrs = 0;
   for (auto _ : State) {
-    core::RunOutcome Out =
-        core::runProgram(*Fx.PR.FlexVec, Fx.In.Image, Fx.In.B);
+    core::RunOutcome Out = core::runProgramMulti(*Fx.F, *Fx.PR.FlexVec,
+                                                 Fx.In.Image, Fx.Invocations);
     Instrs += Out.Exec.Stats.Instructions;
     benchmark::DoNotOptimize(Out.MemFingerprint);
   }
@@ -68,10 +71,11 @@ void BM_EmulatorPlusTimingModel(benchmark::State &State) {
   Fixture &Fx = fixture();
   uint64_t Instrs = 0;
   for (auto _ : State) {
-    core::Measurement M =
-        core::measureProgram(*Fx.PR.FlexVec, Fx.In.Image, Fx.In.B);
-    Instrs += M.Timing.Instructions;
-    benchmark::DoNotOptimize(M.Timing.Cycles);
+    sim::OooCore Core;
+    core::runProgramMulti(*Fx.F, *Fx.PR.FlexVec, Fx.In.Image, Fx.Invocations,
+                          &Core);
+    Instrs += Core.stats().Instructions;
+    benchmark::DoNotOptimize(Core.stats().Cycles);
   }
   State.counters["instrs/s"] = benchmark::Counter(
       static_cast<double>(Instrs), benchmark::Counter::kIsRate);
@@ -81,7 +85,8 @@ void BM_ReferenceInterpreter(benchmark::State &State) {
   Fixture &Fx = fixture();
   uint64_t Iters = 0;
   for (auto _ : State) {
-    core::RunOutcome Out = core::runReference(*Fx.F, Fx.In.Image, Fx.In.B);
+    core::RunOutcome Out =
+        core::runReferenceMulti(*Fx.F, Fx.In.Image, Fx.Invocations);
     benchmark::DoNotOptimize(Out.MemFingerprint);
     Iters += 20000;
   }
@@ -207,10 +212,11 @@ void BM_MemoryCloneThenTouchAll(benchmark::State &State) {
 // alone by stopping the run after a single retired instruction.
 void BM_PredecodeAndSetup(benchmark::State &State) {
   Fixture &Fx = fixture();
+  emu::RunLimits Limits;
+  Limits.MaxInstructions = 1;
   for (auto _ : State) {
-    core::RunOutcome Out =
-        core::runProgram(Fx.PR.Scalar, Fx.In.Image, Fx.In.B, nullptr,
-                         /*MaxInstructions=*/1);
+    core::RunOutcome Out = core::runProgramMulti(
+        *Fx.F, Fx.PR.Scalar, Fx.In.Image, Fx.Invocations, nullptr, Limits);
     benchmark::DoNotOptimize(Out.Exec.Stats.Instructions);
   }
 }
@@ -243,8 +249,8 @@ void runTraceDelivery(benchmark::State &State) {
   uint64_t Instrs = 0;
   for (auto _ : State) {
     SinkT Sink;
-    core::RunOutcome Out =
-        core::runProgram(*Fx.PR.FlexVec, Fx.In.Image, Fx.In.B, &Sink);
+    core::RunOutcome Out = core::runProgramMulti(
+        *Fx.F, *Fx.PR.FlexVec, Fx.In.Image, Fx.Invocations, &Sink);
     Instrs += Out.Exec.Stats.Instructions;
     benchmark::DoNotOptimize(Sink.Records);
   }
@@ -264,8 +270,8 @@ void BM_TraceDeliveryNoSink(benchmark::State &State) {
   Fixture &Fx = fixture();
   uint64_t Instrs = 0;
   for (auto _ : State) {
-    core::RunOutcome Out =
-        core::runProgram(*Fx.PR.FlexVec, Fx.In.Image, Fx.In.B);
+    core::RunOutcome Out = core::runProgramMulti(*Fx.F, *Fx.PR.FlexVec,
+                                                 Fx.In.Image, Fx.Invocations);
     Instrs += Out.Exec.Stats.Instructions;
     benchmark::DoNotOptimize(Out.MemFingerprint);
   }

@@ -11,8 +11,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Measure.h"
+#include "core/Evaluator.h"
 #include "core/Pipeline.h"
+#include "sim/OooCore.h"
 #include "support/Table.h"
 #include "workloads/Benchmarks.h"
 
@@ -28,7 +29,7 @@ int main() {
   struct Case {
     const char *Name;
     std::unique_ptr<ir::LoopFunction> F;
-    BenchInstance In;
+    core::WorkloadInstance In;
   };
   std::vector<Case> Cases;
   {

@@ -68,7 +68,7 @@ int main(int argc, char **argv) {
     }
 
     Rng R(0x7AB1E2 + std::hash<std::string>{}(B.Name));
-    BenchInstance In = B.Gen(R);
+    core::WorkloadInstance In = B.Gen(R);
     if (In.Invocations.size() > 64)
       In.Invocations.resize(64);
 

@@ -34,7 +34,7 @@ struct VplStats {
 VplStats measure(const ir::LoopFunction &F, const codegen::CompiledLoop &CL,
                  const mem::Memory &Image, const ir::Bindings &B,
                  unsigned VL) {
-  core::RunOutcome Out = core::runProgram(CL, Image, B);
+  core::RunOutcome Out = core::runProgramMulti(F, CL, Image, {B});
   const emu::ExecStats &S = Out.Exec.Stats;
   uint64_t Kftm = S.countOf(Opcode::KFtmExc) + S.countOf(Opcode::KFtmInc);
   int64_t Trip = B.getInt(F.tripCountScalar());

@@ -11,8 +11,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Measure.h"
+#include "core/Evaluator.h"
 #include "core/Pipeline.h"
+#include "sim/OooCore.h"
 #include "support/Table.h"
 #include "workloads/PaperLoops.h"
 
@@ -51,19 +52,26 @@ int main() {
     Rng R(5);
     LoopInputs In = genConflictInputs(*F, R, 30000, Prob, 2048);
 
-    core::RunOutcome Ref = core::runReference(*F, In.Image, In.B);
-    core::Measurement Scalar =
-        core::measureProgram(PR.Scalar, In.Image, In.B);
-    core::Measurement Flex =
-        core::measureProgram(*PR.FlexVec, In.Image, In.B);
-    bool Correct = core::outcomesMatch(*F, Ref, Flex.Outcome);
+    // One invocation; each OooCore times its program as a trace sink.
+    const std::vector<ir::Bindings> Invocations{In.B};
+    core::RunOutcome Ref = core::runReferenceMulti(*F, In.Image, Invocations);
+    sim::OooCore Scalar, Flex;
+    core::runProgramMulti(*F, PR.Scalar, In.Image, Invocations, &Scalar);
+    core::RunOutcome FlexOut =
+        core::runProgramMulti(*F, *PR.FlexVec, In.Image, Invocations, &Flex);
+    bool Correct = core::outcomesMatch(*F, Ref, FlexOut);
 
-    uint64_t Kftm = Flex.Outcome.Exec.Stats.countOf(isa::Opcode::KFtmExc);
+    uint64_t Kftm = FlexOut.Exec.Stats.countOf(isa::Opcode::KFtmExc);
     double Rounds = static_cast<double>(Kftm) / (30000.0 / 16.0);
+    const uint64_t ScalarCycles = Scalar.stats().Cycles;
+    const uint64_t FlexCycles = Flex.stats().Cycles;
     T.addRow({TextTable::fmt(Prob, 2), TextTable::fmt(Rounds, 2),
-              TextTable::fmtInt(static_cast<long long>(Scalar.Timing.Cycles)),
-              TextTable::fmtInt(static_cast<long long>(Flex.Timing.Cycles)),
-              TextTable::fmt(core::speedup(Scalar, Flex), 2) + "x",
+              TextTable::fmtInt(static_cast<long long>(ScalarCycles)),
+              TextTable::fmtInt(static_cast<long long>(FlexCycles)),
+              TextTable::fmt(static_cast<double>(ScalarCycles) /
+                                 static_cast<double>(FlexCycles),
+                             2) +
+                  "x",
               Correct ? "yes" : "NO"});
   }
   T.print();

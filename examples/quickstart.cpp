@@ -8,8 +8,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Measure.h"
+#include "core/Evaluator.h"
 #include "core/Pipeline.h"
+#include "sim/OooCore.h"
 #include "support/Table.h"
 #include "workloads/PaperLoops.h"
 
@@ -36,9 +37,12 @@ int main() {
       workloads::genH264Inputs(*F, R, /*N=*/100000, /*UpdateProb=*/0.02);
 
   // 4. Correctness: every variant must match the reference interpreter.
-  core::RunOutcome Ref = core::runReference(*F, In.Image, In.B);
+  //    The run API takes a list of invocations; this is a single one.
+  const std::vector<ir::Bindings> Invocations{In.B};
+  core::RunOutcome Ref = core::runReferenceMulti(*F, In.Image, Invocations);
   auto check = [&](const char *Name, const codegen::CompiledLoop &CL) {
-    core::RunOutcome Out = core::runProgram(CL, In.Image, In.B);
+    core::RunOutcome Out =
+        core::runProgramMulti(*F, CL, In.Image, Invocations);
     std::printf("  %-14s %s\n", Name,
                 core::outcomesMatch(*F, Ref, Out) ? "matches reference"
                                                   : "MISMATCH");
@@ -52,16 +56,25 @@ int main() {
   if (PR.Adaptive)
     check("flexvec-adaptive", *PR.Adaptive);
 
-  // 5. Performance on the Table 1 core.
+  // 5. Performance on the Table 1 core: the OOO model consumes the
+  //    emulator's dynamic instruction trace as a sink.
+  auto measure = [&](const codegen::CompiledLoop &CL) {
+    sim::OooCore Core;
+    core::runProgramMulti(*F, CL, In.Image, Invocations, &Core);
+    return Core.stats();
+  };
   std::printf("\n== Timing (Table 1 core) ==\n");
   TextTable T({"variant", "cycles", "instrs", "IPC", "speedup vs scalar"});
-  core::Measurement Base = core::measureProgram(PR.Scalar, In.Image, In.B);
+  const sim::SimStats Base = measure(PR.Scalar);
   auto row = [&](const char *Name, const codegen::CompiledLoop &CL) {
-    core::Measurement M = core::measureProgram(CL, In.Image, In.B);
-    T.addRow({Name, TextTable::fmtInt(static_cast<long long>(M.Timing.Cycles)),
-              TextTable::fmtInt(static_cast<long long>(M.Timing.Instructions)),
-              TextTable::fmt(M.Timing.ipc(), 2),
-              TextTable::fmt(core::speedup(Base, M), 2) + "x"});
+    const sim::SimStats S = measure(CL);
+    T.addRow({Name, TextTable::fmtInt(static_cast<long long>(S.Cycles)),
+              TextTable::fmtInt(static_cast<long long>(S.Instructions)),
+              TextTable::fmt(S.ipc(), 2),
+              TextTable::fmt(static_cast<double>(Base.Cycles) /
+                                 static_cast<double>(S.Cycles),
+                             2) +
+                  "x"});
   };
   row("scalar", PR.Scalar);
   if (PR.Speculative)
@@ -76,8 +89,7 @@ int main() {
   TextTable D({"variant", "uops", "branches", "mispredicts", "L1 hits",
                "L2+L3 hits", "mem accesses", "bound by (FE/win/dep/port)"});
   auto detail = [&](const char *Name, const codegen::CompiledLoop &CL) {
-    core::Measurement M = core::measureProgram(CL, In.Image, In.B);
-    const sim::SimStats &S = M.Timing;
+    const sim::SimStats S = measure(CL);
     D.addRow({Name, TextTable::fmtInt(static_cast<long long>(S.Uops)),
               TextTable::fmtInt(static_cast<long long>(S.Branches)),
               TextTable::fmtInt(static_cast<long long>(S.Mispredicts)),

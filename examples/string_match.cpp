@@ -17,8 +17,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Measure.h"
+#include "core/Evaluator.h"
 #include "core/Pipeline.h"
+#include "sim/OooCore.h"
 #include "support/Table.h"
 #include "workloads/PaperLoops.h"
 
@@ -34,6 +35,12 @@ int main() {
   core::PipelineResult PR = core::compileLoop(*F);
   std::printf("== Plan ==\n%s\n\n", PR.Plan.describe(*F).c_str());
 
+  // Runs CL once on In's inputs; Core, when given, times the run.
+  auto run = [&](const codegen::CompiledLoop &CL, const LoopInputs &In,
+                 sim::OooCore *Core = nullptr) {
+    return core::runProgramMulti(*F, CL, In.Image, {In.B}, Core);
+  };
+
   // 1. Match-position sweep: the earlier the match, the less there is to
   //    vectorize; speedup grows with the scan length.
   std::printf("== Match position sweep (declared length 40000) ==\n");
@@ -42,16 +49,20 @@ int main() {
   for (int64_t MatchPos : {5L, 100L, 2000L, 20000L, 39999L}) {
     Rng R(9);
     LoopInputs In = genEarlyExitInputs(*F, R, 40000, MatchPos);
-    core::RunOutcome Ref = core::runReference(*F, In.Image, In.B);
-    core::Measurement Scalar =
-        core::measureProgram(PR.Scalar, In.Image, In.B);
-    core::Measurement Flex =
-        core::measureProgram(*PR.FlexVec, In.Image, In.B);
+    core::RunOutcome Ref = core::runReferenceMulti(*F, In.Image, {In.B});
+    sim::OooCore Scalar, Flex;
+    run(PR.Scalar, In, &Scalar);
+    core::RunOutcome FlexOut = run(*PR.FlexVec, In, &Flex);
+    const uint64_t ScalarCycles = Scalar.stats().Cycles;
+    const uint64_t FlexCycles = Flex.stats().Cycles;
     T.addRow({TextTable::fmtInt(MatchPos),
-              TextTable::fmtInt(static_cast<long long>(Scalar.Timing.Cycles)),
-              TextTable::fmtInt(static_cast<long long>(Flex.Timing.Cycles)),
-              TextTable::fmt(core::speedup(Scalar, Flex), 2) + "x",
-              core::outcomesMatch(*F, Ref, Flex.Outcome) ? "yes" : "NO"});
+              TextTable::fmtInt(static_cast<long long>(ScalarCycles)),
+              TextTable::fmtInt(static_cast<long long>(FlexCycles)),
+              TextTable::fmt(static_cast<double>(ScalarCycles) /
+                                 static_cast<double>(FlexCycles),
+                             2) +
+                  "x",
+              core::outcomesMatch(*F, Ref, FlexOut) ? "yes" : "NO"});
   }
   T.print();
 
@@ -61,9 +72,9 @@ int main() {
   Rng R(10);
   LoopInputs Tight = genEarlyExitInputs(*F, R, /*N=*/4000, /*MatchPos=*/777,
                                         /*TightPages=*/true);
-  core::RunOutcome Ref = core::runReference(*F, Tight.Image, Tight.B);
-  core::RunOutcome Flex = core::runProgram(*PR.FlexVec, Tight.Image, Tight.B);
-  core::RunOutcome Rtm = core::runProgram(*PR.Rtm, Tight.Image, Tight.B);
+  core::RunOutcome Ref = core::runReferenceMulti(*F, Tight.Image, {Tight.B});
+  core::RunOutcome Flex = run(*PR.FlexVec, Tight);
+  core::RunOutcome Rtm = run(*PR.Rtm, Tight);
   std::printf("  reference best_pos     = %lld\n",
               static_cast<long long>(Ref.LiveOuts[2]));
   std::printf("  flexvec (FF fallback)  = %lld  [%s, ran to completion: %s]\n",

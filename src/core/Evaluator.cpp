@@ -2,22 +2,31 @@
 
 #include "core/Evaluator.h"
 
+#include "core/FaultHarness.h"
+#include "support/Hash.h"
+
 #include <cassert>
 
 using namespace flexvec;
 using namespace flexvec::core;
 using namespace flexvec::ir;
 
-void core::setUpDispatchCell(const codegen::CompiledLoop &CL,
-                             mem::Memory &M) {
+namespace {
+
+/// Maps the adaptive dispatch-cell page on \p M when \p CL is a
+/// flexvec-adaptive program (no-op otherwise). Runs before the first
+/// invocation; the cell starts zeroed (promoted state).
+void setUpDispatchCell(const codegen::CompiledLoop &CL, mem::Memory &M) {
   if (CL.Kind != codegen::CodeGenKind::FlexVecAdaptive)
     return;
   M.map(driver::dispatch::CellAddr, driver::dispatch::CellSize);
 }
 
-bool core::tearDownDispatchCell(const codegen::CompiledLoop &CL,
-                                mem::Memory &M,
-                                driver::DispatchCounts &Out) {
+/// Reads the dispatch counters back into \p Out and unmaps the cell page
+/// (so fingerprints stay comparable with the scalar reference). Returns
+/// true when \p CL is flexvec-adaptive. Runs before fingerprint().
+bool tearDownDispatchCell(const codegen::CompiledLoop &CL, mem::Memory &M,
+                          driver::DispatchCounts &Out) {
   if (CL.Kind != codegen::CodeGenKind::FlexVecAdaptive)
     return false;
   const uint64_t Base = driver::dispatch::CellAddr;
@@ -36,59 +45,6 @@ bool core::tearDownDispatchCell(const codegen::CompiledLoop &CL,
   return true;
 }
 
-RunOutcome core::runProgram(const codegen::CompiledLoop &CL,
-                            const mem::Memory &BaseImage, const Bindings &B,
-                            emu::TraceSink *Sink, uint64_t MaxInstructions) {
-  RunOutcome Out;
-  mem::Memory M = BaseImage.clone();
-  setUpDispatchCell(CL, M);
-  emu::Machine Machine(M);
-  for (size_t S = 0; S < B.ScalarValues.size(); ++S)
-    Machine.setScalar(codegen::scalarParamReg(static_cast<int>(S)).Index,
-                      B.ScalarValues[S]);
-  for (size_t A = 0; A < B.ArrayBases.size(); ++A)
-    Machine.setScalar(codegen::arrayBaseReg(static_cast<int>(A)).Index,
-                      static_cast<int64_t>(B.ArrayBases[A]));
-  emu::RunLimits Limits;
-  Limits.MaxInstructions = MaxInstructions;
-  Out.Exec = Machine.run(CL.Prog, Limits, Sink);
-  Out.Tx = Machine.txStats();
-  Out.Mem = M.stats();
-  Out.Ok = Out.Exec.Reason == emu::StopReason::Halted;
-  if (!Out.Ok)
-    Out.Error = Out.Exec.describe();
-  Out.HasDispatch = tearDownDispatchCell(CL, M, Out.Dispatch);
-  Out.MemFingerprint = M.fingerprint();
-  for (size_t S = 0; S < B.ScalarValues.size(); ++S)
-    Out.LiveOuts.push_back(Machine.getScalar(
-        codegen::scalarParamReg(static_cast<int>(S)).Index));
-  return Out;
-}
-
-RunOutcome core::runReference(const LoopFunction &F,
-                              const mem::Memory &BaseImage,
-                              const Bindings &B) {
-  RunOutcome Out;
-  mem::Memory M = BaseImage.clone();
-  Bindings Work = B;
-  Interpreter Interp(M);
-  InterpResult R = Interp.run(F, Work);
-  Out.Ok = !R.Faulted;
-  if (R.Faulted)
-    Out.Error = "reference memory fault at address " +
-                std::to_string(R.FaultAddr);
-  Out.MemFingerprint = M.fingerprint();
-  Out.LiveOuts = Work.ScalarValues;
-  return Out;
-}
-
-namespace {
-
-uint64_t hashCombine(uint64_t H, uint64_t V) {
-  H ^= V + 0x9e3779b97f4a7c15ULL + (H << 6) + (H >> 2);
-  return H;
-}
-
 uint64_t foldLiveOuts(const LoopFunction &F, uint64_t H,
                       const std::vector<int64_t> &LiveOuts) {
   for (size_t S = 0; S < F.scalars().size(); ++S)
@@ -97,21 +53,23 @@ uint64_t foldLiveOuts(const LoopFunction &F, uint64_t H,
   return H;
 }
 
-} // namespace
-
-RunOutcome core::runProgramMulti(const LoopFunction &F,
-                                 const codegen::CompiledLoop &CL,
-                                 const mem::Memory &BaseImage,
-                                 const std::vector<Bindings> &Invocations,
-                                 emu::TraceSink *Sink,
-                                 uint64_t MaxInstructionsPerRun) {
+/// The machine loop behind runProgramMulti and runProgramMultiWithFaults:
+/// bind each invocation's inputs, run, collect and fold its live-outs;
+/// stop at the first invocation that does not halt. \p Injector, when
+/// given, is armed over the clone and the transaction unit for the whole
+/// sequence.
+RunOutcome runMachine(const LoopFunction &F, const codegen::CompiledLoop &CL,
+                      const mem::Memory &BaseImage,
+                      const std::vector<Bindings> &Invocations,
+                      emu::TraceSink *Sink, const emu::RunLimits &Limits,
+                      faults::FaultInjector *Injector) {
   RunOutcome Out;
   Out.Ok = true;
   mem::Memory M = BaseImage.clone();
   setUpDispatchCell(CL, M);
   emu::Machine Machine(M);
-  emu::RunLimits Limits;
-  Limits.MaxInstructions = MaxInstructionsPerRun;
+  if (Injector)
+    Injector->arm(M, &Machine.tx());
   for (const Bindings &B : Invocations) {
     Machine.resetRegisters();
     for (size_t S = 0; S < B.ScalarValues.size(); ++S)
@@ -125,6 +83,8 @@ RunOutcome core::runProgramMulti(const LoopFunction &F,
     if (R.Reason != emu::StopReason::Halted) {
       Out.Ok = false;
       Out.Error = "invocation failed: " + R.describe();
+      R.Stats = std::move(Out.Exec.Stats);
+      Out.Exec = std::move(R);
       break;
     }
     Out.LiveOuts.clear();
@@ -133,11 +93,37 @@ RunOutcome core::runProgramMulti(const LoopFunction &F,
           codegen::scalarParamReg(static_cast<int>(S)).Index));
     Out.LiveOutHash = foldLiveOuts(F, Out.LiveOutHash, Out.LiveOuts);
   }
+  if (Injector)
+    Injector->disarm();
   Out.Tx = Machine.txStats();
   Out.Mem = M.stats();
   Out.HasDispatch = tearDownDispatchCell(CL, M, Out.Dispatch);
   Out.MemFingerprint = M.fingerprint();
   return Out;
+}
+
+} // namespace
+
+RunOutcome core::runProgramMulti(const LoopFunction &F,
+                                 const codegen::CompiledLoop &CL,
+                                 const mem::Memory &BaseImage,
+                                 const std::vector<Bindings> &Invocations,
+                                 emu::TraceSink *Sink,
+                                 const emu::RunLimits &Limits) {
+  return runMachine(F, CL, BaseImage, Invocations, Sink, Limits,
+                    /*Injector=*/nullptr);
+}
+
+FaultedRun core::runProgramMultiWithFaults(
+    const LoopFunction &F, const codegen::CompiledLoop &CL,
+    const mem::Memory &BaseImage, const std::vector<Bindings> &Invocations,
+    const FaultPlan &Plan) {
+  faults::FaultInjector Injector(Plan.Mem, Plan.Tx);
+  FaultedRun Run;
+  Run.Outcome = runMachine(F, CL, BaseImage, Invocations, /*Sink=*/nullptr,
+                           Plan.Limits, &Injector);
+  Run.Injection = Injector.stats();
+  return Run;
 }
 
 RunOutcome core::runReferenceMulti(const LoopFunction &F,

@@ -1,10 +1,15 @@
 //===- core/Evaluator.h - Correctness and performance evaluation -*- C++ -*-===//
 //
-// Runs compiled programs on the functional emulator against cloned memory
-// images, cross-checks them against the IR reference interpreter, and (via
-// a caller-provided trace sink) feeds the timing model. Also implements
-// the paper's coverage scaling: hot-region speedups are scaled down by the
-// region's contribution to total program execution (Section 5).
+// The run API: executes a compiled program (or the IR reference
+// interpreter) over a sequence of hot-loop invocations against one cloned
+// memory image. A caller-provided trace sink — typically an sim::OooCore —
+// feeds the timing model; a one-element invocation list is an ordinary
+// single run. Also implements the paper's coverage scaling: hot-region
+// speedups are scaled down by the region's contribution to total program
+// execution (Section 5).
+//
+// core/FaultHarness.h adds the faulted and differential forms; together
+// they are the only ways a program runs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,10 +27,19 @@
 namespace flexvec {
 namespace core {
 
+/// A memory image plus the bindings of every hot-loop invocation.
+struct WorkloadInstance {
+  mem::Memory Image;
+  std::vector<ir::Bindings> Invocations;
+};
+
 /// Result of one program (or reference) execution.
 struct RunOutcome {
   bool Ok = false; ///< Ran to completion (Halt / interpreter return).
-  emu::ExecResult Exec;           ///< Machine runs only.
+  /// Machine runs only. Stats merge every invocation; on failure the stop
+  /// report (reason, fault address, PC, opcode, abort history) is the
+  /// failing invocation's.
+  emu::ExecResult Exec;
   rtm::TxStats Tx;                ///< Transaction-unit stats (machine runs).
   mem::MemoryStats Mem;           ///< Image TLB/COW stats (machine runs).
   uint64_t MemFingerprint = 0;    ///< Final memory image digest.
@@ -39,37 +53,17 @@ struct RunOutcome {
   std::string Error;
 };
 
-/// Maps the adaptive dispatch-cell page on \p M when \p CL is a
-/// flexvec-adaptive program (no-op otherwise). Must run before the first
-/// invocation; the cell starts zeroed (promoted state).
-void setUpDispatchCell(const codegen::CompiledLoop &CL, mem::Memory &M);
-
-/// Reads the dispatch counters back into \p Out and unmaps the cell page
-/// (so fingerprints stay comparable with the scalar reference). Returns
-/// true when \p CL is flexvec-adaptive. Must run before fingerprint().
-bool tearDownDispatchCell(const codegen::CompiledLoop &CL, mem::Memory &M,
-                          driver::DispatchCounts &Out);
-
-/// Runs \p CL on a clone of \p BaseImage with \p B's inputs. \p Sink
-/// optionally receives the dynamic instruction trace.
-RunOutcome runProgram(const codegen::CompiledLoop &CL,
-                      const mem::Memory &BaseImage, const ir::Bindings &B,
-                      emu::TraceSink *Sink = nullptr,
-                      uint64_t MaxInstructions = 1ULL << 32);
-
-/// Runs the IR reference interpreter on a clone of \p BaseImage.
-RunOutcome runReference(const ir::LoopFunction &F,
-                        const mem::Memory &BaseImage, const ir::Bindings &B);
-
 /// Runs \p CL once per element of \p Invocations against one persistent
 /// memory clone (mutations carry across invocations, like repeated calls
-/// into a hot loop). LiveOutHash folds every invocation's live-outs.
+/// into a hot loop). LiveOutHash folds every invocation's live-outs. \p Sink
+/// optionally receives the dynamic instruction trace; \p Limits applies to
+/// each invocation.
 RunOutcome runProgramMulti(const ir::LoopFunction &F,
                            const codegen::CompiledLoop &CL,
                            const mem::Memory &BaseImage,
                            const std::vector<ir::Bindings> &Invocations,
                            emu::TraceSink *Sink = nullptr,
-                           uint64_t MaxInstructionsPerRun = 1ULL << 32);
+                           const emu::RunLimits &Limits = {});
 
 /// Reference-interpreter counterpart of runProgramMulti.
 RunOutcome runReferenceMulti(const ir::LoopFunction &F,

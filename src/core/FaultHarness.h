@@ -33,30 +33,20 @@ namespace core {
 struct FaultPlan {
   faults::MemFaultPlan Mem;
   faults::TxFaultPlan Tx;
-  uint64_t MaxInstructions = 1ULL << 32;
-  unsigned MaxRtmRetries = 4;
-  /// SIMD lane-kernel backend (SimdEquivalenceTest pins each backend to
-  /// prove fault storms are backend-invariant too).
-  emu::SimdBackend Simd = emu::SimdBackend::Auto;
+  /// Per-invocation budget, RTM retry policy and SIMD backend.
+  emu::RunLimits Limits;
 };
 
 /// One execution under injection: the usual outcome plus what was
-/// actually injected and how the transaction unit fared.
+/// actually injected.
 struct FaultedRun {
   RunOutcome Outcome;
   faults::InjectorStats Injection;
-  rtm::TxStats Tx;
 
   /// Structured one-line fault report (stop reason, fault address, PC,
   /// opcode, abort history).
   std::string report() const;
 };
-
-/// Runs \p CL on a clone of \p BaseImage with a fresh FaultInjector armed
-/// over the clone's memory and the machine's transaction unit.
-FaultedRun runProgramWithFaults(const codegen::CompiledLoop &CL,
-                                const mem::Memory &BaseImage,
-                                const ir::Bindings &B, const FaultPlan &Plan);
 
 /// Verdict of a scalar-vs-vectorized differential run.
 struct DiffVerdict {
@@ -68,30 +58,22 @@ struct DiffVerdict {
   std::string describe() const;
 };
 
-/// Runs \p ScalarCL and \p VectorCL under identical fault schedules
-/// (separate injector instances, same plan and seeds) and compares the
-/// architectural outcomes.
-DiffVerdict runDifferential(const ir::LoopFunction &F,
-                            const codegen::CompiledLoop &ScalarCL,
-                            const codegen::CompiledLoop &VectorCL,
-                            const mem::Memory &BaseImage,
-                            const ir::Bindings &B, const FaultPlan &Plan);
-
-/// Multi-invocation counterpart of runProgramWithFaults: one persistent
-/// memory clone, one injector armed across every invocation (so a bounded
-/// TxFaultPlan models a storm that eventually ends), per-invocation
-/// register reset. This is what drives the adaptive dispatch cell through
-/// its whole lifecycle — the cell is mapped before the first invocation
-/// and read back/unmapped before the fingerprint.
+/// runProgramMulti under injection: the same machine loop with a fresh
+/// FaultInjector armed over the memory clone and the transaction unit
+/// across every invocation (so a bounded TxFaultPlan models a storm that
+/// eventually ends). This is what drives the adaptive dispatch cell
+/// through its whole lifecycle — the cell is mapped before the first
+/// invocation and read back/unmapped before the fingerprint.
 FaultedRun runProgramMultiWithFaults(const ir::LoopFunction &F,
                                      const codegen::CompiledLoop &CL,
                                      const mem::Memory &BaseImage,
                                      const std::vector<ir::Bindings> &Invocations,
                                      const FaultPlan &Plan);
 
-/// Multi-invocation differential: \p ScalarCL and \p VectorCL each run the
-/// whole invocation sequence under identical fault schedules; outcomes
-/// compare via outcomesMatch (folded live-outs + final fingerprint).
+/// Differential run: \p ScalarCL and \p VectorCL each run the whole
+/// invocation sequence under identical fault schedules (separate injector
+/// instances, same plan and seeds); outcomes compare via outcomesMatch
+/// (folded live-outs + final fingerprint).
 DiffVerdict runDifferentialMulti(const ir::LoopFunction &F,
                                  const codegen::CompiledLoop &ScalarCL,
                                  const codegen::CompiledLoop &VectorCL,

@@ -25,6 +25,7 @@
 #define FLEXVEC_CORE_PARALLELEVALUATOR_H
 
 #include "core/CompileCache.h"
+#include "core/Evaluator.h"
 #include "ir/Interp.h"
 #include "memory/Memory.h"
 #include "obs/Metrics.h"
@@ -57,12 +58,6 @@ const char *variantName(VariantId V);
 /// declined the loop.
 const codegen::CompiledLoop *selectVariant(const PipelineResult &PR,
                                            VariantId V);
-
-/// A memory image plus the bindings of every hot-loop invocation.
-struct WorkloadInstance {
-  mem::Memory Image;
-  std::vector<ir::Bindings> Invocations;
-};
 
 /// One row of the evaluation matrix, as the engine sees it. \p F must
 /// outlive the sweep; \p Gen must be safe to call concurrently (it only

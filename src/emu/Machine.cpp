@@ -9,25 +9,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 
 using namespace flexvec;
 using namespace flexvec::emu;
 using namespace flexvec::isa;
-
-unsigned emu::defaultRtmRetries() {
-  static const unsigned Cached = [] {
-    if (const char *Env = std::getenv("FLEXVEC_RTM_RETRIES")) {
-      char *End = nullptr;
-      unsigned long V = std::strtoul(Env, &End, 10);
-      if (End && *End == '\0' && V <= 1u << 20)
-        return static_cast<unsigned>(V);
-    }
-    return 4u;
-  }();
-  return Cached;
-}
 
 TraceSink::~TraceSink() = default;
 

@@ -185,10 +185,6 @@ struct ExecResult {
   std::string describe() const;
 };
 
-/// Default RTM retry budget: the FLEXVEC_RTM_RETRIES environment variable
-/// when set to a non-negative integer, else 4. Read once per process.
-unsigned defaultRtmRetries();
-
 /// Host-SIMD lane-kernel backend for the hot vector handler bodies
 /// (src/emu/simd). Every backend is observably identical to Scalar —
 /// ExecStats field for field, trace streams, memory effects, deterministic
@@ -234,9 +230,8 @@ struct RunLimits {
   /// (conflict/spurious) is re-executed from XBEGIN up to this many times
   /// with exponential backoff before control dispatches to the abort
   /// target (the compiled scalar fallback). Deterministic aborts (fault,
-  /// capacity, explicit, nested) dispatch immediately. Defaults to the
-  /// FLEXVEC_RTM_RETRIES environment variable when set, else 4.
-  unsigned MaxRtmRetries = defaultRtmRetries();
+  /// capacity, explicit, nested) dispatch immediately.
+  unsigned MaxRtmRetries = 4;
   /// Cap on the exponential-backoff shift: retry k stalls 2^min(k, cap)
   /// simulated cycles.
   unsigned MaxRtmBackoffShift = 16;

@@ -148,13 +148,12 @@ workloads::buildArgExtremeLoop(const std::string &Name, bool Fp,
   return F;
 }
 
-BenchInstance workloads::genArgExtremeInputs(const LoopFunction &F, Rng &R,
-                                             int64_t Trip,
-                                             int64_t Invocations,
-                                             double UpdateProb, bool Fp,
-                                             unsigned ExtraCompute,
-                                             bool Branchy, bool IsMin) {
-  BenchInstance Out;
+core::WorkloadInstance
+workloads::genArgExtremeInputs(const LoopFunction &F, Rng &R, int64_t Trip,
+                               int64_t Invocations, double UpdateProb, bool Fp,
+                               unsigned ExtraCompute, bool Branchy,
+                               bool IsMin) {
+  core::WorkloadInstance Out;
   mem::BumpAllocator Alloc(Out.Image);
   int64_t Start = IsMin ? (1 << 22) : (1 << 16);
 
@@ -265,13 +264,12 @@ std::vector<int64_t> conflictIndices(Rng &R, int64_t Trip,
 
 } // namespace
 
-BenchInstance workloads::genScatterAccumInputs(const LoopFunction &F, Rng &R,
-                                               int64_t Trip,
-                                               int64_t Invocations,
-                                               double ConflictProb,
-                                               int64_t TableSize, bool Fp,
-                                               unsigned ExtraCompute) {
-  BenchInstance Out;
+core::WorkloadInstance
+workloads::genScatterAccumInputs(const LoopFunction &F, Rng &R, int64_t Trip,
+                                 int64_t Invocations, double ConflictProb,
+                                 int64_t TableSize, bool Fp,
+                                 unsigned ExtraCompute) {
+  core::WorkloadInstance Out;
   mem::BumpAllocator Alloc(Out.Image);
 
   int64_t Slices = std::min<int64_t>(Invocations, 48);
@@ -349,13 +347,12 @@ workloads::buildForceLoop(const std::string &Name, bool Fp,
   return F;
 }
 
-BenchInstance workloads::genForceInputs(const LoopFunction &F, Rng &R,
-                                        int64_t Trip, int64_t Invocations,
-                                        double UpdateProb,
-                                        double ConflictProb,
-                                        int64_t TableSize, bool Fp,
-                                        unsigned ExtraCompute) {
-  BenchInstance Out;
+core::WorkloadInstance
+workloads::genForceInputs(const LoopFunction &F, Rng &R, int64_t Trip,
+                          int64_t Invocations, double UpdateProb,
+                          double ConflictProb, int64_t TableSize, bool Fp,
+                          unsigned ExtraCompute) {
+  core::WorkloadInstance Out;
   mem::BumpAllocator Alloc(Out.Image);
 
   int64_t Slices = std::min<int64_t>(Invocations, 48);
@@ -406,22 +403,21 @@ BenchInstance workloads::genForceInputs(const LoopFunction &F, Rng &R,
 
 // --- cond-gather & match ------------------------------------------------------===//
 
-BenchInstance workloads::genCondGatherInputs(const LoopFunction &F, Rng &R,
-                                             int64_t Trip,
-                                             int64_t Invocations,
-                                             double UpdateProb,
-                                             double OuterPassProb) {
+core::WorkloadInstance
+workloads::genCondGatherInputs(const LoopFunction &F, Rng &R, int64_t Trip,
+                               int64_t Invocations, double UpdateProb,
+                               double OuterPassProb) {
   LoopInputs In = genH264Inputs(F, R, Trip, UpdateProb, OuterPassProb);
-  BenchInstance Out;
+  core::WorkloadInstance Out;
   Out.Image = std::move(In.Image);
   Out.Invocations.assign(static_cast<size_t>(Invocations), In.B);
   return Out;
 }
 
-BenchInstance workloads::genMatchInputs(const LoopFunction &F, Rng &R,
-                                        int64_t MeanTrip,
-                                        int64_t Invocations) {
-  BenchInstance Out;
+core::WorkloadInstance
+workloads::genMatchInputs(const LoopFunction &F, Rng &R, int64_t MeanTrip,
+                          int64_t Invocations) {
+  core::WorkloadInstance Out;
   mem::BumpAllocator Alloc(Out.Image);
 
   constexpr int32_t MatchChar = 200;

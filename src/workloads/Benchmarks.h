@@ -24,6 +24,7 @@
 #ifndef FLEXVEC_WORKLOADS_BENCHMARKS_H
 #define FLEXVEC_WORKLOADS_BENCHMARKS_H
 
+#include "core/Evaluator.h"
 #include "workloads/PaperLoops.h"
 
 #include <functional>
@@ -33,13 +34,6 @@
 
 namespace flexvec {
 namespace workloads {
-
-/// A memory image plus the bindings of every hot-loop invocation in the
-/// modeled application run.
-struct BenchInstance {
-  mem::Memory Image;
-  std::vector<ir::Bindings> Invocations;
-};
 
 /// Kernel templates (Table 2 instruction-mix classes).
 enum class KernelKind : uint8_t {
@@ -70,7 +64,7 @@ struct Benchmark {
   /// Generates the memory image and invocation list, sized so the whole
   /// benchmark simulates in reasonable time while preserving the paper's
   /// trip-count structure (short-trip loops run many invocations).
-  std::function<BenchInstance(Rng &)> Gen;
+  std::function<core::WorkloadInstance(Rng &)> Gen;
 };
 
 /// Builds all 18 benchmarks. \p IterationScale scales total simulated
@@ -87,42 +81,42 @@ std::unique_ptr<ir::LoopFunction>
 buildArgExtremeLoop(const std::string &Name, bool Fp, unsigned ExtraCompute,
                     bool Branchy, bool IsMin = true);
 
-BenchInstance genArgExtremeInputs(const ir::LoopFunction &F, Rng &R,
-                                  int64_t Trip, int64_t Invocations,
-                                  double UpdateProb, bool Fp,
-                                  unsigned ExtraCompute, bool Branchy,
-                                  bool IsMin = true);
+core::WorkloadInstance
+genArgExtremeInputs(const ir::LoopFunction &F, Rng &R, int64_t Trip,
+                    int64_t Invocations, double UpdateProb, bool Fp,
+                    unsigned ExtraCompute, bool Branchy, bool IsMin = true);
 
 /// scatter-accumulate: d[idx[i]] += e with \p ExtraCompute steps.
 std::unique_ptr<ir::LoopFunction>
 buildScatterAccumLoop(const std::string &Name, bool Fp,
                       unsigned ExtraCompute);
 
-BenchInstance genScatterAccumInputs(const ir::LoopFunction &F, Rng &R,
-                                    int64_t Trip, int64_t Invocations,
-                                    double ConflictProb, int64_t TableSize,
-                                    bool Fp, unsigned ExtraCompute);
+core::WorkloadInstance
+genScatterAccumInputs(const ir::LoopFunction &F, Rng &R, int64_t Trip,
+                      int64_t Invocations, double ConflictProb,
+                      int64_t TableSize, bool Fp, unsigned ExtraCompute);
 
 /// force: argmax over e plus d[idx[i]] += e (two disjoint VPLs).
 std::unique_ptr<ir::LoopFunction>
 buildForceLoop(const std::string &Name, bool Fp, unsigned ExtraCompute);
 
-BenchInstance genForceInputs(const ir::LoopFunction &F, Rng &R, int64_t Trip,
-                             int64_t Invocations, double UpdateProb,
-                             double ConflictProb, int64_t TableSize, bool Fp,
-                             unsigned ExtraCompute);
+core::WorkloadInstance
+genForceInputs(const ir::LoopFunction &F, Rng &R, int64_t Trip,
+               int64_t Invocations, double UpdateProb, double ConflictProb,
+               int64_t TableSize, bool Fp, unsigned ExtraCompute);
 
 /// h264-style conditional gather: reuses the paper loop with a corpus of
 /// invocations.
-BenchInstance genCondGatherInputs(const ir::LoopFunction &F, Rng &R,
-                                  int64_t Trip, int64_t Invocations,
-                                  double UpdateProb,
-                                  double OuterPassProb = 0.05);
+core::WorkloadInstance
+genCondGatherInputs(const ir::LoopFunction &F, Rng &R, int64_t Trip,
+                    int64_t Invocations, double UpdateProb,
+                    double OuterPassProb = 0.05);
 
 /// String match over a corpus: each invocation searches from the previous
 /// match (mean match distance = \p MeanTrip).
-BenchInstance genMatchInputs(const ir::LoopFunction &F, Rng &R,
-                             int64_t MeanTrip, int64_t Invocations);
+core::WorkloadInstance
+genMatchInputs(const ir::LoopFunction &F, Rng &R, int64_t MeanTrip,
+               int64_t Invocations);
 
 } // namespace workloads
 } // namespace flexvec

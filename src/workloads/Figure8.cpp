@@ -24,11 +24,7 @@ Figure8Suite workloads::buildFigure8Suite(double IterationScale) {
     W.F = B.F.get();
     // &B points into Suite.Benchmarks' heap buffer, which stays put when
     // the suite itself is moved.
-    W.Gen = [Bench = &B](Rng &R) {
-      BenchInstance In = Bench->Gen(R);
-      return core::WorkloadInstance{std::move(In.Image),
-                                    std::move(In.Invocations)};
-    };
+    W.Gen = [Bench = &B](Rng &R) { return Bench->Gen(R); };
     Suite.Workloads.push_back(std::move(W));
   }
   return Suite;

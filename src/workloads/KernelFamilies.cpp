@@ -117,7 +117,7 @@ workloads::buildFamilyBenchmarks(double IterationScale) {
                static_cast<double>(R.Invocations) * IterationScale));
     const ir::LoopFunction *FPtr = B.F.get();
     B.Gen = [FPtr, Plan, Invs](Rng &Rand) {
-      BenchInstance In;
+      core::WorkloadInstance In;
       In.Invocations.reserve(static_cast<size_t>(Invs));
       for (int64_t V = 0; V < Invs; ++V) {
         ir::Bindings Bind = ir::Bindings::forFunction(*FPtr);

@@ -67,7 +67,7 @@ TEST_P(BenchmarkSuite, FlexVecAndRtmMatchReference) {
   Benchmark &B = benchmarks()[static_cast<size_t>(GetParam())];
   core::PipelineResult PR = core::compileLoop(*B.F, /*RtmTile=*/96);
   Rng R(42 + static_cast<uint64_t>(GetParam()));
-  BenchInstance In = B.Gen(R);
+  core::WorkloadInstance In = B.Gen(R);
   // Keep test time bounded.
   if (In.Invocations.size() > 40)
     In.Invocations.resize(40);
@@ -90,7 +90,7 @@ TEST_P(BenchmarkSuite, CostModelAcceptsProfiledLoop) {
   Benchmark &B = benchmarks()[static_cast<size_t>(GetParam())];
   core::PipelineResult PR = core::compileLoop(*B.F);
   Rng R(7);
-  BenchInstance In = B.Gen(R);
+  core::WorkloadInstance In = B.Gen(R);
   if (In.Invocations.size() > 20)
     In.Invocations.resize(20);
 

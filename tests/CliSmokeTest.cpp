@@ -40,6 +40,8 @@ const std::string Cli = FLEXVEC_CLI_PATH;
 const std::string Bench = FLEXVEC_BENCH_PATH;
 const std::string Argmin =
     std::string(FLEXVEC_SOURCE_DIR) + "/examples/loops/argmin.fv";
+const std::string FindFirst =
+    std::string(FLEXVEC_SOURCE_DIR) + "/examples/loops/find_first.fv";
 
 void expectRejected(const std::string &Cmd, const std::string &Needle) {
   CmdResult R = run(Cmd);
@@ -52,6 +54,7 @@ void expectRejected(const std::string &Cmd, const std::string &Needle) {
 
 TEST(CliSmoke, UnknownFlagRejected) {
   expectRejected(Cli + " --frobnicate " + Argmin, "unknown option");
+  expectRejected(Cli + " --rtm-retry-budget=2 " + Argmin, "unknown option");
 }
 
 TEST(CliSmoke, MalformedTripRejected) {
@@ -119,6 +122,13 @@ TEST(CliSmoke, ValidRunSucceeds) {
 TEST(CliSmoke, ValidParallelRunSucceeds) {
   CmdResult R = run(Cli + " " + Argmin + " --trip=64 --jobs=2");
   EXPECT_EQ(R.Exit, 0) << R.Output;
+}
+
+TEST(CliSmoke, FaultDiffCleanRunIsEquivalent) {
+  CmdResult R = run(Cli + " " + FindFirst + " --fault-diff");
+  EXPECT_EQ(R.Exit, 0) << R.Output;
+  EXPECT_NE(R.Output.find("EQUIVALENT"), std::string::npos) << R.Output;
+  EXPECT_EQ(R.Output.find("DIVERGED"), std::string::npos) << R.Output;
 }
 
 TEST(CliSmoke, RemarksTextListsStrategies) {

@@ -26,7 +26,7 @@ struct Variant {
 
 void expectAllVariantsMatch(const ir::LoopFunction &F,
                             const PipelineResult &PR, const LoopInputs &In) {
-  RunOutcome Ref = runReference(F, In.Image, In.B);
+  RunOutcome Ref = runReferenceMulti(F, In.Image, {In.B});
   ASSERT_TRUE(Ref.Ok);
 
   std::vector<Variant> Variants;
@@ -41,7 +41,7 @@ void expectAllVariantsMatch(const ir::LoopFunction &F,
     Variants.push_back({"flexvec-rtm", &*PR.Rtm});
 
   for (const Variant &V : Variants) {
-    RunOutcome Out = runProgram(*V.CL, In.Image, In.B);
+    RunOutcome Out = runProgramMulti(F, *V.CL, In.Image, {In.B});
     EXPECT_TRUE(Out.Ok) << V.Name << ": " << Out.Error << "\n"
                         << V.CL->Prog.disassemble();
     EXPECT_TRUE(outcomesMatch(F, Ref, Out))
@@ -158,14 +158,14 @@ TEST(EndToEnd, EarlyExitSpeculativeFaultFallsBackToScalar) {
   // take the scalar fallback and still produce the right answer.
   LoopInputs In = genEarlyExitInputs(*F, R, /*N=*/500, /*MatchPos=*/123,
                                      /*TightPages=*/true);
-  RunOutcome Ref = runReference(*F, In.Image, In.B);
-  RunOutcome Out = runProgram(*PR.FlexVec, In.Image, In.B);
+  RunOutcome Ref = runReferenceMulti(*F, In.Image, {In.B});
+  RunOutcome Out = runProgramMulti(*F, *PR.FlexVec, In.Image, {In.B});
   ASSERT_TRUE(Out.Ok) << Out.Error;
   EXPECT_TRUE(outcomesMatch(*F, Ref, Out));
 
   // The RTM variant must also survive via transaction abort + scalar tile.
   ASSERT_TRUE(PR.Rtm.has_value());
-  RunOutcome OutRtm = runProgram(*PR.Rtm, In.Image, In.B);
+  RunOutcome OutRtm = runProgramMulti(*F, *PR.Rtm, In.Image, {In.B});
   ASSERT_TRUE(OutRtm.Ok) << OutRtm.Error;
   EXPECT_TRUE(outcomesMatch(*F, Ref, OutRtm));
 }

@@ -84,9 +84,8 @@ TEST(FaultDifferential, CleanRunsAreEquivalent) {
   for (LoopCase &C : buildPaperLoops(11)) {
     core::FaultPlan Plan; // Nothing injected.
     for (auto &[VarName, CL] : vectorVariants(C)) {
-      core::DiffVerdict V =
-          core::runDifferential(*C.F, C.PR.Scalar, *CL, C.In.Image, C.In.B,
-                                Plan);
+      core::DiffVerdict V = core::runDifferentialMulti(
+          *C.F, C.PR.Scalar, *CL, C.In.Image, {C.In.B}, Plan);
       EXPECT_TRUE(V.Equivalent)
           << C.Name << "/" << VarName << ": " << V.describe();
       EXPECT_TRUE(V.Scalar.Outcome.Ok);
@@ -111,8 +110,8 @@ TEST(FaultDifferential, PersistentRangeFaultsInEachArray) {
         Plan.Mem.Ranges.push_back({Base, Base + mem::PageSize, /*Prob=*/0.06,
                                    faults::FaultDuration::Persistent});
         for (auto &[VarName, CL] : vectorVariants(C)) {
-          core::DiffVerdict V = core::runDifferential(
-              *C.F, C.PR.Scalar, *CL, C.In.Image, C.In.B, Plan);
+          core::DiffVerdict V = core::runDifferentialMulti(
+              *C.F, C.PR.Scalar, *CL, C.In.Image, {C.In.B}, Plan);
           EXPECT_TRUE(V.Equivalent)
               << C.Name << "/" << VarName << " array " << Arr << " seed "
               << Seed << ": " << V.describe();
@@ -145,8 +144,8 @@ TEST(FaultDifferential, InjectedTxAbortsAreAbsorbedByRetryAndFallback) {
         Plan.Tx.Seed = Seed;
         Plan.Tx.AbortProb = 0.3;
         Plan.Tx.Reason = Reason;
-        core::DiffVerdict V = core::runDifferential(
-            *C.F, C.PR.Scalar, *C.PR.Rtm, C.In.Image, C.In.B, Plan);
+        core::DiffVerdict V = core::runDifferentialMulti(
+            *C.F, C.PR.Scalar, *C.PR.Rtm, C.In.Image, {C.In.B}, Plan);
         EXPECT_TRUE(V.Equivalent)
             << C.Name << "/rtm reason=" << rtm::abortReasonName(Reason)
             << " seed " << Seed << ": " << V.describe();
@@ -423,18 +422,31 @@ TEST_F(ResilienceTest, TransientMemFaultInsideTxHealsForTheFallback) {
 
 // --- Harness-level structured reports ------------------------------------===//
 
+// The stop report of a failing run is the failing invocation's whole
+// ExecResult (reason, PC, opcode) over the stats of every invocation run,
+// with and without an injector armed.
 TEST(FaultHarness, BudgetWatchdogProducesStructuredDiagnostics) {
   std::vector<LoopCase> Cases = buildPaperLoops(21);
   LoopCase &C = Cases[0];
   core::FaultPlan Plan;
-  Plan.MaxInstructions = 50; // Far below what the loop needs.
-  core::FaultedRun Run =
-      core::runProgramWithFaults(C.PR.Scalar, C.In.Image, C.In.B, Plan);
-  EXPECT_FALSE(Run.Outcome.Ok);
-  EXPECT_EQ(Run.Outcome.Exec.Reason, emu::StopReason::BudgetExceeded);
-  EXPECT_EQ(Run.Outcome.Exec.Stats.Instructions, 50u);
-  EXPECT_NE(Run.report().find("budget-exceeded"), std::string::npos)
-      << Run.report();
+  Plan.Limits.MaxInstructions = 50; // Far below what the loop needs.
+  const std::vector<ir::Bindings> Invocations{C.In.B, C.In.B};
+  core::FaultedRun Run = core::runProgramMultiWithFaults(
+      *C.F, C.PR.Scalar, C.In.Image, Invocations, Plan);
+  core::RunOutcome Plain = core::runProgramMulti(
+      *C.F, C.PR.Scalar, C.In.Image, Invocations, nullptr, Plan.Limits);
+  for (const core::RunOutcome *Out : {&Run.Outcome, &Plain}) {
+    const std::string Report = Out->Exec.describe();
+    EXPECT_FALSE(Out->Ok);
+    EXPECT_EQ(Out->Exec.Reason, emu::StopReason::BudgetExceeded) << Report;
+    EXPECT_EQ(Out->Exec.Stats.Instructions, 50u);
+    EXPECT_NE(Out->Exec.FaultOp, isa::Opcode::Nop) << Report;
+    EXPECT_NE(Report.find("budget-exceeded"), std::string::npos) << Report;
+    EXPECT_NE(Report.find(std::string("(") +
+                          isa::opcodeName(Out->Exec.FaultOp) + ")"),
+              std::string::npos)
+        << Report;
+  }
   EXPECT_NE(Run.report().find("pc="), std::string::npos) << Run.report();
 }
 
@@ -443,8 +455,8 @@ TEST(FaultHarness, FailNthAccessYieldsStructuredFaultReport) {
   LoopCase &C = Cases[0];
   core::FaultPlan Plan;
   Plan.Mem.FailNthAccess = 7;
-  core::FaultedRun Run =
-      core::runProgramWithFaults(C.PR.Scalar, C.In.Image, C.In.B, Plan);
+  core::FaultedRun Run = core::runProgramMultiWithFaults(
+      *C.F, C.PR.Scalar, C.In.Image, {C.In.B}, Plan);
   EXPECT_FALSE(Run.Outcome.Ok);
   EXPECT_EQ(Run.Outcome.Exec.Reason, emu::StopReason::Fault);
   EXPECT_EQ(Run.Injection.MemFaultsInjected, 1u);

@@ -161,11 +161,13 @@ bool corruptedFlexVecDiverges(const ir::LoopFunction &F) {
   ir::Bindings B = ir::Bindings::forFunction(F);
   gen::buildConventionInputs(F, R, Plan, M, B);
 
-  core::RunOutcome Ref = core::runReference(F, M, B);
+  core::RunOutcome Ref = core::runReferenceMulti(F, M, {B});
   if (!Ref.Ok)
     return false; // The candidate itself faults; not a valid reproducer.
-  core::RunOutcome Out = core::runProgram(Bad, M, B, /*Sink=*/nullptr,
-                                          /*MaxInstructions=*/1ULL << 22);
+  emu::RunLimits Limits;
+  Limits.MaxInstructions = 1ULL << 22;
+  core::RunOutcome Out =
+      core::runProgramMulti(F, Bad, M, {B}, /*Sink=*/nullptr, Limits);
   return !Out.Ok || !core::outcomesMatch(F, Ref, Out);
 }
 

@@ -185,7 +185,7 @@ TEST_F(KernelFamilies, StormDemotionMatchesAbortActivity) {
     if (!PR.Adaptive)
       continue;
     Rng R(deriveStreamSeed(77, fnv1a64(B.Name)));
-    workloads::BenchInstance In = B.Gen(R);
+    core::WorkloadInstance In = B.Gen(R);
     ASSERT_FALSE(In.Invocations.empty()) << B.Name;
     for (size_t I = 0; In.Invocations.size() < 12; ++I)
       In.Invocations.push_back(In.Invocations[I % In.Invocations.size()]);

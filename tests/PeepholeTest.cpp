@@ -128,7 +128,7 @@ TEST(Peephole, OptimizedFlexVecMatchesReferenceOnAllBenchmarks) {
     core::PipelineResult PR = core::compileLoop(*B.F);
     ASSERT_TRUE(PR.FlexVecOpt.has_value()) << B.Name;
     Rng R(0x9E9 + std::hash<std::string>{}(B.Name));
-    workloads::BenchInstance In = B.Gen(R);
+    core::WorkloadInstance In = B.Gen(R);
     if (In.Invocations.size() > 12)
       In.Invocations.resize(12);
     core::RunOutcome Ref =

@@ -37,11 +37,6 @@ using namespace flexvec;
 
 namespace {
 
-uint64_t hashCombine(uint64_t H, uint64_t V) {
-  H ^= V + 0x9e3779b97f4a7c15ULL + (H << 6) + (H >> 2);
-  return H;
-}
-
 struct RecordDigest {
   uint64_t H = 0;
   uint64_t Count = 0;
@@ -85,51 +80,13 @@ std::vector<emu::SimdBackend> comparedBackends() {
   return B;
 }
 
-/// runProgramMulti with the SIMD backend pinned (the core API resolves
-/// SimdBackend::Auto from FLEXVEC_SIMD, which is exactly what an
-/// equivalence test must not depend on).
-core::RunOutcome runWithSimd(const ir::LoopFunction &F,
-                             const codegen::CompiledLoop &CL,
-                             const mem::Memory &BaseImage,
-                             const std::vector<ir::Bindings> &Invocations,
-                             emu::SimdBackend Backend,
-                             emu::TraceSink *Sink = nullptr) {
-  core::RunOutcome Out;
-  Out.Ok = true;
-  mem::Memory M = BaseImage.clone();
-  core::setUpDispatchCell(CL, M);
-  emu::Machine Machine(M);
+/// Run limits with the SIMD backend pinned (the default, Auto, resolves
+/// from FLEXVEC_SIMD, which is exactly what an equivalence test must not
+/// depend on).
+emu::RunLimits pinned(emu::SimdBackend Backend) {
   emu::RunLimits Limits;
   Limits.Simd = Backend;
-  for (const ir::Bindings &B : Invocations) {
-    Machine.resetRegisters();
-    for (size_t S = 0; S < B.ScalarValues.size(); ++S)
-      Machine.setScalar(codegen::scalarParamReg(static_cast<int>(S)).Index,
-                        B.ScalarValues[S]);
-    for (size_t A = 0; A < B.ArrayBases.size(); ++A)
-      Machine.setScalar(codegen::arrayBaseReg(static_cast<int>(A)).Index,
-                        static_cast<int64_t>(B.ArrayBases[A]));
-    emu::ExecResult R = Machine.run(CL.Prog, Limits, Sink);
-    Out.Exec.Stats.merge(R.Stats);
-    if (R.Reason != emu::StopReason::Halted) {
-      Out.Ok = false;
-      Out.Error = "invocation failed: " + R.describe();
-      break;
-    }
-    Out.LiveOuts.clear();
-    for (size_t S = 0; S < B.ScalarValues.size(); ++S)
-      Out.LiveOuts.push_back(Machine.getScalar(
-          codegen::scalarParamReg(static_cast<int>(S)).Index));
-    uint64_t H = Out.LiveOutHash;
-    for (size_t S = 0; S < F.scalars().size(); ++S)
-      if (F.scalar(S).IsLiveOut)
-        H = hashCombine(H, static_cast<uint64_t>(Out.LiveOuts[S]));
-    Out.LiveOutHash = H;
-  }
-  Out.Tx = Machine.txStats();
-  Out.HasDispatch = core::tearDownDispatchCell(CL, M, Out.Dispatch);
-  Out.MemFingerprint = M.fingerprint();
-  return Out;
+  return Limits;
 }
 
 /// Every field of ExecStats. The fast-path counters are backend-invariant
@@ -180,13 +137,14 @@ TEST(SimdEquivalence, Figure8CellsIdenticalAcrossBackends) {
           core::selectVariant(PR, static_cast<core::VariantId>(V));
       if (!CL)
         continue;
-      core::RunOutcome Ref = runWithSimd(*W.F, *CL, In.Image, In.Invocations,
-                                         emu::SimdBackend::Scalar);
+      core::RunOutcome Ref =
+          core::runProgramMulti(*W.F, *CL, In.Image, In.Invocations, nullptr,
+                                pinned(emu::SimdBackend::Scalar));
       ASSERT_TRUE(Ref.Ok) << W.Name << ": " << Ref.Error;
       for (emu::SimdBackend Backend : comparedBackends()) {
         std::string Where = cellName(W.Name, V, Backend);
-        core::RunOutcome Out =
-            runWithSimd(*W.F, *CL, In.Image, In.Invocations, Backend);
+        core::RunOutcome Out = core::runProgramMulti(
+            *W.F, *CL, In.Image, In.Invocations, nullptr, pinned(Backend));
         ASSERT_TRUE(Out.Ok) << Where << ": " << Out.Error;
         expectStatsEqual(Ref.Exec.Stats, Out.Exec.Stats, Where);
         EXPECT_EQ(Ref.MemFingerprint, Out.MemFingerprint) << Where;
@@ -219,14 +177,15 @@ TEST(SimdEquivalence, TraceStreamsIdenticalAcrossBackends) {
       if (!CL)
         continue;
       DigestSink RefSink;
-      core::RunOutcome Ref = runWithSimd(*W.F, *CL, In.Image, In.Invocations,
-                                         emu::SimdBackend::Scalar, &RefSink);
+      core::RunOutcome Ref =
+          core::runProgramMulti(*W.F, *CL, In.Image, In.Invocations, &RefSink,
+                                pinned(emu::SimdBackend::Scalar));
       ASSERT_TRUE(Ref.Ok) << W.Name;
       for (emu::SimdBackend Backend : comparedBackends()) {
         std::string Where = cellName(W.Name, V, Backend);
         DigestSink Sink;
-        core::RunOutcome Out = runWithSimd(*W.F, *CL, In.Image,
-                                           In.Invocations, Backend, &Sink);
+        core::RunOutcome Out = core::runProgramMulti(
+            *W.F, *CL, In.Image, In.Invocations, &Sink, pinned(Backend));
         ASSERT_TRUE(Out.Ok) << Where;
         EXPECT_EQ(RefSink.D.Count, Sink.D.Count) << Where;
         EXPECT_EQ(RefSink.D.H, Sink.D.H)
@@ -257,15 +216,16 @@ void runFuzzEquivalence(const gen::Envelope &E, uint64_t Seed) {
         core::selectVariant(PR, static_cast<core::VariantId>(V));
     if (!CL)
       continue;
-    core::RunOutcome Ref = runWithSimd(*G.F, *CL, Image, Invocations,
-                                       emu::SimdBackend::Scalar);
+    core::RunOutcome Ref =
+        core::runProgramMulti(*G.F, *CL, Image, Invocations, nullptr,
+                              pinned(emu::SimdBackend::Scalar));
     ASSERT_TRUE(Ref.Ok) << "seed " << Seed << ": " << Ref.Error;
     for (emu::SimdBackend Backend : comparedBackends()) {
       std::string Where = "seed " + std::to_string(Seed) + " variant " +
                           core::variantName(static_cast<core::VariantId>(V)) +
                           " vs " + emu::simdBackendName(Backend);
-      core::RunOutcome Out = runWithSimd(*G.F, *CL, Image, Invocations,
-                                         Backend);
+      core::RunOutcome Out = core::runProgramMulti(
+          *G.F, *CL, Image, Invocations, nullptr, pinned(Backend));
       ASSERT_TRUE(Out.Ok) << Where << ": " << Out.Error;
       expectStatsEqual(Ref.Exec.Stats, Out.Exec.Stats, Where);
       EXPECT_EQ(Ref.MemFingerprint, Out.MemFingerprint) << Where;
@@ -308,12 +268,12 @@ TEST(SimdEquivalence, FaultStormIdenticalAcrossBackends) {
       Plan.Tx.Seed = deriveStreamSeed(fnv1a64(W.Name), V);
       Plan.Tx.AbortProb = 0.5;
 
-      Plan.Simd = emu::SimdBackend::Scalar;
+      Plan.Limits.Simd = emu::SimdBackend::Scalar;
       core::FaultedRun Ref = core::runProgramMultiWithFaults(
           *W.F, *CL, In.Image, In.Invocations, Plan);
       for (emu::SimdBackend Backend : comparedBackends()) {
         std::string Where = cellName(W.Name, V, Backend);
-        Plan.Simd = Backend;
+        Plan.Limits.Simd = Backend;
         core::FaultedRun Out = core::runProgramMultiWithFaults(
             *W.F, *CL, In.Image, In.Invocations, Plan);
 
@@ -327,8 +287,8 @@ TEST(SimdEquivalence, FaultStormIdenticalAcrossBackends) {
         EXPECT_EQ(Ref.Injection.TxAbortsInjected,
                   Out.Injection.TxAbortsInjected)
             << Where;
-        EXPECT_EQ(Ref.Tx.Commits, Out.Tx.Commits) << Where;
-        EXPECT_EQ(Ref.Tx.Aborts, Out.Tx.Aborts) << Where;
+        EXPECT_EQ(Ref.Outcome.Tx.Commits, Out.Outcome.Tx.Commits) << Where;
+        EXPECT_EQ(Ref.Outcome.Tx.Aborts, Out.Outcome.Tx.Aborts) << Where;
       }
       StormyCells += Ref.Injection.TxAbortsInjected > 0;
     }

@@ -52,9 +52,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/FaultHarness.h"
-#include "core/Measure.h"
 #include "core/Pipeline.h"
 #include "ir/Parser.h"
+#include "sim/OooCore.h"
 #include "support/ArgParse.h"
 #include "support/Random.h"
 #include "support/Table.h"
@@ -96,8 +96,7 @@ void usage(std::FILE *To) {
                "[--set NAME=V] [--fault-diff] [--fault-seed=N] "
                "[--fault-nth=N] [--fault-range=LO:HI:PROB[:DUR]] "
                "[--tx-abort-nth=N] [--tx-abort-prob=P] "
-               "[--tx-abort-reason=R] [--rtm-retries=N] "
-               "[--rtm-retry-budget=N] [--budget=N] "
+               "[--tx-abort-reason=R] [--rtm-retries=N] [--budget=N] "
                "[--vl=128|256|512|1024|2048] [--predicated]\n");
 }
 
@@ -187,16 +186,11 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     } else if (Arg.rfind("--rtm-retries=", 0) == 0) {
       if (!parseUInt(Arg.substr(14), U))
         return badValue(Arg, "a non-negative integer");
-      Opts.Faults.MaxRtmRetries = static_cast<unsigned>(U);
-    } else if (Arg.rfind("--rtm-retry-budget=", 0) == 0) {
-      // Alias of --rtm-retries, matching the FLEXVEC_RTM_RETRIES env knob.
-      if (!parseUInt(Arg.substr(19), U))
-        return badValue(Arg, "a non-negative integer");
-      Opts.Faults.MaxRtmRetries = static_cast<unsigned>(U);
+      Opts.Faults.Limits.MaxRtmRetries = static_cast<unsigned>(U);
     } else if (Arg.rfind("--budget=", 0) == 0) {
       if (!parseUInt(Arg.substr(9), U) || U == 0)
         return badValue(Arg, "a positive integer");
-      Opts.Faults.MaxInstructions = U;
+      Opts.Faults.Limits.MaxInstructions = U;
     } else if (Arg.rfind("--vl=", 0) == 0) {
       if (!parseUInt(Arg.substr(5), U) ||
           !isa::VectorConfig::isValidBits(static_cast<unsigned>(U)))
@@ -248,17 +242,13 @@ void dumpVariant(const char *Name,
               CL->Prog.disassemble().c_str());
 }
 
-struct CliInputs {
-  mem::Memory Image;
-  ir::Bindings B;
-};
-
-CliInputs buildInputs(const ir::LoopFunction &F, const CliOptions &Opts) {
+/// One invocation of \p F over random arrays, sized by --trip/--arraysize.
+core::WorkloadInstance buildInputs(const ir::LoopFunction &F,
+                                   const CliOptions &Opts) {
   Rng R(Opts.Seed);
-  CliInputs In{mem::Memory(), ir::Bindings::forFunction(F)};
-  mem::Memory &Image = In.Image;
-  mem::BumpAllocator Alloc(Image);
-  ir::Bindings &B = In.B;
+  core::WorkloadInstance In;
+  mem::BumpAllocator Alloc(In.Image);
+  ir::Bindings B = ir::Bindings::forFunction(F);
 
   for (size_t A = 0; A < F.arrays().size(); ++A) {
     const ir::ArrayParam &P = F.array(static_cast<int>(A));
@@ -296,16 +286,14 @@ CliInputs buildInputs(const ir::LoopFunction &F, const CliOptions &Opts) {
     else
       B.setInt(static_cast<int>(S), static_cast<int64_t>(It->second));
   }
+  In.Invocations.push_back(std::move(B));
   return In;
 }
 
 int runLoop(const ir::LoopFunction &F, const core::PipelineResult &PR,
             const CliOptions &Opts) {
-  CliInputs In = buildInputs(F, Opts);
-  mem::Memory &Image = In.Image;
-  ir::Bindings &B = In.B;
-
-  core::RunOutcome Ref = core::runReference(F, Image, B);
+  core::WorkloadInstance In = buildInputs(F, Opts);
+  core::RunOutcome Ref = core::runReferenceMulti(F, In.Image, In.Invocations);
   std::printf("== Run (trip=%lld, seed=%llu) ==\n",
               static_cast<long long>(Opts.Trip),
               static_cast<unsigned long long>(Opts.Seed));
@@ -335,20 +323,25 @@ int runLoop(const ir::LoopFunction &F, const core::PipelineResult &PR,
   addVariant("flexvec-adaptive", PR.Adaptive);
 
   ThreadPool Pool(Opts.Jobs);
-  std::vector<core::Measurement> Ms =
-      Pool.map<core::Measurement>(Variants.size(), [&](size_t I) {
-        return core::measureProgram(*Variants[I].second, Image, B);
+  std::vector<sim::SimStats> Timing(Variants.size());
+  std::vector<core::RunOutcome> Outs =
+      Pool.map<core::RunOutcome>(Variants.size(), [&](size_t I) {
+        sim::OooCore Core;
+        core::RunOutcome Out = core::runProgramMulti(
+            F, *Variants[I].second, In.Image, In.Invocations, &Core);
+        Timing[I] = Core.stats();
+        return Out;
       });
 
   TextTable T({"variant", "cycles", "IPC", "speedup vs scalar", "correct"});
-  const core::Measurement &Base = Ms[0]; // Scalar is always first.
+  const double BaseCycles = static_cast<double>(Timing[0].Cycles); // Scalar.
   for (size_t I = 0; I < Variants.size(); ++I) {
-    const core::Measurement &M = Ms[I];
     T.addRow({Variants[I].first,
-              TextTable::fmtInt(static_cast<long long>(M.Timing.Cycles)),
-              TextTable::fmt(M.Timing.ipc(), 2),
-              TextTable::fmt(core::speedup(Base, M), 2) + "x",
-              core::outcomesMatch(F, Ref, M.Outcome) ? "yes" : "NO"});
+              TextTable::fmtInt(static_cast<long long>(Timing[I].Cycles)),
+              TextTable::fmt(Timing[I].ipc(), 2),
+              TextTable::fmt(BaseCycles / static_cast<double>(Timing[I].Cycles),
+                             2) + "x",
+              core::outcomesMatch(F, Ref, Outs[I]) ? "yes" : "NO"});
   }
   T.print();
   return 0;
@@ -356,21 +349,22 @@ int runLoop(const ir::LoopFunction &F, const core::PipelineResult &PR,
 
 int runFaultDiff(const ir::LoopFunction &F, const core::PipelineResult &PR,
                  const CliOptions &Opts) {
-  CliInputs In = buildInputs(F, Opts);
+  core::WorkloadInstance In = buildInputs(F, Opts);
 
   std::printf("== Differential fault-tolerance run ==\n");
   faults::FaultInjector Preview(Opts.Faults.Mem, Opts.Faults.Tx);
   std::printf("policy: %s, rtm-retries=%u, budget=%llu\n",
-              Preview.describe().c_str(), Opts.Faults.MaxRtmRetries,
-              static_cast<unsigned long long>(Opts.Faults.MaxInstructions));
+              Preview.describe().c_str(), Opts.Faults.Limits.MaxRtmRetries,
+              static_cast<unsigned long long>(
+                  Opts.Faults.Limits.MaxInstructions));
 
   int Divergences = 0;
   auto diffOne = [&](const char *Name,
                      const std::optional<codegen::CompiledLoop> &CL) {
     if (!CL)
       return;
-    core::DiffVerdict V = core::runDifferential(F, PR.Scalar, *CL, In.Image,
-                                                In.B, Opts.Faults);
+    core::DiffVerdict V = core::runDifferentialMulti(
+        F, PR.Scalar, *CL, In.Image, In.Invocations, Opts.Faults);
     std::printf("\n[%s] %s\n", Name, V.describe().c_str());
     if (!V.Equivalent)
       ++Divergences;
