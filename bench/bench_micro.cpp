@@ -293,8 +293,8 @@ void BM_TraceDeliveryNoSink(benchmark::State &State) {
 //    ALU, unit-stride load/store and gather/scatter variants separate
 //    the kernel win from the memory-path win.
 //
-// Backends that the host cannot execute (or the compiler could not
-// build) are not registered, so the suite is runnable anywhere.
+// Two rows: scalar, and avx2 — registered only when SimdBackend::Auto
+// resolves to the AVX2 table, so the suite is runnable anywhere.
 //===----------------------------------------------------------------------===//
 
 struct KernelBackend {
@@ -306,12 +306,9 @@ struct KernelBackend {
 std::vector<KernelBackend> kernelBackends() {
   std::vector<KernelBackend> Rows{
       {"scalar", emu::SimdBackend::Scalar, &emu::simd::scalarKernels()}};
-  if (emu::simd::hostHasAvx2() && emu::simd::avx2Compiled())
+  if (emu::resolveSimdBackend(emu::SimdBackend::Auto) == emu::SimdBackend::Avx2)
     Rows.push_back(
-        {"avx2", emu::SimdBackend::Avx2, &emu::simd::avx2Kernels()});
-  if (emu::simd::hostHasAvx512() && emu::simd::avx512Compiled())
-    Rows.push_back(
-        {"avx512", emu::SimdBackend::Avx512, &emu::simd::avx512Kernels()});
+        {"avx2", emu::SimdBackend::Auto, &emu::simd::avx2Kernels()});
   return Rows;
 }
 

@@ -210,7 +210,7 @@ const char *codegen::codeGenKindName(CodeGenKind K) {
   case CodeGenKind::Scalar:
     return "scalar";
   case CodeGenKind::Traditional:
-    return "avx512-traditional";
+    return "traditional";
   case CodeGenKind::Speculative:
     return "speculative-pact13";
   case CodeGenKind::FlexVec:

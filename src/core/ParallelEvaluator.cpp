@@ -341,7 +341,7 @@ Json core::benchJson(const SweepResult &R, bool Deterministic) {
     Run.set("jobs", R.Jobs);
     Run.set("workers", R.Workers);
     // Host/environment-dependent, so run-section only: which lane-kernel
-    // table the machines actually executed (FLEXVEC_SIMD + CPUID).
+    // table the machines actually executed (CPUID: avx2 or scalar).
     Run.set("emu.simd.backend",
             emu::simdBackendName(emu::resolveSimdBackend(
                 emu::SimdBackend::Auto)));

@@ -186,33 +186,26 @@ struct ExecResult {
 };
 
 /// Host-SIMD lane-kernel backend for the hot vector handler bodies
-/// (src/emu/simd). Every backend is observably identical to Scalar —
+/// (src/emu/simd). The AVX2 table is observably identical to Scalar —
 /// ExecStats field for field, trace streams, memory effects, deterministic
-/// payloads (SimdEquivalenceTest holds the contract) — so the choice is
-/// purely a speed knob.
+/// payloads (SimdEquivalenceTest holds the contract) — so the choice only
+/// moves host wall time, never a simulated cycle.
 enum class SimdBackend : uint8_t {
-  /// Resolve via the FLEXVEC_SIMD environment variable
-  /// ("scalar" | "avx2" | "avx512" | "native"); Native when unset.
+  /// Best table the host runs: Avx2 when CPUID reports AVX2 and this build
+  /// compiled it, otherwise Scalar.
   Auto,
   /// Reference lane loops (always available).
   Scalar,
-  /// AVX2 kernel table (2x256-bit), if compiled in and supported.
+  /// AVX2 kernel table (2x256-bit); a resolved result, not a request.
   Avx2,
-  /// AVX-512 kernel table (1x512-bit), if compiled in and supported.
-  Avx512,
-  /// Best table the host CPU supports.
-  Native,
 };
-
-/// The process-default SIMD backend (resolves SimdBackend::Auto).
-SimdBackend defaultSimdBackend();
 
 /// Lower-case name ("scalar", "avx2", ...) for logs and metrics.
 const char *simdBackendName(SimdBackend B);
 
 /// Clamps a request to what this build and host can actually execute;
-/// the result is always one of Scalar/Avx2/Avx512. Unsupported requests
-/// degrade (Avx512 -> Avx2 -> Scalar) rather than fail.
+/// the result is always Scalar or Avx2. Scalar stays Scalar; anything
+/// else is Avx2 when the host and build support it.
 SimdBackend resolveSimdBackend(SimdBackend Requested);
 
 namespace simd {
@@ -235,7 +228,8 @@ struct RunLimits {
   /// Cap on the exponential-backoff shift: retry k stalls 2^min(k, cap)
   /// simulated cycles.
   unsigned MaxRtmBackoffShift = 16;
-  /// Lane-kernel backend; Auto defers to FLEXVEC_SIMD.
+  /// Lane-kernel backend; Auto picks the best table the host runs, Scalar
+  /// pins the reference (tests use it to compare the two).
   SimdBackend Simd = SimdBackend::Auto;
 };
 

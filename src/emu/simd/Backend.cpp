@@ -1,8 +1,7 @@
 //===- emu/simd/Backend.cpp - SIMD backend selection ----------------------===//
 //
-// Runtime backend resolution: the FLEXVEC_SIMD override, CPUID capability
-// queries, and the clamp from a requested backend to one this build and
-// host can execute.
+// Runtime backend resolution: the CPUID capability query and the clamp
+// from a requested backend to one this build and host can execute.
 //
 // Also pins, at compile time, the opcode/enum layout the kernel-table slot
 // constants (emu/Interp.inc, emu/simd/Kernels.h) silently rely on.
@@ -11,9 +10,6 @@
 
 #include "emu/Machine.h"
 #include "emu/simd/Kernels.h"
-
-#include <cstdlib>
-#include <cstring>
 
 using namespace flexvec;
 using namespace flexvec::emu;
@@ -72,34 +68,6 @@ bool simd::hostHasAvx2() {
 #endif
 }
 
-bool simd::hostHasAvx512() {
-#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-  return __builtin_cpu_supports("avx512f") &&
-         __builtin_cpu_supports("avx512bw") &&
-         __builtin_cpu_supports("avx512dq") &&
-         __builtin_cpu_supports("avx512vl");
-#else
-  return false;
-#endif
-}
-
-SimdBackend emu::defaultSimdBackend() {
-  static const SimdBackend Cached = [] {
-    if (const char *Env = std::getenv("FLEXVEC_SIMD")) {
-      if (std::strcmp(Env, "scalar") == 0)
-        return SimdBackend::Scalar;
-      if (std::strcmp(Env, "avx2") == 0)
-        return SimdBackend::Avx2;
-      if (std::strcmp(Env, "avx512") == 0)
-        return SimdBackend::Avx512;
-      if (std::strcmp(Env, "native") == 0)
-        return SimdBackend::Native;
-    }
-    return SimdBackend::Native;
-  }();
-  return Cached;
-}
-
 const char *emu::simdBackendName(SimdBackend B) {
   switch (B) {
   case SimdBackend::Auto:
@@ -108,27 +76,14 @@ const char *emu::simdBackendName(SimdBackend B) {
     return "scalar";
   case SimdBackend::Avx2:
     return "avx2";
-  case SimdBackend::Avx512:
-    return "avx512";
-  case SimdBackend::Native:
-    return "native";
   }
   return "?";
 }
 
 SimdBackend emu::resolveSimdBackend(SimdBackend Requested) {
-  SimdBackend B = Requested;
-  if (B == SimdBackend::Auto)
-    B = defaultSimdBackend();
-  if (B == SimdBackend::Native || B == SimdBackend::Avx512) {
-    if (simd::hostHasAvx512() && simd::avx512Compiled())
-      return SimdBackend::Avx512;
-    B = (B == SimdBackend::Native) ? SimdBackend::Native : SimdBackend::Avx2;
-  }
-  if (B == SimdBackend::Native || B == SimdBackend::Avx2) {
-    if (simd::hostHasAvx2() && simd::avx2Compiled())
-      return SimdBackend::Avx2;
-  }
+  if (Requested != SimdBackend::Scalar && simd::hostHasAvx2() &&
+      simd::avx2Compiled())
+    return SimdBackend::Avx2;
   return SimdBackend::Scalar;
 }
 
@@ -137,14 +92,8 @@ namespace emu {
 namespace simd {
 
 const KernelTable &kernelsFor(SimdBackend B) {
-  switch (resolveSimdBackend(B)) {
-  case SimdBackend::Avx512:
-    return avx512Kernels();
-  case SimdBackend::Avx2:
-    return avx2Kernels();
-  default:
-    return scalarKernels();
-  }
+  return resolveSimdBackend(B) == SimdBackend::Avx2 ? avx2Kernels()
+                                                     : scalarKernels();
 }
 
 } // namespace simd

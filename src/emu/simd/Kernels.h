@@ -4,18 +4,19 @@
 // A KernelTable is a flat table of function pointers, one slot per
 // (operation family, element type) — plus per-CmpKind slots for the
 // compare families — that the interpreter indexes per retired vector
-// instruction. Three tables exist:
+// instruction. Two tables exist:
 //
 //   scalarKernels()  - reference lane loops, bit-for-bit the semantics the
 //                      monolithic handlers executed (and still execute for
 //                      the paths that stay un-kernelized: reductions,
 //                      first-faulting loads, VPL mask ops).
-//   avx2Kernels()    - the shared vector-extension implementation
+//   avx2Kernels()    - the vector-extension implementation
 //                      (KernelsImpl.inc) compiled for AVX2 (2x256-bit).
-//   avx512Kernels()  - the same implementation compiled for AVX-512
-//                      (1x512-bit, full-width guest registers).
 //
-// Exactness is the contract: every table is observably identical to the
+// CPUID picks AVX2 when this build compiled it; otherwise the scalar table
+// runs (resolveSimdBackend in Backend.cpp).
+//
+// Exactness is the contract: the AVX2 table is observably identical to the
 // scalar reference — same result bits, same mask bits, same lane
 // extension rules (isa/LaneTraits.h) — which SimdEquivalenceTest enforces
 // differentially and docs/PERFORMANCE.md argues analytically (no FMA
@@ -102,17 +103,13 @@ struct KernelTable {
 
 /// The reference table (lane loops). Always available.
 const KernelTable &scalarKernels();
-/// SIMD tables; on builds where the compiler cannot target the ISA these
-/// return the scalar table (and the matching *Compiled() query is false).
+/// The AVX2 table; on builds where the compiler cannot target AVX2 this
+/// returns the scalar table (and avx2Compiled() is false).
 const KernelTable &avx2Kernels();
-const KernelTable &avx512Kernels();
 bool avx2Compiled();
-bool avx512Compiled();
 
-/// Runtime CPUID support queries (false off x86 or without the GNU
-/// builtin).
+/// Runtime CPUID support query (false off x86 or without the GNU builtin).
 bool hostHasAvx2();
-bool hostHasAvx512();
 
 } // namespace simd
 } // namespace emu

@@ -1,9 +1,9 @@
 //===- emu/simd/SimdAvx2.cpp - AVX2 kernel table --------------------------===//
 //
-// Compiles the shared kernel bodies at -mavx2 (set per-file by CMake when
-// the compiler supports it); 64-byte GNU vectors lower to pairs of
-// 256-bit operations. If the flag is unavailable the table degrades to
-// the scalar reference and avx2Compiled() reports it.
+// Compiles the kernel bodies (KernelsImpl.inc) at -mavx2, set per-file by
+// CMake when the compiler supports it; 64-byte guest registers are
+// processed as pairs of 256-bit operations. If the flag is unavailable the
+// table degrades to the scalar reference and avx2Compiled() reports it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -11,9 +11,7 @@
 
 #if defined(__AVX2__)
 
-#define FLEXVEC_SIMD_NS avx2impl
 #include "emu/simd/KernelsImpl.inc"
-#undef FLEXVEC_SIMD_NS
 
 namespace flexvec {
 namespace emu {

@@ -92,8 +92,7 @@ struct VectorConfig {
 
 /// Process-default vector configuration: the FLEXVEC_VL environment
 /// variable (in bits: 128, 256, 512, 1024, 2048) when set and valid,
-/// otherwise the 512-bit default. Read once and cached, matching the
-/// FLEXVEC_SIMD override pattern.
+/// otherwise the 512-bit default. Read once and cached.
 VectorConfig defaultVectorConfig();
 
 inline bool isFloatType(ElemType Ty) {

@@ -167,6 +167,7 @@ TEST(BenchSmoke, UnknownFlagRejected) {
 TEST(BenchSmoke, MalformedJobsRejected) {
   CmdResult R = run(Bench + " --jobs=abc");
   EXPECT_EQ(R.Exit, 2) << R.Output;
+  expectRejected(Bench + " --fault-seed=abc", "--fault-seed");
 }
 
 TEST(BenchSmoke, BadSimModeRejected) {

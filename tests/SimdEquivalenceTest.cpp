@@ -1,18 +1,18 @@
 //===- tests/SimdEquivalenceTest.cpp - SIMD-backend equivalence ------------===//
 //
-// The SIMD backend contract (emu/Machine.h): the AVX2 and AVX-512 lane
-// kernel tables are *observably identical* to the scalar reference — same
-// ExecStats field for field (including the fast-path counters, which count
-// preconditions, not backend choices), same trace streams, same memory
-// fingerprints and live-outs, same fault storms — so FLEXVEC_SIMD is
-// purely a speed knob. This suite holds that contract across the whole
+// The SIMD backend contract (emu/Machine.h): the AVX2 lane-kernel table
+// is *observably identical* to the scalar reference — same ExecStats field
+// for field (including the fast-path counters, which count preconditions,
+// not backend choices), same trace streams, same memory fingerprints and
+// live-outs, same fault storms — so the CPUID choice between them only
+// moves host wall time. This suite holds that contract across the whole
 // Figure-8 corpus, both fuzz envelopes (pinned seeds), a seeded RTM abort
 // storm with the backend pinned through FaultPlan, and a direct
 // kernel-table differential over adversarial lane patterns.
 //
-// Backends that this build or host cannot execute resolve downward
-// (Avx512 -> Avx2 -> Scalar), so on a non-AVX machine every leg collapses
-// to scalar-vs-scalar and the suite degenerates to a smoke test rather
+// Every leg compares SimdBackend::Auto (the table this host runs) against
+// a Scalar-pinned reference. On a host or build without AVX2, Auto
+// resolves to Scalar, so the suite degenerates to a smoke test rather
 // than failing.
 //
 //===----------------------------------------------------------------------===//
@@ -65,24 +65,8 @@ public:
   }
 };
 
-/// The backends this suite compares against the scalar reference: every
-/// backend the build compiled in, whether or not the host can run it
-/// (resolveSimdBackend degrades unsupported requests to scalar, which
-/// keeps the comparison valid, just vacuous).
-std::vector<emu::SimdBackend> comparedBackends() {
-  std::vector<emu::SimdBackend> B;
-  if (emu::simd::avx2Compiled())
-    B.push_back(emu::SimdBackend::Avx2);
-  if (emu::simd::avx512Compiled())
-    B.push_back(emu::SimdBackend::Avx512);
-  if (B.empty())
-    B.push_back(emu::SimdBackend::Scalar); // smoke: scalar vs scalar
-  return B;
-}
-
-/// Run limits with the SIMD backend pinned (the default, Auto, resolves
-/// from FLEXVEC_SIMD, which is exactly what an equivalence test must not
-/// depend on).
+/// Run limits with the SIMD backend pinned: Scalar for the reference,
+/// Auto for the table under test.
 emu::RunLimits pinned(emu::SimdBackend Backend) {
   emu::RunLimits Limits;
   Limits.Simd = Backend;
@@ -116,10 +100,24 @@ void expectStatsEqual(const emu::ExecStats &A, const emu::ExecStats &B,
   EXPECT_EQ(A.OpcodeCounts, B.OpcodeCounts) << Where;
 }
 
-std::string cellName(const std::string &Workload, unsigned V,
-                     emu::SimdBackend Backend) {
+/// Name of the table SimdBackend::Auto runs on this host, for messages.
+std::string autoName() {
+  return emu::simdBackendName(emu::resolveSimdBackend(emu::SimdBackend::Auto));
+}
+
+std::string cellName(const std::string &Workload, unsigned V) {
   return Workload + "/" + core::variantName(static_cast<core::VariantId>(V)) +
-         " vs " + emu::simdBackendName(Backend);
+         " vs " + autoName();
+}
+
+// --- Backend resolution --------------------------------------------------===//
+
+TEST(SimdEquivalence, AutoResolvesToAvx2ExactlyWhenHostAndBuildSupportIt) {
+  EXPECT_EQ(emu::resolveSimdBackend(emu::SimdBackend::Scalar),
+            emu::SimdBackend::Scalar);
+  const bool Avx2 = emu::simd::hostHasAvx2() && emu::simd::avx2Compiled();
+  EXPECT_EQ(emu::resolveSimdBackend(emu::SimdBackend::Auto),
+            Avx2 ? emu::SimdBackend::Avx2 : emu::SimdBackend::Scalar);
 }
 
 // --- Figure-8 corpus: stats, memory, live-outs, and traces ---------------===//
@@ -141,19 +139,18 @@ TEST(SimdEquivalence, Figure8CellsIdenticalAcrossBackends) {
           core::runProgramMulti(*W.F, *CL, In.Image, In.Invocations, nullptr,
                                 pinned(emu::SimdBackend::Scalar));
       ASSERT_TRUE(Ref.Ok) << W.Name << ": " << Ref.Error;
-      for (emu::SimdBackend Backend : comparedBackends()) {
-        std::string Where = cellName(W.Name, V, Backend);
-        core::RunOutcome Out = core::runProgramMulti(
-            *W.F, *CL, In.Image, In.Invocations, nullptr, pinned(Backend));
-        ASSERT_TRUE(Out.Ok) << Where << ": " << Out.Error;
-        expectStatsEqual(Ref.Exec.Stats, Out.Exec.Stats, Where);
-        EXPECT_EQ(Ref.MemFingerprint, Out.MemFingerprint) << Where;
-        EXPECT_EQ(Ref.LiveOutHash, Out.LiveOutHash) << Where;
-        EXPECT_EQ(Ref.LiveOuts, Out.LiveOuts) << Where;
-        EXPECT_EQ(Ref.Tx.Commits, Out.Tx.Commits) << Where;
-        EXPECT_EQ(Ref.Tx.Aborts, Out.Tx.Aborts) << Where;
-        ++CellsChecked;
-      }
+      std::string Where = cellName(W.Name, V);
+      core::RunOutcome Out =
+          core::runProgramMulti(*W.F, *CL, In.Image, In.Invocations, nullptr,
+                                pinned(emu::SimdBackend::Auto));
+      ASSERT_TRUE(Out.Ok) << Where << ": " << Out.Error;
+      expectStatsEqual(Ref.Exec.Stats, Out.Exec.Stats, Where);
+      EXPECT_EQ(Ref.MemFingerprint, Out.MemFingerprint) << Where;
+      EXPECT_EQ(Ref.LiveOutHash, Out.LiveOutHash) << Where;
+      EXPECT_EQ(Ref.LiveOuts, Out.LiveOuts) << Where;
+      EXPECT_EQ(Ref.Tx.Commits, Out.Tx.Commits) << Where;
+      EXPECT_EQ(Ref.Tx.Aborts, Out.Tx.Aborts) << Where;
+      ++CellsChecked;
     }
   }
   EXPECT_GE(CellsChecked, 18u * 2u);
@@ -181,17 +178,16 @@ TEST(SimdEquivalence, TraceStreamsIdenticalAcrossBackends) {
           core::runProgramMulti(*W.F, *CL, In.Image, In.Invocations, &RefSink,
                                 pinned(emu::SimdBackend::Scalar));
       ASSERT_TRUE(Ref.Ok) << W.Name;
-      for (emu::SimdBackend Backend : comparedBackends()) {
-        std::string Where = cellName(W.Name, V, Backend);
-        DigestSink Sink;
-        core::RunOutcome Out = core::runProgramMulti(
-            *W.F, *CL, In.Image, In.Invocations, &Sink, pinned(Backend));
-        ASSERT_TRUE(Out.Ok) << Where;
-        EXPECT_EQ(RefSink.D.Count, Sink.D.Count) << Where;
-        EXPECT_EQ(RefSink.D.H, Sink.D.H)
-            << Where << ": backend delivered a different trace";
-        ++CellsChecked;
-      }
+      std::string Where = cellName(W.Name, V);
+      DigestSink Sink;
+      core::RunOutcome Out =
+          core::runProgramMulti(*W.F, *CL, In.Image, In.Invocations, &Sink,
+                                pinned(emu::SimdBackend::Auto));
+      ASSERT_TRUE(Out.Ok) << Where;
+      EXPECT_EQ(RefSink.D.Count, Sink.D.Count) << Where;
+      EXPECT_EQ(RefSink.D.H, Sink.D.H)
+          << Where << ": backend delivered a different trace";
+      ++CellsChecked;
     }
   }
   EXPECT_GE(CellsChecked, 18u * 2u);
@@ -220,17 +216,15 @@ void runFuzzEquivalence(const gen::Envelope &E, uint64_t Seed) {
         core::runProgramMulti(*G.F, *CL, Image, Invocations, nullptr,
                               pinned(emu::SimdBackend::Scalar));
     ASSERT_TRUE(Ref.Ok) << "seed " << Seed << ": " << Ref.Error;
-    for (emu::SimdBackend Backend : comparedBackends()) {
-      std::string Where = "seed " + std::to_string(Seed) + " variant " +
-                          core::variantName(static_cast<core::VariantId>(V)) +
-                          " vs " + emu::simdBackendName(Backend);
-      core::RunOutcome Out = core::runProgramMulti(
-          *G.F, *CL, Image, Invocations, nullptr, pinned(Backend));
-      ASSERT_TRUE(Out.Ok) << Where << ": " << Out.Error;
-      expectStatsEqual(Ref.Exec.Stats, Out.Exec.Stats, Where);
-      EXPECT_EQ(Ref.MemFingerprint, Out.MemFingerprint) << Where;
-      EXPECT_EQ(Ref.LiveOutHash, Out.LiveOutHash) << Where;
-    }
+    std::string Where = "seed " + std::to_string(Seed) + " variant " +
+                        core::variantName(static_cast<core::VariantId>(V)) +
+                        " vs " + autoName();
+    core::RunOutcome Out = core::runProgramMulti(
+        *G.F, *CL, Image, Invocations, nullptr, pinned(emu::SimdBackend::Auto));
+    ASSERT_TRUE(Out.Ok) << Where << ": " << Out.Error;
+    expectStatsEqual(Ref.Exec.Stats, Out.Exec.Stats, Where);
+    EXPECT_EQ(Ref.MemFingerprint, Out.MemFingerprint) << Where;
+    EXPECT_EQ(Ref.LiveOutHash, Out.LiveOutHash) << Where;
   }
 }
 
@@ -247,7 +241,7 @@ TEST(SimdEquivalence, WidenedEnvelopeIdenticalAcrossBackends) {
 // --- Fault storm ---------------------------------------------------------===//
 
 TEST(SimdEquivalence, FaultStormIdenticalAcrossBackends) {
-  // A seeded RTM conflict-abort storm under each backend: aborts must
+  // A seeded RTM conflict-abort storm under both backends: aborts must
   // land on the same operations, roll back the same lanes, and retry to
   // the same architectural outcome whether the handler bodies ran on
   // reference loops or host SIMD (the batched gather/scatter fast path
@@ -271,25 +265,21 @@ TEST(SimdEquivalence, FaultStormIdenticalAcrossBackends) {
       Plan.Limits.Simd = emu::SimdBackend::Scalar;
       core::FaultedRun Ref = core::runProgramMultiWithFaults(
           *W.F, *CL, In.Image, In.Invocations, Plan);
-      for (emu::SimdBackend Backend : comparedBackends()) {
-        std::string Where = cellName(W.Name, V, Backend);
-        Plan.Limits.Simd = Backend;
-        core::FaultedRun Out = core::runProgramMultiWithFaults(
-            *W.F, *CL, In.Image, In.Invocations, Plan);
+      std::string Where = cellName(W.Name, V);
+      Plan.Limits.Simd = emu::SimdBackend::Auto;
+      core::FaultedRun Out = core::runProgramMultiWithFaults(
+          *W.F, *CL, In.Image, In.Invocations, Plan);
 
-        ASSERT_EQ(Ref.Outcome.Ok, Out.Outcome.Ok) << Where;
-        expectStatsEqual(Ref.Outcome.Exec.Stats, Out.Outcome.Exec.Stats,
-                         Where);
-        EXPECT_EQ(Ref.Outcome.MemFingerprint, Out.Outcome.MemFingerprint)
-            << Where;
-        EXPECT_EQ(Ref.Outcome.LiveOutHash, Out.Outcome.LiveOutHash) << Where;
-        EXPECT_EQ(Ref.Injection.TxOpsSeen, Out.Injection.TxOpsSeen) << Where;
-        EXPECT_EQ(Ref.Injection.TxAbortsInjected,
-                  Out.Injection.TxAbortsInjected)
-            << Where;
-        EXPECT_EQ(Ref.Outcome.Tx.Commits, Out.Outcome.Tx.Commits) << Where;
-        EXPECT_EQ(Ref.Outcome.Tx.Aborts, Out.Outcome.Tx.Aborts) << Where;
-      }
+      ASSERT_EQ(Ref.Outcome.Ok, Out.Outcome.Ok) << Where;
+      expectStatsEqual(Ref.Outcome.Exec.Stats, Out.Outcome.Exec.Stats, Where);
+      EXPECT_EQ(Ref.Outcome.MemFingerprint, Out.Outcome.MemFingerprint)
+          << Where;
+      EXPECT_EQ(Ref.Outcome.LiveOutHash, Out.Outcome.LiveOutHash) << Where;
+      EXPECT_EQ(Ref.Injection.TxOpsSeen, Out.Injection.TxOpsSeen) << Where;
+      EXPECT_EQ(Ref.Injection.TxAbortsInjected, Out.Injection.TxAbortsInjected)
+          << Where;
+      EXPECT_EQ(Ref.Outcome.Tx.Commits, Out.Outcome.Tx.Commits) << Where;
+      EXPECT_EQ(Ref.Outcome.Tx.Aborts, Out.Outcome.Tx.Aborts) << Where;
       StormyCells += Ref.Injection.TxAbortsInjected > 0;
     }
   }
@@ -365,113 +355,107 @@ protected:
 
 TEST_F(KernelDifferential, AllKernelsMatchScalarReference) {
   const emu::simd::KernelTable &Ref = emu::simd::scalarKernels();
-  struct Named {
-    const char *Name;
-    const emu::simd::KernelTable *T;
-  };
-  std::vector<Named> Tables;
-  if (emu::simd::avx2Compiled())
-    Tables.push_back({"avx2", &emu::simd::avx2Kernels()});
-  if (emu::simd::avx512Compiled())
-    Tables.push_back({"avx512", &emu::simd::avx512Kernels()});
-  if (Tables.empty())
-    GTEST_SKIP() << "no SIMD backend compiled in";
+  if (emu::resolveSimdBackend(emu::SimdBackend::Auto) ==
+      emu::SimdBackend::Scalar)
+    GTEST_SKIP() << "host runs the scalar table; nothing to compare";
+  // Past the skip, Auto runs the AVX2 table.
+  const emu::simd::KernelTable &Out =
+      emu::simd::kernelsFor(emu::SimdBackend::Auto);
+  const std::string Name = autoName();
 
   for (unsigned Pat = 0; Pat < 6; ++Pat) {
     fillPattern(A, Pat % 3);
     fillPattern(B, (Pat + 1) % 3);
-    for (const Named &N : Tables) {
-      auto check = [&](const std::string &What, unsigned Col, auto RefFn,
-                       auto OutFn, uint64_t Mask) {
-        seedDst();
-        RefFn(DstRef);
-        OutFn(DstOut);
-        EXPECT_EQ(0, std::memcmp(DstRef, DstOut, VecBytes))
-            << N.Name << " " << What << " col " << Col << " mask " << Mask
-            << " pattern " << Pat;
-      };
-      for (unsigned Col = 0; Col < 4; ++Col) {
-        const bool Wide = (Col == 1 || Col == 3);
-        for (uint64_t Mask : Wide ? masks64() : masks32()) {
-          for (unsigned S = 0; S < 8; ++S)
-            check("IntBin slot " + std::to_string(S), Col,
-                  [&](uint8_t *D) { Ref.IntBin[S][Col](D, A, B, Mask); },
-                  [&](uint8_t *D) { N.T->IntBin[S][Col](D, A, B, Mask); },
+    auto check = [&](const std::string &What, unsigned Col, auto RefFn,
+                     auto OutFn, uint64_t Mask) {
+      seedDst();
+      RefFn(DstRef);
+      OutFn(DstOut);
+      EXPECT_EQ(0, std::memcmp(DstRef, DstOut, VecBytes))
+          << Name << " " << What << " col " << Col << " mask " << Mask
+          << " pattern " << Pat;
+    };
+    for (unsigned Col = 0; Col < 4; ++Col) {
+      const bool Wide = (Col == 1 || Col == 3);
+      for (uint64_t Mask : Wide ? masks64() : masks32()) {
+        for (unsigned S = 0; S < 8; ++S)
+          check("IntBin slot " + std::to_string(S), Col,
+                [&](uint8_t *D) { Ref.IntBin[S][Col](D, A, B, Mask); },
+                [&](uint8_t *D) { Out.IntBin[S][Col](D, A, B, Mask); },
+                Mask);
+        for (unsigned S = 0; S < 3; ++S)
+          for (int64_t Imm : {int64_t(0), int64_t(3), int64_t(-7),
+                              int64_t(31), int64_t(63),
+                              int64_t(INT64_MAX), int64_t(INT64_MIN)})
+            check("IntImm", Col,
+                  [&](uint8_t *D) { Ref.IntImm[S][Col](D, A, Imm, Mask); },
+                  [&](uint8_t *D) { Out.IntImm[S][Col](D, A, Imm, Mask); },
                   Mask);
-          for (unsigned S = 0; S < 3; ++S)
-            for (int64_t Imm : {int64_t(0), int64_t(3), int64_t(-7),
-                                int64_t(31), int64_t(63),
-                                int64_t(INT64_MAX), int64_t(INT64_MIN)})
-              check("IntImm", Col,
-                    [&](uint8_t *D) { Ref.IntImm[S][Col](D, A, Imm, Mask); },
-                    [&](uint8_t *D) { N.T->IntImm[S][Col](D, A, Imm, Mask); },
-                    Mask);
-          check("Blend", Col,
-                [&](uint8_t *D) { Ref.Blend[Col](D, A, B, Mask); },
-                [&](uint8_t *D) { N.T->Blend[Col](D, A, B, Mask); }, Mask);
-          for (int64_t V : {int64_t(0), int64_t(-1), int64_t(0x7fc00000),
-                            int64_t(INT64_MIN)})
-            check("Broadcast", Col,
-                  [&](uint8_t *D) { Ref.Broadcast[Col](D, V, Mask); },
-                  [&](uint8_t *D) { N.T->Broadcast[Col](D, V, Mask); },
-                  Mask);
-          // Compares and conflict return mask words, not vectors.
-          for (unsigned C = 0; C < 6; ++C) {
-            EXPECT_EQ(Ref.CmpInt[C][Col](A, B, Mask),
-                      N.T->CmpInt[C][Col](A, B, Mask))
-                << N.Name << " CmpInt cond " << C << " col " << Col
-                << " mask " << Mask << " pattern " << Pat;
-            for (int64_t Imm :
-                 {int64_t(0), int64_t(-1), int64_t(1) << 33,
-                  -(int64_t(1) << 33), int64_t(INT64_MAX), int64_t(128)})
-              EXPECT_EQ(Ref.CmpImmInt[C][Col](A, Imm, Mask),
-                        N.T->CmpImmInt[C][Col](A, Imm, Mask))
-                  << N.Name << " CmpImmInt cond " << C << " col " << Col
-                  << " imm " << Imm;
-          }
-          EXPECT_EQ(Ref.Conflict[Col](A, B, Mask),
-                    N.T->Conflict[Col](A, B, Mask))
-              << N.Name << " Conflict col " << Col << " mask " << Mask;
+        check("Blend", Col,
+              [&](uint8_t *D) { Ref.Blend[Col](D, A, B, Mask); },
+              [&](uint8_t *D) { Out.Blend[Col](D, A, B, Mask); }, Mask);
+        for (int64_t V : {int64_t(0), int64_t(-1), int64_t(0x7fc00000),
+                          int64_t(INT64_MIN)})
+          check("Broadcast", Col,
+                [&](uint8_t *D) { Ref.Broadcast[Col](D, V, Mask); },
+                [&](uint8_t *D) { Out.Broadcast[Col](D, V, Mask); },
+                Mask);
+        // Compares and conflict return mask words, not vectors.
+        for (unsigned C = 0; C < 6; ++C) {
+          EXPECT_EQ(Ref.CmpInt[C][Col](A, B, Mask),
+                    Out.CmpInt[C][Col](A, B, Mask))
+              << Name << " CmpInt cond " << C << " col " << Col
+              << " mask " << Mask << " pattern " << Pat;
+          for (int64_t Imm :
+               {int64_t(0), int64_t(-1), int64_t(1) << 33,
+                -(int64_t(1) << 33), int64_t(INT64_MAX), int64_t(128)})
+            EXPECT_EQ(Ref.CmpImmInt[C][Col](A, Imm, Mask),
+                      Out.CmpImmInt[C][Col](A, Imm, Mask))
+                << Name << " CmpImmInt cond " << C << " col " << Col
+                << " imm " << Imm;
         }
-        check("Index", Col, [&](uint8_t *D) { Ref.Index[Col](D, -17); },
-              [&](uint8_t *D) { N.T->Index[Col](D, -17); }, 0);
+        EXPECT_EQ(Ref.Conflict[Col](A, B, Mask),
+                  Out.Conflict[Col](A, B, Mask))
+            << Name << " Conflict col " << Col << " mask " << Mask;
       }
-      // FP families: columns are [F32, F64].
-      for (unsigned Col = 0; Col < 2; ++Col) {
-        for (uint64_t Mask : Col ? masks64() : masks32()) {
-          for (unsigned S = 0; S < 6; ++S)
-            check("FpBin slot " + std::to_string(S), Col,
-                  [&](uint8_t *D) { Ref.FpBin[S][Col](D, A, B, Mask); },
-                  [&](uint8_t *D) { N.T->FpBin[S][Col](D, A, B, Mask); },
-                  Mask);
-          for (unsigned C = 0; C < 6; ++C) {
-            EXPECT_EQ(Ref.CmpFp[C][Col](A, B, Mask),
-                      N.T->CmpFp[C][Col](A, B, Mask))
-                << N.Name << " CmpFp cond " << C << " col " << Col << " mask "
-                << Mask << " pattern " << Pat;
-            for (int64_t Imm : {int64_t(0), int64_t(-3), int64_t(1) << 40})
-              EXPECT_EQ(Ref.CmpImmFp[C][Col](A, Imm, Mask),
-                        N.T->CmpImmFp[C][Col](A, Imm, Mask))
-                  << N.Name << " CmpImmFp cond " << C << " col " << Col
-                  << " imm " << Imm;
-          }
-        }
-      }
-      // Gather address generation: every scale the ISA can encode plus a
-      // non-power-of-two and zero.
-      for (unsigned Col = 0; Col < 4; ++Col)
-        for (uint8_t Scale : {0, 1, 2, 4, 8, 3, 255}) {
-          uint64_t RefAddrs[16], OutAddrs[16];
-          std::memset(RefAddrs, 0xAB, sizeof(RefAddrs));
-          std::memset(OutAddrs, 0xAB, sizeof(OutAddrs));
-          Ref.GatherAddr[Col](RefAddrs, A, /*Base=*/0x40000,
-                              /*Disp=*/-24, Scale);
-          N.T->GatherAddr[Col](OutAddrs, A, 0x40000, -24, Scale);
-          EXPECT_EQ(0, std::memcmp(RefAddrs, OutAddrs, sizeof(RefAddrs)))
-              << N.Name << " GatherAddr col " << Col << " scale "
-              << unsigned(Scale) << " pattern " << Pat;
-        }
+      check("Index", Col, [&](uint8_t *D) { Ref.Index[Col](D, -17); },
+            [&](uint8_t *D) { Out.Index[Col](D, -17); }, 0);
     }
+    // FP families: columns are [F32, F64].
+    for (unsigned Col = 0; Col < 2; ++Col) {
+      for (uint64_t Mask : Col ? masks64() : masks32()) {
+        for (unsigned S = 0; S < 6; ++S)
+          check("FpBin slot " + std::to_string(S), Col,
+                [&](uint8_t *D) { Ref.FpBin[S][Col](D, A, B, Mask); },
+                [&](uint8_t *D) { Out.FpBin[S][Col](D, A, B, Mask); },
+                Mask);
+        for (unsigned C = 0; C < 6; ++C) {
+          EXPECT_EQ(Ref.CmpFp[C][Col](A, B, Mask),
+                    Out.CmpFp[C][Col](A, B, Mask))
+              << Name << " CmpFp cond " << C << " col " << Col << " mask "
+              << Mask << " pattern " << Pat;
+          for (int64_t Imm : {int64_t(0), int64_t(-3), int64_t(1) << 40})
+            EXPECT_EQ(Ref.CmpImmFp[C][Col](A, Imm, Mask),
+                      Out.CmpImmFp[C][Col](A, Imm, Mask))
+                << Name << " CmpImmFp cond " << C << " col " << Col
+                << " imm " << Imm;
+        }
+      }
+    }
+    // Gather address generation: every scale the ISA can encode plus a
+    // non-power-of-two and zero.
+    for (unsigned Col = 0; Col < 4; ++Col)
+      for (uint8_t Scale : {0, 1, 2, 4, 8, 3, 255}) {
+        uint64_t RefAddrs[16], OutAddrs[16];
+        std::memset(RefAddrs, 0xAB, sizeof(RefAddrs));
+        std::memset(OutAddrs, 0xAB, sizeof(OutAddrs));
+        Ref.GatherAddr[Col](RefAddrs, A, /*Base=*/0x40000,
+                            /*Disp=*/-24, Scale);
+        Out.GatherAddr[Col](OutAddrs, A, 0x40000, -24, Scale);
+        EXPECT_EQ(0, std::memcmp(RefAddrs, OutAddrs, sizeof(RefAddrs)))
+            << Name << " GatherAddr col " << Col << " scale "
+            << unsigned(Scale) << " pattern " << Pat;
+      }
   }
 }
 

@@ -13,9 +13,7 @@
 //                     compiled-loop cache across sweeps (default 1)
 //     --out=PATH      JSON output path (default BENCH_figure8.json)
 //     --fault-seed=N  chaos mode: run every cell under a seeded RTM
-//                     conflict-abort storm (prob 0.5); also settable via
-//                     the FLEXVEC_FAULT_SEED environment variable (the
-//                     flag wins). 0 = off (default)
+//                     conflict-abort storm (prob 0.5). 0 = off (default)
 //     --sim-mode=M    timing-model fidelity: "full" (every retired
 //                     instruction through the OOO model; the default) or
 //                     "sampled" (deterministic interval sampling with
@@ -44,7 +42,6 @@
 #include "workloads/Figure8.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 
@@ -70,13 +67,6 @@ void usage(std::FILE *To) {
 
 bool parseArgs(int Argc, char **Argv, BenchOptions &Opts) {
   Opts.Sweep.Jobs = 0; // Default: one worker per hardware thread.
-  // Environment default for CI chaos sweeps; an explicit --fault-seed=
-  // flag overrides it.
-  if (const char *Env = std::getenv("FLEXVEC_FAULT_SEED")) {
-    uint64_t U = 0;
-    if (parseUInt(Env, U))
-      Opts.Sweep.FaultSeed = U;
-  }
   for (int A = 1; A < Argc; ++A) {
     std::string Arg = Argv[A];
     uint64_t U = 0;
