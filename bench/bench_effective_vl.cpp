@@ -16,7 +16,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Evaluator.h"
-#include "core/Pipeline.h"
+#include "driver/CompilerDriver.h"
 #include "profile/LoopProfiler.h"
 #include "sim/OooCore.h"
 #include "support/Table.h"
@@ -33,7 +33,7 @@ namespace {
 void sweep(const char *Title, const ir::LoopFunction &F,
            const std::function<core::WorkloadInstance(Rng &, double)> &Gen) {
   std::printf("== %s ==\n", Title);
-  core::PipelineResult PR = core::compileLoop(F);
+  driver::CompileResult PR = driver::compileLoop(F);
   if (!PR.FlexVec) {
     std::printf("no FlexVec build: %s\n", PR.Plan.Reason.c_str());
     return;

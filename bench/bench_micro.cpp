@@ -9,7 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Evaluator.h"
-#include "core/Pipeline.h"
+#include "driver/CompilerDriver.h"
 #include "emu/simd/Kernels.h"
 #include "isa/Program.h"
 #include "sim/OooCore.h"
@@ -26,7 +26,7 @@ namespace {
 
 struct Fixture {
   std::unique_ptr<ir::LoopFunction> F = buildH264Loop();
-  core::PipelineResult PR = core::compileLoop(*F);
+  driver::CompileResult PR = driver::compileLoop(*F);
   LoopInputs In;
   std::vector<ir::Bindings> Invocations; ///< One: In.B.
   Fixture() {
@@ -97,7 +97,7 @@ void BM_ReferenceInterpreter(benchmark::State &State) {
 void BM_CompilePipeline(benchmark::State &State) {
   for (auto _ : State) {
     auto F = buildH264Loop();
-    core::PipelineResult PR = core::compileLoop(*F);
+    driver::CompileResult PR = driver::compileLoop(*F);
     benchmark::DoNotOptimize(PR.FlexVec->Prog.size());
   }
 }

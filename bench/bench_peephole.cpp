@@ -12,7 +12,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Evaluator.h"
-#include "core/Pipeline.h"
+#include "driver/CompilerDriver.h"
 #include "sim/OooCore.h"
 #include "support/Table.h"
 #include "workloads/Benchmarks.h"
@@ -57,7 +57,7 @@ int main() {
                "passes", "cycles (raw)", "cycles (opt)", "gain",
                "correct"});
   for (Case &C : Cases) {
-    core::PipelineResult PR = core::compileLoop(*C.F);
+    driver::CompileResult PR = driver::compileLoop(*C.F);
     sim::OooCore RawCore, OptCore;
     core::RunOutcome RawOut = core::runProgramMulti(
         *C.F, *PR.FlexVec, C.In.Image, C.In.Invocations, &RawCore);

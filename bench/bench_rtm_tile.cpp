@@ -15,7 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Evaluator.h"
-#include "core/Pipeline.h"
+#include "driver/CompilerDriver.h"
 #include "sim/OooCore.h"
 #include "support/Table.h"
 #include "workloads/PaperLoops.h"
@@ -56,7 +56,7 @@ int main() {
 
   for (Case &C : Cases) {
     std::printf("== %s ==\n", C.Name);
-    core::PipelineResult FFBuild = core::compileLoop(*C.F);
+    driver::CompileResult FFBuild = driver::compileLoop(*C.F);
     // One invocation timed by an OooCore trace sink; Fp keeps the final
     // memory digest of the latest run.
     const std::vector<ir::Bindings> Invocations{C.In.B};
@@ -78,7 +78,7 @@ int main() {
               TextTable::fmt(Scalar / FF, 2) + "x"});
     T.addSeparator();
     for (unsigned Tile : Tiles) {
-      core::PipelineResult PR = core::compileLoop(*C.F, Tile);
+      driver::CompileResult PR = driver::compileLoop(*C.F, {.RtmTile = Tile});
       const double M = cycles(*PR.Rtm);
       // Cross-check correctness while we are here.
       if (Fp != FFFp) {

@@ -10,7 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Pipeline.h"
+#include "driver/CompilerDriver.h"
 #include "profile/LoopProfiler.h"
 #include "support/Table.h"
 #include "workloads/Benchmarks.h"
@@ -61,7 +61,7 @@ int main(int argc, char **argv) {
                "mix == paper"});
 
   for (Benchmark &B : Benchmarks) {
-    core::PipelineResult PR = core::compileLoop(*B.F);
+    driver::CompileResult PR = driver::compileLoop(*B.F);
     if (!PR.FlexVec) {
       std::printf("%s: no FlexVec program\n", B.Name.c_str());
       return 1;

@@ -10,7 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Evaluator.h"
-#include "core/Pipeline.h"
+#include "driver/CompilerDriver.h"
 #include "support/Table.h"
 #include "workloads/PaperLoops.h"
 
@@ -58,7 +58,7 @@ int main() {
 
   {
     auto F = buildH264Loop();
-    core::PipelineResult PR = core::compileLoop(*F);
+    driver::CompileResult PR = driver::compileLoop(*F);
     std::printf("== conditional update (h264ref, VL=16, trip=20000) ==\n");
     TextTable T({"update prob", "VPL iters/chunk", "KFTM execs",
                  "VPSLCTLAST execs", "FF loads"});
@@ -77,7 +77,7 @@ int main() {
 
   {
     auto F = buildConflictLoop();
-    core::PipelineResult PR = core::compileLoop(*F);
+    driver::CompileResult PR = driver::compileLoop(*F);
     std::printf("== memory conflict (Figure 2 loop, VL=16, trip=20000) ==\n");
     TextTable T({"conflict prob", "VPL iters/chunk", "KFTM execs",
                  "VPCONFLICTM execs"});

@@ -12,7 +12,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Evaluator.h"
-#include "core/Pipeline.h"
+#include "driver/CompilerDriver.h"
 #include "sim/OooCore.h"
 #include "support/Table.h"
 #include "workloads/PaperLoops.h"
@@ -27,7 +27,7 @@ int main() {
   std::printf("== The loop (Figure 2 of the paper) ==\n%s\n",
               F->print().c_str());
 
-  core::PipelineResult PR = core::compileLoop(*F);
+  driver::CompileResult PR = driver::compileLoop(*F);
   std::printf("== Plan ==\n%s\n\n", PR.Plan.describe(*F).c_str());
 
   std::printf("The conflict check and the vector partitioning loop in the "

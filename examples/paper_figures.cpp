@@ -10,7 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Pipeline.h"
+#include "driver/CompilerDriver.h"
 #include "pdg/Pdg.h"
 #include "workloads/PaperLoops.h"
 
@@ -32,7 +32,7 @@ void show(const char *Title, const char *FigureRef,
   pdg::Pdg P(F);
   std::printf("-- program dependence graph --\n%s\n", P.dump().c_str());
 
-  core::PipelineResult PR = core::compileLoop(F);
+  driver::CompileResult PR = driver::compileLoop(F);
   std::printf("-- analysis --\n%s\n\n", PR.Plan.describe(F).c_str());
 
   std::printf("-- FlexVec partial vector code --\n%s\n",

@@ -9,7 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Evaluator.h"
-#include "core/Pipeline.h"
+#include "driver/CompilerDriver.h"
 #include "sim/OooCore.h"
 #include "support/Table.h"
 #include "workloads/PaperLoops.h"
@@ -24,7 +24,7 @@ int main() {
   std::printf("== Input loop ==\n%s\n", F->print().c_str());
 
   // 2. Analysis + code generation.
-  core::PipelineResult PR = core::compileLoop(*F);
+  driver::CompileResult PR = driver::compileLoop(*F);
   std::printf("== Analysis ==\n%s\n\n", PR.Plan.describe(*F).c_str());
 
   std::printf("== FlexVec vector code (disassembly) ==\n%s\n",

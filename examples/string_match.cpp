@@ -18,7 +18,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Evaluator.h"
-#include "core/Pipeline.h"
+#include "driver/CompilerDriver.h"
 #include "sim/OooCore.h"
 #include "support/Table.h"
 #include "workloads/PaperLoops.h"
@@ -32,7 +32,7 @@ int main() {
   auto F = buildEarlyExitLoop();
   std::printf("== The loop (Figure 5 of the paper) ==\n%s\n",
               F->print().c_str());
-  core::PipelineResult PR = core::compileLoop(*F);
+  driver::CompileResult PR = driver::compileLoop(*F);
   std::printf("== Plan ==\n%s\n\n", PR.Plan.describe(*F).c_str());
 
   // Runs CL once on In's inputs; Core, when given, times the run.

@@ -32,13 +32,13 @@ uint64_t CompileCache::keyFor(const ir::LoopFunction &F, unsigned RtmTile,
   return H;
 }
 
-std::shared_ptr<const PipelineResult>
+std::shared_ptr<const driver::CompileResult>
 CompileCache::getOrCompile(const ir::LoopFunction &F, unsigned RtmTile,
                            bool *WasHit, isa::VectorConfig Vec,
                            bool Predicated) {
   uint64_t Key = keyFor(F, RtmTile, Vec, Predicated);
 
-  std::promise<std::shared_ptr<const PipelineResult>> Promise;
+  std::promise<std::shared_ptr<const driver::CompileResult>> Promise;
   Entry Fut;
   bool Compile = false;
   {
@@ -62,7 +62,7 @@ CompileCache::getOrCompile(const ir::LoopFunction &F, unsigned RtmTile,
       Opts.RtmTile = RtmTile;
       Opts.Vec = Vec;
       Opts.Predicated = Predicated;
-      auto R = std::make_shared<const PipelineResult>(
+      auto R = std::make_shared<const driver::CompileResult>(
           driver::compileLoop(F, Opts));
       Promise.set_value(R);
       return R;

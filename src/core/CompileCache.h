@@ -1,8 +1,8 @@
 //===- core/CompileCache.h - Compiled-loop content cache --------*- C++ -*-===//
 //
-// Caches compileLoop() results keyed by a content hash of the IR loop and
-// the pipeline configuration (RTM tile size + a pipeline version stamp),
-// so repeated sweeps and multi-trip runs skip recompilation. The key
+// Caches driver::compileLoop() results keyed by a content hash of the IR
+// loop and the pipeline configuration (RTM tile size + a pipeline version
+// stamp), so repeated sweeps and multi-trip runs skip recompilation. The key
 // deliberately ignores the loop's *name*: the 18 Table 2 workloads are
 // instantiated from five templates, and two benchmarks whose loops differ
 // only by name share one compilation.
@@ -19,6 +19,7 @@
 #ifndef FLEXVEC_CORE_COMPILECACHE_H
 #define FLEXVEC_CORE_COMPILECACHE_H
 
+// Only perfbench/src/{Table2,Fuzz}.cpp still use the alias it declares.
 #include "core/Pipeline.h"
 
 #include <atomic>
@@ -38,18 +39,18 @@ public:
   /// the loop name. Width and predication participate so compilations for
   /// different VLs never alias.
   static uint64_t keyFor(const ir::LoopFunction &F, unsigned RtmTile,
-                         isa::VectorConfig Vec = isa::defaultVectorConfig(),
+                         isa::VectorConfig Vec = isa::VectorConfig(),
                          bool Predicated = false);
 
   /// Returns the cached pipeline result for \p F, compiling it on the
   /// first request. \p WasHit (optional) reports whether this call was
   /// served from cache (a call that waits on an in-flight compile counts
   /// as a hit).
-  std::shared_ptr<const PipelineResult>
+  std::shared_ptr<const driver::CompileResult>
   getOrCompile(const ir::LoopFunction &F,
                unsigned RtmTile = codegen::DefaultRtmTile,
                bool *WasHit = nullptr,
-               isa::VectorConfig Vec = isa::defaultVectorConfig(),
+               isa::VectorConfig Vec = isa::VectorConfig(),
                bool Predicated = false);
 
   uint64_t hits() const { return Hits.load(std::memory_order_relaxed); }
@@ -64,7 +65,8 @@ public:
   void clear();
 
 private:
-  using Entry = std::shared_future<std::shared_ptr<const PipelineResult>>;
+  using Entry =
+      std::shared_future<std::shared_ptr<const driver::CompileResult>>;
 
   mutable std::mutex Mu;
   std::map<uint64_t, Entry> Map;

@@ -37,8 +37,8 @@ const char *core::variantName(VariantId V) {
   return "?";
 }
 
-const codegen::CompiledLoop *core::selectVariant(const PipelineResult &PR,
-                                                 VariantId V) {
+const codegen::CompiledLoop *
+core::selectVariant(const driver::CompileResult &PR, VariantId V) {
   switch (V) {
   case VariantId::Scalar:
     return &PR.Scalar;
@@ -93,7 +93,7 @@ CellResult evalCell(const SweepWorkload &W, VariantId V,
   Cell.Coverage = W.Coverage;
   Cell.PaperSpeedup = W.PaperSpeedup;
 
-  std::shared_ptr<const PipelineResult> PR;
+  std::shared_ptr<const driver::CompileResult> PR;
   {
     obs::ScopedTimer T(Cell.Times.CompileMs);
     PR = Cache.getOrCompile(*W.F, Opts.RtmTile, nullptr, Opts.Vec,

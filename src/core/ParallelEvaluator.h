@@ -56,7 +56,7 @@ const char *variantName(VariantId V);
 
 /// The variant's program within \p PR, or nullptr if the generator
 /// declined the loop.
-const codegen::CompiledLoop *selectVariant(const PipelineResult &PR,
+const codegen::CompiledLoop *selectVariant(const driver::CompileResult &PR,
                                            VariantId V);
 
 /// One row of the evaluation matrix, as the engine sees it. \p F must
@@ -84,10 +84,8 @@ struct SweepOptions {
   double Scale = 1.0; ///< Recorded in the result (workload sizing).
   unsigned Trips = 1; ///< Whole-matrix repetitions (cache reuse check).
   unsigned RtmTile = codegen::DefaultRtmTile;
-  /// Vector width every cell is compiled and run at. Defaults to the
-  /// session configuration (FLEXVEC_VL in bits, else the 512-bit
-  /// baseline).
-  isa::VectorConfig Vec = isa::defaultVectorConfig();
+  /// Vector width every cell is compiled and run at (512-bit by default).
+  isa::VectorConfig Vec;
   /// SVE-style predicated loop control for every compiled variant.
   bool Predicated = false;
   SimMode Sim = SimMode::Full;  ///< Timing-model fidelity.

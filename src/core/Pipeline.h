@@ -1,13 +1,8 @@
-//===- core/Pipeline.h - The FlexVec compilation pipeline -------*- C++ -*-===//
+//===- core/Pipeline.h - Legacy name of the compile result ------*- C++ -*-===//
 //
-// Public entry point: takes a loop in the high-level IR and produces every
-// program variant the evaluation compares — scalar baseline, traditional
-// vectorization (when legal), the PACT'13-style speculative baseline (when
-// applicable), FlexVec partial vector code, and the RTM variant.
-//
-// The implementation lives in src/driver (the named pass pipeline and the
-// Algorithm-1 lowering skeleton); this header is the stable core-layer
-// alias so existing call sites keep compiling unchanged.
+// Compile loops with driver::compileLoop and name the result
+// driver::CompileResult. core::PipelineResult stays only because
+// perfbench/src/{Table2,Fuzz}.cpp name it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,15 +14,7 @@
 namespace flexvec {
 namespace core {
 
-/// Everything the pipeline produces for one loop (see
-/// driver::CompileResult, which adds the structured remark stream).
 using PipelineResult = driver::CompileResult;
-
-/// Runs the full pass pipeline over \p F.
-inline PipelineResult compileLoop(const ir::LoopFunction &F,
-                                  unsigned RtmTile = codegen::DefaultRtmTile) {
-  return driver::compileLoop(F, RtmTile);
-}
 
 } // namespace core
 } // namespace flexvec

@@ -206,10 +206,7 @@ public:
   const char *name() const override { return "program-verify"; }
 
   void run(PassContext &Ctx) override {
-    bool Enabled = Ctx.Opts.Verify == DriverOptions::VerifyMode::On ||
-                   (Ctx.Opts.Verify == DriverOptions::VerifyMode::Auto &&
-                    verificationEnabled());
-    if (!Enabled)
+    if (!verificationEnabled())
       return;
     const CompileResult &R = Ctx.R;
     verify(Ctx, "scalar", R.Scalar);

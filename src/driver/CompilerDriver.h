@@ -7,8 +7,8 @@
 //   lower → peephole → program-verify
 //
 // and returns every program variant the evaluation compares plus the full
-// remark stream. core::compileLoop / core::PipelineResult are thin aliases
-// over this driver, so existing call sites keep working unchanged.
+// remark stream. compileLoop(F, DriverOptions) is the only way to compile a
+// loop.
 //
 //===----------------------------------------------------------------------===//
 
@@ -38,22 +38,18 @@ inline constexpr unsigned DefaultRtmTile = 192;
 
 namespace driver {
 
-/// Driver configuration.
+/// Driver configuration. Every field has a default member initializer, so
+/// a designated initializer such as `{.RtmTile = 64}` compiles without a
+/// missing-initializer warning.
 struct DriverOptions {
   unsigned RtmTile = codegen::DefaultRtmTile;
-  /// Vector width every variant is compiled for. Defaults to the session
-  /// configuration (FLEXVEC_VL in bits, else the 512-bit baseline).
-  isa::VectorConfig Vec = isa::defaultVectorConfig();
+  /// Vector width every variant is compiled for (512-bit by default).
+  isa::VectorConfig Vec = isa::VectorConfig();
   /// SVE-style predicated loop control: chunk heads compute k_loop with
   /// KWHILELT instead of the vindex/broadcast/vcmp triple.
   bool Predicated = false;
   /// Thresholds compiled into the flexvec-adaptive dispatch prologue.
-  AdaptiveConfig Adaptive;
-  /// When the post-codegen program verifier runs. Auto means "debug builds
-  /// always; release builds when FLEXVEC_VERIFY is set" (see
-  /// driver/Verifier.h).
-  enum class VerifyMode : uint8_t { Auto, On, Off };
-  VerifyMode Verify = VerifyMode::Auto;
+  AdaptiveConfig Adaptive = AdaptiveConfig();
 };
 
 /// Everything the pipeline produces for one loop.
@@ -93,16 +89,10 @@ struct CompileResult {
 /// Builds the standard seven-pass pipeline.
 PassManager buildPipeline();
 
-/// Runs the full pipeline over \p F.
+/// Runs the full pipeline over \p F. The program-verify pass runs when
+/// verificationEnabled() says so (see driver/Verifier.h).
 CompileResult compileLoop(const ir::LoopFunction &F,
-                          const DriverOptions &Opts);
-
-inline CompileResult compileLoop(const ir::LoopFunction &F,
-                                 unsigned RtmTile = codegen::DefaultRtmTile) {
-  DriverOptions Opts;
-  Opts.RtmTile = RtmTile;
-  return compileLoop(F, Opts);
-}
+                          const DriverOptions &Opts = {});
 
 } // namespace driver
 } // namespace flexvec

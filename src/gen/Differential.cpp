@@ -4,7 +4,7 @@
 
 #include "core/FaultHarness.h"
 #include "core/ParallelEvaluator.h"
-#include "core/Pipeline.h"
+#include "driver/CompilerDriver.h"
 #include "driver/Remarks.h"
 #include "ir/Parser.h"
 #include "support/Hash.h"
@@ -63,7 +63,7 @@ CheckResult gen::checkLoop(const ir::LoopFunction &F, uint64_t InputSeed,
   DOpts.RtmTile = Opts.RtmTile;
   DOpts.Vec = Opts.Vec;
   DOpts.Predicated = Opts.Predicated;
-  core::PipelineResult PR = driver::compileLoop(F, DOpts);
+  driver::CompileResult PR = driver::compileLoop(F, DOpts);
   if (!PR.Plan.Vectorizable)
     return fail(FailureClass::NotVectorizable, "",
                 PR.Plan.Reason + "\n" + Dsl);

@@ -41,9 +41,8 @@ const char *failureClassName(FailureClass C);
 struct CheckOptions {
   unsigned RtmTile = 64;
   /// Vector width every variant compiles and runs at (width sweeps rerun
-  /// the same loop/seed at several configs). Defaults to the session
-  /// configuration (FLEXVEC_VL, else 512-bit).
-  isa::VectorConfig Vec = isa::defaultVectorConfig();
+  /// the same loop/seed at several configs). 512-bit by default.
+  isa::VectorConfig Vec;
   /// SVE-style predicated loop control for the compiled variants.
   bool Predicated = false;
   int Rounds = 2;          ///< Random-input rounds per loop.

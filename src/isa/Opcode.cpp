@@ -2,27 +2,10 @@
 
 #include "isa/Opcode.h"
 
-#include "isa/Reg.h"
 #include "support/Error.h"
-
-#include <cstdlib>
 
 using namespace flexvec;
 using namespace flexvec::isa;
-
-VectorConfig isa::defaultVectorConfig() {
-  static const VectorConfig Cached = [] {
-    if (const char *Env = std::getenv("FLEXVEC_VL")) {
-      char *End = nullptr;
-      unsigned long Bits = std::strtoul(Env, &End, 10);
-      if (End && *End == '\0' && VectorConfig::isValidBits(
-                                     static_cast<unsigned>(Bits)))
-        return VectorConfig(static_cast<unsigned>(Bits) / 8);
-    }
-    return VectorConfig();
-  }();
-  return Cached;
-}
 
 const char *isa::opcodeName(Opcode Op) {
   switch (Op) {

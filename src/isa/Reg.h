@@ -90,11 +90,6 @@ struct VectorConfig {
   bool operator!=(const VectorConfig &O) const { return Bytes != O.Bytes; }
 };
 
-/// Process-default vector configuration: the FLEXVEC_VL environment
-/// variable (in bits: 128, 256, 512, 1024, 2048) when set and valid,
-/// otherwise the 512-bit default. Read once and cached.
-VectorConfig defaultVectorConfig();
-
 inline bool isFloatType(ElemType Ty) {
   return Ty == ElemType::F32 || Ty == ElemType::F64;
 }

@@ -4,7 +4,8 @@
 // flag values through atoll/atof, which silently turn typos ("--trip=1O0",
 // "--jobs=") into zeros; these helpers accept a value only when the entire
 // string parses, so the drivers can reject malformed input with a usage
-// hint and a nonzero exit instead.
+// hint and a nonzero exit instead. Out-of-range values (an integer that
+// does not fit its destination, a NaN or infinite double) are malformed too.
 //
 //===----------------------------------------------------------------------===//
 
@@ -12,8 +13,10 @@
 #define FLEXVEC_SUPPORT_ARGPARSE_H
 
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 namespace flexvec {
@@ -44,14 +47,25 @@ inline bool parseUInt(const std::string &S, uint64_t &Out) {
   return true;
 }
 
-/// Parses all of \p S as a floating-point value.
+/// Parses all of \p S as an unsigned decimal integer that fits in
+/// `unsigned`; a larger value is rejected, never truncated.
+inline bool parseUnsigned(const std::string &S, unsigned &Out) {
+  uint64_t V = 0;
+  if (!parseUInt(S, V) || V > std::numeric_limits<unsigned>::max())
+    return false;
+  Out = static_cast<unsigned>(V);
+  return true;
+}
+
+/// Parses all of \p S as a finite floating-point value ("nan" and "inf"
+/// are rejected).
 inline bool parseDouble(const std::string &S, double &Out) {
   if (S.empty())
     return false;
   errno = 0;
   char *End = nullptr;
   double V = std::strtod(S.c_str(), &End);
-  if (errno != 0 || End != S.c_str() + S.size())
+  if (errno != 0 || End != S.c_str() + S.size() || !std::isfinite(V))
     return false;
   Out = V;
   return true;

@@ -13,8 +13,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/FaultHarness.h"
-#include "core/Pipeline.h"
 #include "driver/AdaptiveStrategy.h"
+#include "driver/CompilerDriver.h"
 #include "ir/Parser.h"
 #include "support/Hash.h"
 #include "support/Random.h"
@@ -55,7 +55,7 @@ TEST(AdaptiveDispatch, CorpusConflictStormDemotesWithinWindowBitExact) {
     if (W.Group != "SPEC" && W.Group != "APPS")
       continue;
     ++Table2Rows;
-    core::PipelineResult PR = core::compileLoop(*W.F);
+    driver::CompileResult PR = driver::compileLoop(*W.F);
     ASSERT_TRUE(PR.Adaptive) << W.Name << ": no adaptive variant";
     Rng R(deriveStreamSeed(33, fnv1a64(W.Name)));
     core::WorkloadInstance In = W.Gen(R);
@@ -92,7 +92,7 @@ TEST(AdaptiveDispatch, CorpusConflictStormDemotesWithinWindowBitExact) {
 TEST(AdaptiveDispatch, CleanRunMatchesSpeculativeVariantExactly) {
   workloads::Figure8Suite Suite = workloads::buildFigure8Suite(1.0);
   for (const core::SweepWorkload &W : Suite.Workloads) {
-    core::PipelineResult PR = core::compileLoop(*W.F);
+    driver::CompileResult PR = driver::compileLoop(*W.F);
     if (!PR.Adaptive || !PR.Rtm)
       continue;
     Rng R(deriveStreamSeed(44, fnv1a64(W.Name)));
@@ -127,7 +127,7 @@ loop stream(i64 n trip, i32 t, i32 dst[], i32 src[] readonly) {
   dst[i] = t + 1;
 })");
   ASSERT_TRUE(R) << R.Error;
-  core::PipelineResult PR = core::compileLoop(*R.F);
+  driver::CompileResult PR = driver::compileLoop(*R.F);
   ASSERT_TRUE(PR.Adaptive) << "stream loop must produce an adaptive variant";
 
   const int64_t N = 256;
@@ -165,7 +165,7 @@ loop shorty(i64 n trip, i64 acc liveout, i32 a[] readonly) {
   acc = acc + a[i];
 })");
   ASSERT_TRUE(R) << R.Error;
-  core::PipelineResult PR = core::compileLoop(*R.F);
+  driver::CompileResult PR = driver::compileLoop(*R.F);
   ASSERT_TRUE(PR.Adaptive);
 
   mem::Memory Image;

@@ -7,7 +7,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Evaluator.h"
-#include "core/Pipeline.h"
+#include "driver/CompilerDriver.h"
 #include "emu/Machine.h"
 #include "isa/AsmParser.h"
 #include "workloads/PaperLoops.h"
@@ -108,7 +108,7 @@ void roundTrip(const ir::LoopFunction &F, const codegen::CompiledLoop &CL,
 TEST(AsmParser, RoundTripsGeneratedPrograms) {
   {
     auto F = workloads::buildH264Loop();
-    core::PipelineResult PR = core::compileLoop(*F);
+    driver::CompileResult PR = driver::compileLoop(*F);
     Rng R(61);
     workloads::LoopInputs In = workloads::genH264Inputs(*F, R, 500, 0.05);
     roundTrip(*F, PR.Scalar, In.Image, In.B);
@@ -117,7 +117,7 @@ TEST(AsmParser, RoundTripsGeneratedPrograms) {
   }
   {
     auto F = workloads::buildConflictLoop();
-    core::PipelineResult PR = core::compileLoop(*F);
+    driver::CompileResult PR = driver::compileLoop(*F);
     Rng R(62);
     workloads::LoopInputs In = workloads::genConflictInputs(*F, R, 500, 0.3,
                                                             128);
@@ -126,7 +126,7 @@ TEST(AsmParser, RoundTripsGeneratedPrograms) {
   }
   {
     auto F = workloads::buildEarlyExitLoop();
-    core::PipelineResult PR = core::compileLoop(*F);
+    driver::CompileResult PR = driver::compileLoop(*F);
     Rng R(63);
     workloads::LoopInputs In = workloads::genEarlyExitInputs(*F, R, 500, 313);
     roundTrip(*F, *PR.FlexVec, In.Image, In.B);
@@ -135,7 +135,7 @@ TEST(AsmParser, RoundTripsGeneratedPrograms) {
 
 TEST(AsmParser, RoundTripPreservesInstructionIdentity) {
   auto F = workloads::buildConflictLoop();
-  core::PipelineResult PR = core::compileLoop(*F);
+  driver::CompileResult PR = driver::compileLoop(*F);
   AsmResult R = assembleProgram(PR.FlexVec->Prog.disassemble());
   ASSERT_TRUE(R) << R.Error;
   for (size_t I = 0; I < R.Prog.size(); ++I) {

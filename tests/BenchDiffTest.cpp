@@ -348,6 +348,19 @@ TEST_F(BenchDiffBinary, BadUsageExitsTwoWithUsage) {
   EXPECT_EQ(BadTol.Exit, 2);
 }
 
+TEST_F(BenchDiffBinary, NonFiniteToleranceExitsTwo) {
+  // A NaN tolerance would make every comparison false and pass the gate.
+  std::vector<CellSpec> Slower = BaseCells;
+  Slower[1].Cycles = 1500;
+  std::string A = file("base", makeBench(BaseCells));
+  std::string B = file("reg", makeBench(Slower));
+  for (const char *Tol : {"nan", "inf", "-nan"}) {
+    CmdResult R = run(BenchDiffBin + " --cycles-tolerance=" + Tol + " " + A +
+                      " " + B);
+    EXPECT_EQ(R.Exit, 2) << Tol << "\n" << R.Output;
+  }
+}
+
 TEST_F(BenchDiffBinary, ToleranceFlagsReachTheDiffer) {
   std::vector<CellSpec> Slower = BaseCells;
   Slower[1].Cycles = 1050;

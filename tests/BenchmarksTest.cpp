@@ -9,7 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Evaluator.h"
-#include "core/Pipeline.h"
+#include "driver/CompilerDriver.h"
 #include "profile/LoopProfiler.h"
 #include "workloads/Benchmarks.h"
 
@@ -39,7 +39,7 @@ TEST(Benchmarks, HasElevenSpecAndSevenApps) {
 
 TEST_P(BenchmarkSuite, PlanAndInstructionMixMatchTable2) {
   Benchmark &B = benchmarks()[static_cast<size_t>(GetParam())];
-  core::PipelineResult PR = core::compileLoop(*B.F);
+  driver::CompileResult PR = driver::compileLoop(*B.F);
   ASSERT_TRUE(PR.Plan.Vectorizable) << B.Name << ": " << PR.Plan.Reason;
   EXPECT_TRUE(PR.Plan.needsFlexVec()) << B.Name;
   EXPECT_FALSE(PR.Traditional.has_value())
@@ -65,7 +65,7 @@ TEST_P(BenchmarkSuite, PlanAndInstructionMixMatchTable2) {
 
 TEST_P(BenchmarkSuite, FlexVecAndRtmMatchReference) {
   Benchmark &B = benchmarks()[static_cast<size_t>(GetParam())];
-  core::PipelineResult PR = core::compileLoop(*B.F, /*RtmTile=*/96);
+  driver::CompileResult PR = driver::compileLoop(*B.F, {.RtmTile = 96});
   Rng R(42 + static_cast<uint64_t>(GetParam()));
   core::WorkloadInstance In = B.Gen(R);
   // Keep test time bounded.
@@ -88,7 +88,7 @@ TEST_P(BenchmarkSuite, FlexVecAndRtmMatchReference) {
 
 TEST_P(BenchmarkSuite, CostModelAcceptsProfiledLoop) {
   Benchmark &B = benchmarks()[static_cast<size_t>(GetParam())];
-  core::PipelineResult PR = core::compileLoop(*B.F);
+  driver::CompileResult PR = driver::compileLoop(*B.F);
   Rng R(7);
   core::WorkloadInstance In = B.Gen(R);
   if (In.Invocations.size() > 20)

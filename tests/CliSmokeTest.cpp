@@ -67,6 +67,8 @@ TEST(CliSmoke, MalformedNumericFlagsRejected) {
   expectRejected(Cli + " --seed=12x " + Argmin, "--seed");
   expectRejected(Cli + " --jobs=-3 " + Argmin, "--jobs");
   expectRejected(Cli + " --tx-abort-prob=1.5 " + Argmin, "--tx-abort-prob");
+  expectRejected(Cli + " --tx-abort-prob=nan " + Argmin, "--tx-abort-prob");
+  expectRejected(Cli + " --jobs=4294967297 " + Argmin, "--jobs");
 }
 
 TEST(CliSmoke, MalformedVlRejected) {
@@ -77,6 +79,8 @@ TEST(CliSmoke, MalformedVlRejected) {
   expectRejected(Cli + " --vl=384 " + Argmin, "--vl");
   expectRejected(Cli + " --vl=64 " + Argmin, "--vl");
   expectRejected(Cli + " --vl=4096 " + Argmin, "--vl");
+  // 2^32 + 512: truncating to 32 bits first would accept it as 512.
+  expectRejected(Cli + " --vl=4294967808 " + Argmin, "--vl");
 }
 
 TEST(CliSmoke, ValidVlRunSucceeds) {
@@ -167,7 +171,13 @@ TEST(BenchSmoke, UnknownFlagRejected) {
 TEST(BenchSmoke, MalformedJobsRejected) {
   CmdResult R = run(Bench + " --jobs=abc");
   EXPECT_EQ(R.Exit, 2) << R.Output;
+  expectRejected(Bench + " --jobs=4294967297", "--jobs");
   expectRejected(Bench + " --fault-seed=abc", "--fault-seed");
+}
+
+TEST(BenchSmoke, NonFiniteScaleRejected) {
+  expectRejected(Bench + " --scale=nan", "--scale");
+  expectRejected(Bench + " --scale=inf", "--scale");
 }
 
 TEST(BenchSmoke, BadSimModeRejected) {
@@ -182,6 +192,7 @@ TEST(BenchSmoke, MalformedVlRejected) {
   expectRejected(Bench + " --vl=384", "--vl");
   expectRejected(Bench + " --vl=64", "--vl");
   expectRejected(Bench + " --vl=4096", "--vl");
+  expectRejected(Bench + " --vl=4294967808", "--vl");
 }
 
 TEST(BenchSmoke, MalformedSamplingFlagsRejected) {

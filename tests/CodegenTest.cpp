@@ -8,7 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Evaluator.h"
-#include "core/Pipeline.h"
+#include "driver/CompilerDriver.h"
 #include "workloads/PaperLoops.h"
 
 #include <gtest/gtest.h>
@@ -47,7 +47,7 @@ std::unique_ptr<LoopFunction> buildGuardedSum(ElemType Ty) {
 
 TEST(Codegen, TraditionalVectorizesGuardedSum) {
   auto F = buildGuardedSum(ElemType::I32);
-  core::PipelineResult PR = core::compileLoop(*F);
+  driver::CompileResult PR = driver::compileLoop(*F);
   ASSERT_TRUE(PR.Plan.Vectorizable) << PR.Plan.Reason;
   EXPECT_FALSE(PR.Plan.needsFlexVec());
   ASSERT_TRUE(PR.Traditional.has_value());
@@ -92,7 +92,7 @@ TEST(Codegen, WideLanes64BitConflictLoop) {
       F.binary(BinOp::Add, F.arrayRef(D, JRef), F.constInt(ElemType::I64, 1))));
   F.setBody(Body);
 
-  core::PipelineResult PR = core::compileLoop(F);
+  driver::CompileResult PR = driver::compileLoop(F);
   ASSERT_TRUE(PR.Plan.Vectorizable) << PR.Plan.Reason;
   ASSERT_EQ(PR.Plan.MemConflictVpls.size(), 1u);
   ASSERT_TRUE(PR.FlexVec.has_value());
@@ -132,7 +132,7 @@ TEST(Codegen, WideLanes64BitArgmin) {
   F.addThen(Guard, F.assignScalar(BestIdx, F.indexRef()));
   F.setBody({Guard});
 
-  core::PipelineResult PR = core::compileLoop(F);
+  driver::CompileResult PR = driver::compileLoop(F);
   ASSERT_TRUE(PR.Plan.Vectorizable) << PR.Plan.Reason;
   ASSERT_EQ(PR.Plan.CondUpdateVpls.size(), 1u);
 
@@ -157,7 +157,7 @@ TEST(Codegen, WideLanes64BitArgmin) {
 
 TEST(Codegen, DisassemblyCarriesStatementComments) {
   auto F = workloads::buildConflictLoop();
-  core::PipelineResult PR = core::compileLoop(*F);
+  driver::CompileResult PR = driver::compileLoop(*F);
   std::string Asm = PR.FlexVec->Prog.disassemble();
   EXPECT_NE(Asm.find("k_todo"), std::string::npos);
   EXPECT_NE(Asm.find("k_safe"), std::string::npos);
@@ -168,7 +168,7 @@ TEST(Codegen, DisassemblyCarriesStatementComments) {
 
 TEST(Codegen, EmptyTripCountRunsZeroIterations) {
   auto F = workloads::buildH264Loop();
-  core::PipelineResult PR = core::compileLoop(*F);
+  driver::CompileResult PR = driver::compileLoop(*F);
   Rng R(3);
   workloads::LoopInputs In = workloads::genH264Inputs(*F, R, 16, 0.1);
   In.B.setInt(0, 0); // max_pos = 0.
@@ -183,7 +183,7 @@ TEST(Codegen, EmptyTripCountRunsZeroIterations) {
 TEST(Codegen, TripCountBelowOneVector) {
   // Partial first (and only) chunk: tail masking must handle trip < VL.
   auto F = workloads::buildConflictLoop();
-  core::PipelineResult PR = core::compileLoop(*F);
+  driver::CompileResult PR = driver::compileLoop(*F);
   for (int64_t Trip : {1, 2, 7, 15, 16, 17}) {
     Rng R(static_cast<uint64_t>(Trip));
     workloads::LoopInputs In =
@@ -200,18 +200,14 @@ TEST(Codegen, SpeculativeGeneratorDeclinesUnsupportedShapes) {
   // the conflict region; the speculative baseline supports it. A loop
   // whose exit guard is nested is declined.
   auto F = workloads::buildConflictLoop();
-  core::PipelineResult PR = core::compileLoop(*F);
+  driver::CompileResult PR = driver::compileLoop(*F);
   EXPECT_TRUE(PR.Speculative.has_value());
 }
 
 TEST(Codegen, NotesDescribeTheBuild) {
   auto F = workloads::buildH264Loop();
-  // "VL=16" is the 512-bit / 4-byte-lane count: pin the width so a
-  // FLEXVEC_VL override doesn't change the expected notes text.
-  driver::DriverOptions DOpts;
-  DOpts.RtmTile = 256;
-  DOpts.Vec = isa::VectorConfig();
-  core::PipelineResult PR = driver::compileLoop(*F, DOpts);
+  // "VL=16" is the default 512-bit width's 4-byte-lane count.
+  driver::CompileResult PR = driver::compileLoop(*F, {.RtmTile = 256});
   EXPECT_NE(PR.FlexVec->Notes.find("VL=16"), std::string::npos);
   EXPECT_NE(PR.Rtm->Notes.find("tile=256"), std::string::npos);
   EXPECT_EQ(PR.FlexVec->Kind, codegen::CodeGenKind::FlexVec);

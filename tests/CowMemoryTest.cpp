@@ -10,7 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Evaluator.h"
-#include "core/Pipeline.h"
+#include "driver/CompilerDriver.h"
 #include "faults/FaultInjector.h"
 #include "ir/Parser.h"
 #include "support/Hash.h"
@@ -166,7 +166,7 @@ MultiRun runInvocationsOn(const LoopFunction &F,
 /// (same as FuzzDifferentialTest), and returns the prepared pieces.
 struct CorpusCase {
   std::unique_ptr<LoopFunction> F;
-  core::PipelineResult PR;
+  driver::CompileResult PR;
   mem::Memory Image;
   std::vector<Bindings> Invocations;
 };
@@ -183,7 +183,7 @@ CorpusCase buildCorpusCase(const std::string &Name) {
   EXPECT_TRUE(P) << Path << ": " << P.Error;
   C.F = std::move(P.F);
   LoopFunction &F = *C.F;
-  C.PR = core::compileLoop(F, /*RtmTile=*/64);
+  C.PR = driver::compileLoop(F, {.RtmTile = 64});
 
   Rng R(fnv1a64(Name));
   int64_t Len = 512;

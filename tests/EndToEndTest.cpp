@@ -8,7 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Evaluator.h"
-#include "core/Pipeline.h"
+#include "driver/CompilerDriver.h"
 #include "workloads/PaperLoops.h"
 
 #include <gtest/gtest.h>
@@ -25,7 +25,8 @@ struct Variant {
 };
 
 void expectAllVariantsMatch(const ir::LoopFunction &F,
-                            const PipelineResult &PR, const LoopInputs &In) {
+                            const driver::CompileResult &PR,
+                            const LoopInputs &In) {
   RunOutcome Ref = runReferenceMulti(F, In.Image, {In.B});
   ASSERT_TRUE(Ref.Ok);
 
@@ -54,7 +55,7 @@ void expectAllVariantsMatch(const ir::LoopFunction &F,
 
 TEST(EndToEnd, H264PlanShape) {
   auto F = buildH264Loop();
-  PipelineResult PR = compileLoop(*F);
+  driver::CompileResult PR = driver::compileLoop(*F);
   ASSERT_TRUE(PR.Plan.Vectorizable) << PR.Plan.Reason;
   EXPECT_TRUE(PR.Plan.needsFlexVec());
   ASSERT_EQ(PR.Plan.CondUpdateVpls.size(), 1u);
@@ -68,7 +69,7 @@ TEST(EndToEnd, H264PlanShape) {
 
 TEST(EndToEnd, ConflictPlanShape) {
   auto F = buildConflictLoop();
-  PipelineResult PR = compileLoop(*F);
+  driver::CompileResult PR = driver::compileLoop(*F);
   ASSERT_TRUE(PR.Plan.Vectorizable) << PR.Plan.Reason;
   ASSERT_EQ(PR.Plan.MemConflictVpls.size(), 1u);
   ASSERT_TRUE(PR.FlexVec.has_value());
@@ -78,7 +79,7 @@ TEST(EndToEnd, ConflictPlanShape) {
 
 TEST(EndToEnd, EarlyExitPlanShape) {
   auto F = buildEarlyExitLoop();
-  PipelineResult PR = compileLoop(*F);
+  driver::CompileResult PR = driver::compileLoop(*F);
   ASSERT_TRUE(PR.Plan.Vectorizable) << PR.Plan.Reason;
   ASSERT_EQ(PR.Plan.EarlyExits.size(), 1u);
   ASSERT_TRUE(PR.FlexVec.has_value());
@@ -90,7 +91,7 @@ class H264Property : public ::testing::TestWithParam<int> {};
 
 TEST_P(H264Property, AllVariantsMatchReference) {
   auto F = buildH264Loop();
-  PipelineResult PR = compileLoop(*F, /*RtmTile=*/64);
+  driver::CompileResult PR = driver::compileLoop(*F, {.RtmTile = 64});
   Rng R(1000 + static_cast<uint64_t>(GetParam()));
   double Probs[] = {0.0, 0.02, 0.1, 0.4, 0.9};
   for (double P : Probs) {
@@ -106,7 +107,7 @@ class ConflictProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(ConflictProperty, AllVariantsMatchReference) {
   auto F = buildConflictLoop();
-  PipelineResult PR = compileLoop(*F, /*RtmTile=*/64);
+  driver::CompileResult PR = driver::compileLoop(*F, {.RtmTile = 64});
   Rng R(2000 + static_cast<uint64_t>(GetParam()));
   double Probs[] = {0.0, 0.05, 0.3, 0.8};
   for (double P : Probs) {
@@ -122,7 +123,7 @@ class EarlyExitProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(EarlyExitProperty, AllVariantsMatchReference) {
   auto F = buildEarlyExitLoop();
-  PipelineResult PR = compileLoop(*F, /*RtmTile=*/64);
+  driver::CompileResult PR = driver::compileLoop(*F, {.RtmTile = 64});
   Rng R(3000 + static_cast<uint64_t>(GetParam()));
   for (int Case = 0; Case < 6; ++Case) {
     int64_t N = 50 + static_cast<int64_t>(R.nextBelow(300));
@@ -150,7 +151,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EarlyExitProperty, ::testing::Range(0, 8));
 
 TEST(EndToEnd, EarlyExitSpeculativeFaultFallsBackToScalar) {
   auto F = buildEarlyExitLoop();
-  PipelineResult PR = compileLoop(*F);
+  driver::CompileResult PR = driver::compileLoop(*F);
   ASSERT_TRUE(PR.FlexVec.has_value());
   Rng R(42);
   // The string ends right at a page boundary one element past the match:

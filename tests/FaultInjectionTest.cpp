@@ -11,7 +11,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/FaultHarness.h"
-#include "core/Pipeline.h"
+#include "driver/CompilerDriver.h"
 #include "emu/Machine.h"
 #include "faults/FaultInjector.h"
 #include "isa/Program.h"
@@ -30,10 +30,12 @@ struct LoopCase {
   std::string Name;
   std::unique_ptr<ir::LoopFunction> F;
   workloads::LoopInputs In;
-  core::PipelineResult PR;
+  driver::CompileResult PR;
 };
 
-std::vector<LoopCase> buildPaperLoops(uint64_t Seed, int64_t N = 200) {
+std::vector<LoopCase>
+buildPaperLoops(uint64_t Seed, int64_t N = 200,
+                isa::VectorConfig Vec = isa::VectorConfig()) {
   std::vector<LoopCase> Cases;
   {
     LoopCase C;
@@ -41,7 +43,7 @@ std::vector<LoopCase> buildPaperLoops(uint64_t Seed, int64_t N = 200) {
     C.F = workloads::buildH264Loop();
     Rng R(Seed);
     C.In = workloads::genH264Inputs(*C.F, R, N, /*UpdateProb=*/0.2);
-    C.PR = core::compileLoop(*C.F);
+    C.PR = driver::compileLoop(*C.F, {.Vec = Vec});
     Cases.push_back(std::move(C));
   }
   {
@@ -50,7 +52,7 @@ std::vector<LoopCase> buildPaperLoops(uint64_t Seed, int64_t N = 200) {
     C.F = workloads::buildConflictLoop();
     Rng R(Seed + 1);
     C.In = workloads::genConflictInputs(*C.F, R, N, /*ConflictProb=*/0.2);
-    C.PR = core::compileLoop(*C.F);
+    C.PR = driver::compileLoop(*C.F, {.Vec = Vec});
     Cases.push_back(std::move(C));
   }
   {
@@ -59,7 +61,7 @@ std::vector<LoopCase> buildPaperLoops(uint64_t Seed, int64_t N = 200) {
     C.F = workloads::buildEarlyExitLoop();
     Rng R(Seed + 2);
     C.In = workloads::genEarlyExitInputs(*C.F, R, N, /*MatchPos=*/N - 20);
-    C.PR = core::compileLoop(*C.F);
+    C.PR = driver::compileLoop(*C.F, {.Vec = Vec});
     Cases.push_back(std::move(C));
   }
   return Cases;
@@ -99,10 +101,10 @@ TEST(FaultDifferential, CleanRunsAreEquivalent) {
 // run, so either both executions absorb the faults (first-faulting clips,
 // RTM fallback) and agree on final state, or both stop with the same
 // fault report (reason + address).
-TEST(FaultDifferential, PersistentRangeFaultsInEachArray) {
+void checkPersistentRangeFaults(isa::VectorConfig Vec) {
   uint64_t Injected = 0, Faulted = 0, Completed = 0;
   for (uint64_t Seed : {101u, 202u, 303u}) {
-    for (LoopCase &C : buildPaperLoops(Seed)) {
+    for (LoopCase &C : buildPaperLoops(Seed, /*N=*/200, Vec)) {
       for (size_t Arr = 0; Arr < C.In.B.ArrayBases.size(); ++Arr) {
         uint64_t Base = C.In.B.ArrayBases[Arr];
         core::FaultPlan Plan;
@@ -114,7 +116,7 @@ TEST(FaultDifferential, PersistentRangeFaultsInEachArray) {
               *C.F, C.PR.Scalar, *CL, C.In.Image, {C.In.B}, Plan);
           EXPECT_TRUE(V.Equivalent)
               << C.Name << "/" << VarName << " array " << Arr << " seed "
-              << Seed << ": " << V.describe();
+              << Seed << " at " << Vec.bits() << " bits: " << V.describe();
           Injected += V.Scalar.Injection.MemFaultsInjected;
           (V.Scalar.Outcome.Ok ? Completed : Faulted) += 1;
         }
@@ -125,6 +127,16 @@ TEST(FaultDifferential, PersistentRangeFaultsInEachArray) {
   EXPECT_GT(Injected, 0u);
   EXPECT_GT(Faulted, 0u);
   EXPECT_GT(Completed, 0u);
+}
+
+TEST(FaultDifferential, PersistentRangeFaultsInEachArray) {
+  checkPersistentRangeFaults(isa::VectorConfig());
+}
+
+// At 256 bits a chunk covers 8 lanes, so first-faulting clips land on
+// other lane boundaries than at the 512-bit default.
+TEST(FaultDifferential, PersistentRangeFaultsInEachArrayAt256Bits) {
+  checkPersistentRangeFaults(isa::VectorConfig(256 / 8));
 }
 
 // Injected RTM aborts never reach the scalar program (it has no

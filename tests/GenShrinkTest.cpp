@@ -17,7 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Evaluator.h"
-#include "core/Pipeline.h"
+#include "driver/CompilerDriver.h"
 #include "gen/Differential.h"
 #include "gen/Gen.h"
 #include "gen/Shrink.h"
@@ -147,7 +147,7 @@ bool corruptFirstImmediate(codegen::CompiledLoop &CL) {
 /// convention inputs (run error and budget blowout count as divergence —
 /// corrupting an index or trip immediate can derail the loop entirely).
 bool corruptedFlexVecDiverges(const ir::LoopFunction &F) {
-  core::PipelineResult PR = core::compileLoop(F, /*RtmTile=*/64);
+  driver::CompileResult PR = driver::compileLoop(F, {.RtmTile = 64});
   if (!PR.Plan.Vectorizable || !PR.FlexVec)
     return false;
   codegen::CompiledLoop Bad = *PR.FlexVec;

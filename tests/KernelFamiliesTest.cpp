@@ -19,7 +19,7 @@
 
 #include "core/FaultHarness.h"
 #include "core/ParallelEvaluator.h"
-#include "core/Pipeline.h"
+#include "driver/CompilerDriver.h"
 #include "gen/Differential.h"
 #include "support/Hash.h"
 #include "workloads/Figure8.h"
@@ -35,16 +35,6 @@ using namespace flexvec;
 using workloads::Benchmark;
 
 namespace {
-
-/// The family goldens (remarks + disassembly) freeze the 512-bit
-/// compilation, so the width is pinned against FLEXVEC_VL overrides.
-core::PipelineResult compileAt512(const ir::LoopFunction &F,
-                                  unsigned RtmTile) {
-  driver::DriverOptions Opts;
-  Opts.RtmTile = RtmTile;
-  Opts.Vec = isa::VectorConfig();
-  return driver::compileLoop(F, Opts);
-}
 
 std::string readFile(const std::string &Path, bool *Ok = nullptr) {
   std::ifstream In(Path);
@@ -165,7 +155,7 @@ TEST_F(KernelFamilies, PolyRowsGenerateTraditional) {
   for (const Benchmark &B : rows()) {
     if (B.Group != "POLY")
       continue;
-    core::PipelineResult PR = compileAt512(*B.F, /*RtmTile=*/64);
+    driver::CompileResult PR = driver::compileLoop(*B.F, {.RtmTile = 64});
     ASSERT_TRUE(PR.Plan.Vectorizable) << B.Name << ": " << PR.Plan.Reason;
     if (B.Kind == workloads::KernelKind::Affine) {
       EXPECT_TRUE(PR.Traditional.has_value())
@@ -181,7 +171,7 @@ TEST_F(KernelFamilies, PolyRowsGenerateTraditional) {
 // rows) must never demote — and must still stay bit-exact.
 TEST_F(KernelFamilies, StormDemotionMatchesAbortActivity) {
   for (const Benchmark &B : rows()) {
-    core::PipelineResult PR = compileAt512(*B.F, /*RtmTile=*/64);
+    driver::CompileResult PR = driver::compileLoop(*B.F, {.RtmTile = 64});
     if (!PR.Adaptive)
       continue;
     Rng R(deriveStreamSeed(77, fnv1a64(B.Name)));
@@ -217,7 +207,7 @@ TEST_F(KernelFamilies, StormDemotionMatchesAbortActivity) {
 
 TEST_F(KernelFamilies, RemarksMatchGolden) {
   for (const Benchmark &B : rows()) {
-    core::PipelineResult PR = compileAt512(*B.F, /*RtmTile=*/64);
+    driver::CompileResult PR = driver::compileLoop(*B.F, {.RtmTile = 64});
     checkGolden(std::string(FLEXVEC_SOURCE_DIR) + "/tests/golden/families/" +
                     sanitized(B.Name) + ".remarks.json",
                 PR.Remarks.toJson().dump());
@@ -226,7 +216,7 @@ TEST_F(KernelFamilies, RemarksMatchGolden) {
 
 TEST_F(KernelFamilies, FlexVecDisassemblyMatchesGolden) {
   for (const Benchmark &B : rows()) {
-    core::PipelineResult PR = compileAt512(*B.F, /*RtmTile=*/64);
+    driver::CompileResult PR = driver::compileLoop(*B.F, {.RtmTile = 64});
     ASSERT_TRUE(PR.FlexVec) << B.Name;
     checkGolden(std::string(FLEXVEC_SOURCE_DIR) + "/tests/golden/families/" +
                     sanitized(B.Name) + ".flexvec.s",

@@ -1,7 +1,7 @@
 //===- tests/ParserTest.cpp - Loop DSL parser tests ------------------------===//
 
 #include "core/Evaluator.h"
-#include "core/Pipeline.h"
+#include "driver/CompilerDriver.h"
 #include "ir/Parser.h"
 #include "workloads/PaperLoops.h"
 
@@ -51,8 +51,8 @@ TEST(Parser, ParsedLoopMatchesBuilderLoopBehaviour) {
   ASSERT_TRUE(R) << R.Error;
   auto Builder = workloads::buildH264Loop();
 
-  core::PipelineResult PP = core::compileLoop(*R.F);
-  core::PipelineResult PB = core::compileLoop(*Builder);
+  driver::CompileResult PP = driver::compileLoop(*R.F);
+  driver::CompileResult PB = driver::compileLoop(*Builder);
   ASSERT_TRUE(PP.Plan.Vectorizable) << PP.Plan.Reason;
   EXPECT_EQ(PP.Plan.needsFlexVec(), PB.Plan.needsFlexVec());
   EXPECT_EQ(PP.Plan.CondUpdateVpls.size(), PB.Plan.CondUpdateVpls.size());
@@ -86,7 +86,7 @@ loop fsum(i64 n trip, f32 acc liveout, f32 w[] readonly) {
   EXPECT_TRUE(isa::isFloatType(S->Value->Type));
 
   // And the loop should compile as a float add-reduction.
-  core::PipelineResult PR = core::compileLoop(*R.F);
+  driver::CompileResult PR = driver::compileLoop(*R.F);
   ASSERT_TRUE(PR.Plan.Vectorizable) << PR.Plan.Reason;
   ASSERT_EQ(PR.Plan.Reductions.size(), 1u);
 }
@@ -142,7 +142,7 @@ loop scan(i64 n trip, i32 pos liveout, i32 t, i32 a[] readonly) {
   }
 })");
   ASSERT_TRUE(R) << R.Error;
-  core::PipelineResult PR = core::compileLoop(*R.F);
+  driver::CompileResult PR = driver::compileLoop(*R.F);
   ASSERT_TRUE(PR.Plan.Vectorizable) << PR.Plan.Reason;
   ASSERT_EQ(PR.Plan.EarlyExits.size(), 1u);
   EXPECT_FALSE(PR.Plan.EarlyExits[0].BreakInElse);
@@ -208,7 +208,7 @@ loop histogram(i64 n trip, i32 b, i32 bucket[] readonly, i32 hist[]) {
   for (const char *Text : {Argmin, Histogram}) {
     ParseResult R = parseLoop(Text);
     ASSERT_TRUE(R) << R.Error;
-    core::PipelineResult PR = core::compileLoop(*R.F);
+    driver::CompileResult PR = driver::compileLoop(*R.F);
     EXPECT_TRUE(PR.Plan.Vectorizable) << PR.Plan.Reason;
     EXPECT_TRUE(PR.Plan.needsFlexVec());
   }

@@ -8,7 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Evaluator.h"
-#include "core/Pipeline.h"
+#include "driver/CompilerDriver.h"
 #include "ir/Parser.h"
 #include "support/Random.h"
 
@@ -110,7 +110,7 @@ loop force_like(i64 n trip, i32 maxw liveout, i32 argmax liveout,
 }
 
 void expectAllMatch(const Built &L, unsigned RtmTile = 64) {
-  core::PipelineResult PR = core::compileLoop(*L.F, RtmTile);
+  driver::CompileResult PR = driver::compileLoop(*L.F, {.RtmTile = RtmTile});
   ASSERT_TRUE(PR.Plan.Vectorizable) << PR.Plan.Reason;
   core::RunOutcome Ref = core::runReferenceMulti(*L.F, L.Image, {L.B});
   for (const auto *CL : {&PR.Scalar, &*PR.FlexVec, &*PR.FlexVecOpt,
@@ -127,7 +127,7 @@ void expectAllMatch(const Built &L, unsigned RtmTile = 64) {
 TEST(PatternCombo, ExitPlusUpdatePlanShape) {
   Rng R(1);
   Built L = buildExitPlusUpdate(R, 500, 250, 0.05);
-  core::PipelineResult PR = core::compileLoop(*L.F);
+  driver::CompileResult PR = driver::compileLoop(*L.F);
   ASSERT_TRUE(PR.Plan.Vectorizable) << PR.Plan.Reason;
   EXPECT_EQ(PR.Plan.EarlyExits.size(), 1u);
   EXPECT_EQ(PR.Plan.CondUpdateVpls.size(), 1u);
@@ -161,7 +161,7 @@ INSTANTIATE_TEST_SUITE_P(Cases, ExitPlusUpdate, ::testing::Range(0, 9));
 TEST(PatternCombo, UpdatePlusConflictPlanShape) {
   Rng R(2);
   Built L = buildUpdatePlusConflict(R, 500, 64);
-  core::PipelineResult PR = core::compileLoop(*L.F);
+  driver::CompileResult PR = driver::compileLoop(*L.F);
   ASSERT_TRUE(PR.Plan.Vectorizable) << PR.Plan.Reason;
   EXPECT_EQ(PR.Plan.CondUpdateVpls.size(), 1u);
   EXPECT_EQ(PR.Plan.MemConflictVpls.size(), 1u);

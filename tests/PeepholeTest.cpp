@@ -8,7 +8,7 @@
 
 #include "codegen/Peephole.h"
 #include "core/Evaluator.h"
-#include "core/Pipeline.h"
+#include "driver/CompilerDriver.h"
 #include "workloads/Benchmarks.h"
 
 #include <gtest/gtest.h>
@@ -125,7 +125,7 @@ TEST(Peephole, OptimizedFlexVecMatchesReferenceOnAllBenchmarks) {
   std::vector<workloads::Benchmark> Benchmarks =
       workloads::buildAllBenchmarks(/*IterationScale=*/0.05);
   for (workloads::Benchmark &B : Benchmarks) {
-    core::PipelineResult PR = core::compileLoop(*B.F);
+    driver::CompileResult PR = driver::compileLoop(*B.F);
     ASSERT_TRUE(PR.FlexVecOpt.has_value()) << B.Name;
     Rng R(0x9E9 + std::hash<std::string>{}(B.Name));
     core::WorkloadInstance In = B.Gen(R);
@@ -143,7 +143,7 @@ TEST(Peephole, OptimizedFlexVecMatchesReferenceOnAllBenchmarks) {
 
 TEST(Peephole, ActuallyOptimizesGeneratedCode) {
   auto F = workloads::buildH264Loop();
-  core::PipelineResult PR = core::compileLoop(*F);
+  driver::CompileResult PR = driver::compileLoop(*F);
   EXPECT_GT(PR.OptStats.total(), 0u)
       << "the generated partial vector code should contain hoistable "
          "rebroadcasts";

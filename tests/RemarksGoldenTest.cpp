@@ -18,8 +18,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Pipeline.h"
 #include "driver/AdaptiveStrategy.h"
+#include "driver/CompilerDriver.h"
 #include "driver/Remarks.h"
 #include "ir/Parser.h"
 
@@ -33,17 +33,6 @@
 using namespace flexvec;
 
 namespace {
-
-/// The remark goldens freeze the 512-bit compilation (notes quote lane
-/// counts), so the width is pinned: a FLEXVEC_VL override (the CI width
-/// leg) must not reinterpret the checked-in files.
-core::PipelineResult compileAt512(const ir::LoopFunction &F,
-                                  unsigned RtmTile) {
-  driver::DriverOptions Opts;
-  Opts.RtmTile = RtmTile;
-  Opts.Vec = isa::VectorConfig();
-  return driver::compileLoop(F, Opts);
-}
 
 std::string readFile(const std::string &Path, bool *Ok = nullptr) {
   std::ifstream In(Path);
@@ -138,7 +127,7 @@ TEST_P(RemarksGolden, MatchesCheckedInFile) {
 
   // RtmTile=64 to match the codegen goldens (the RTM applied remark quotes
   // the tile size in its message).
-  core::PipelineResult PR = compileAt512(*P.F, /*RtmTile=*/64);
+  driver::CompileResult PR = driver::compileLoop(*P.F, {.RtmTile = 64});
   std::string Actual = PR.Remarks.toJson().dump();
 
   std::string Path = goldenPath(C);
@@ -166,7 +155,7 @@ TEST_P(RemarksGolden, EveryDeclineIsObservable) {
              : std::string(C.Source);
   ir::ParseResult P = ir::parseLoop(Source);
   ASSERT_TRUE(P) << C.Name << ": " << P.Error;
-  core::PipelineResult PR = compileAt512(*P.F, /*RtmTile=*/64);
+  driver::CompileResult PR = driver::compileLoop(*P.F, {.RtmTile = 64});
 
   struct Column {
     const char *Variant;
@@ -214,7 +203,7 @@ TEST(Remarks, ReductionWithSpeculativeLoadsRefusal) {
   ASSERT_NE(C, nullptr);
   ir::ParseResult P = ir::parseLoop(C->Source);
   ASSERT_TRUE(P) << P.Error;
-  core::PipelineResult PR = compileAt512(*P.F, /*RtmTile=*/64);
+  driver::CompileResult PR = driver::compileLoop(*P.F, {.RtmTile = 64});
 
   ASSERT_TRUE(PR.Plan.Vectorizable);
   EXPECT_FALSE(PR.Plan.Reductions.empty());

@@ -13,7 +13,7 @@
 
 #include "core/Evaluator.h"
 #include "core/ParallelEvaluator.h"
-#include "core/Pipeline.h"
+#include "driver/CompilerDriver.h"
 #include "sim/OooCore.h"
 #include "sim/Sampled.h"
 #include "support/Hash.h"
@@ -43,10 +43,6 @@ TEST(SampledErrorBound, GroupGeomeansWithinBoundOnEveryRow) {
   core::SweepOptions Opts;
   Opts.Jobs = 1;
   Opts.Scale = Scale;
-  // The documented error bound is calibrated on the 512-bit cycle
-  // streams; pin the width so a FLEXVEC_VL override doesn't shift the
-  // regimen out of its calibration.
-  Opts.Vec = isa::VectorConfig();
   core::CompileCache Cache;
   core::SweepResult Full = core::runSweep(Suite.Workloads, Opts, &Cache);
 
@@ -106,7 +102,7 @@ TEST(SampledErrorBound, NoSkipRegimenDegradesToExactCycles) {
   workloads::Figure8Suite Suite =
       workloads::buildFigure8Suite(/*IterationScale=*/0.02);
   const core::SweepWorkload &W = Suite.Workloads.front();
-  core::PipelineResult PR = core::compileLoop(*W.F);
+  driver::CompileResult PR = driver::compileLoop(*W.F);
   Rng R(deriveStreamSeed(1, fnv1a64(W.Name)));
   core::WorkloadInstance In = W.Gen(R);
 
@@ -132,7 +128,7 @@ TEST(SampledErrorBound, EstimateIsDeterministic) {
   workloads::Figure8Suite Suite =
       workloads::buildFigure8Suite(/*IterationScale=*/0.1);
   const core::SweepWorkload &W = Suite.Workloads.front();
-  core::PipelineResult PR = core::compileLoop(*W.F);
+  driver::CompileResult PR = driver::compileLoop(*W.F);
 
   auto RunOnce = [&](uint64_t SampleSeed) {
     Rng R(deriveStreamSeed(1, fnv1a64(W.Name)));

@@ -6,9 +6,10 @@
 // not backend choices), same trace streams, same memory fingerprints and
 // live-outs, same fault storms — so the CPUID choice between them only
 // moves host wall time. This suite holds that contract across the whole
-// Figure-8 corpus, both fuzz envelopes (pinned seeds), a seeded RTM abort
-// storm with the backend pinned through FaultPlan, and a direct
-// kernel-table differential over adversarial lane patterns.
+// Figure-8 corpus, both fuzz envelopes (pinned seeds, at 512 bits and at
+// 256 and 2048), a seeded RTM abort storm with the backend pinned through
+// FaultPlan, and a direct kernel-table differential over adversarial lane
+// patterns.
 //
 // Every leg compares SimdBackend::Auto (the table this host runs) against
 // a Scalar-pinned reference. On a host or build without AVX2, Auto
@@ -20,7 +21,7 @@
 #include "codegen/Compiled.h"
 #include "core/Evaluator.h"
 #include "core/FaultHarness.h"
-#include "core/Pipeline.h"
+#include "driver/CompilerDriver.h"
 #include "emu/simd/Kernels.h"
 #include "gen/Gen.h"
 #include "support/Hash.h"
@@ -127,7 +128,7 @@ TEST(SimdEquivalence, Figure8CellsIdenticalAcrossBackends) {
       workloads::buildFigure8Suite(/*IterationScale=*/0.02);
   uint64_t CellsChecked = 0;
   for (const core::SweepWorkload &W : Suite.Workloads) {
-    core::PipelineResult PR = core::compileLoop(*W.F);
+    driver::CompileResult PR = driver::compileLoop(*W.F);
     Rng R(deriveStreamSeed(/*BaseSeed=*/1, fnv1a64(W.Name)));
     core::WorkloadInstance In = W.Gen(R);
     for (unsigned V = 0; V < core::NumVariants; ++V) {
@@ -165,7 +166,7 @@ TEST(SimdEquivalence, TraceStreamsIdenticalAcrossBackends) {
       workloads::buildFigure8Suite(/*IterationScale=*/0.02);
   uint64_t CellsChecked = 0;
   for (const core::SweepWorkload &W : Suite.Workloads) {
-    core::PipelineResult PR = core::compileLoop(*W.F);
+    driver::CompileResult PR = driver::compileLoop(*W.F);
     Rng R(deriveStreamSeed(1, fnv1a64(W.Name)));
     core::WorkloadInstance In = W.Gen(R);
     for (unsigned V = 0; V < core::NumVariants; ++V) {
@@ -195,9 +196,10 @@ TEST(SimdEquivalence, TraceStreamsIdenticalAcrossBackends) {
 
 // --- Fuzz envelopes, pinned seeds ----------------------------------------===//
 
-void runFuzzEquivalence(const gen::Envelope &E, uint64_t Seed) {
+void runFuzzEquivalence(const gen::Envelope &E, uint64_t Seed,
+                        isa::VectorConfig Vec = isa::VectorConfig()) {
   gen::GeneratedLoop G = gen::generateLoop(Seed, E);
-  core::PipelineResult PR = core::compileLoop(*G.F);
+  driver::CompileResult PR = driver::compileLoop(*G.F, {.Vec = Vec});
   gen::InputPlan Plan;
   Plan.IndexMask = E.IndexMask;
   Plan.IndexBound = E.TableSize;
@@ -216,7 +218,8 @@ void runFuzzEquivalence(const gen::Envelope &E, uint64_t Seed) {
         core::runProgramMulti(*G.F, *CL, Image, Invocations, nullptr,
                               pinned(emu::SimdBackend::Scalar));
     ASSERT_TRUE(Ref.Ok) << "seed " << Seed << ": " << Ref.Error;
-    std::string Where = "seed " + std::to_string(Seed) + " variant " +
+    std::string Where = "seed " + std::to_string(Seed) + " at " +
+                        std::to_string(Vec.bits()) + " bits, variant " +
                         core::variantName(static_cast<core::VariantId>(V)) +
                         " vs " + autoName();
     core::RunOutcome Out = core::runProgramMulti(
@@ -238,6 +241,22 @@ TEST(SimdEquivalence, WidenedEnvelopeIdenticalAcrossBackends) {
     runFuzzEquivalence(gen::Envelope::widened(), Seed);
 }
 
+// The same legs at a narrower and a wider width: the kernels see other
+// lane counts, and the 2048-bit one fills all 64 mask bits.
+TEST(SimdEquivalence, ClassicEnvelopeIdenticalAcrossBackendsAt256And2048) {
+  for (unsigned Bits : {256u, 2048u})
+    for (uint64_t Seed = 0; Seed < 12; ++Seed)
+      runFuzzEquivalence(gen::Envelope::classic(), Seed,
+                         isa::VectorConfig(Bits / 8));
+}
+
+TEST(SimdEquivalence, WidenedEnvelopeIdenticalAcrossBackendsAt256And2048) {
+  for (unsigned Bits : {256u, 2048u})
+    for (uint64_t Seed = 0; Seed < 12; ++Seed)
+      runFuzzEquivalence(gen::Envelope::widened(), Seed,
+                         isa::VectorConfig(Bits / 8));
+}
+
 // --- Fault storm ---------------------------------------------------------===//
 
 TEST(SimdEquivalence, FaultStormIdenticalAcrossBackends) {
@@ -250,7 +269,7 @@ TEST(SimdEquivalence, FaultStormIdenticalAcrossBackends) {
       workloads::buildFigure8Suite(/*IterationScale=*/0.02);
   uint64_t StormyCells = 0;
   for (const core::SweepWorkload &W : Suite.Workloads) {
-    core::PipelineResult PR = core::compileLoop(*W.F);
+    driver::CompileResult PR = driver::compileLoop(*W.F);
     Rng R(deriveStreamSeed(1, fnv1a64(W.Name)));
     core::WorkloadInstance In = W.Gen(R);
     for (unsigned V = 0; V < core::NumVariants; ++V) {

@@ -1,5 +1,6 @@
 //===- tests/SupportTest.cpp - Support library unit tests ------------------===//
 
+#include "support/ArgParse.h"
 #include "support/Bits.h"
 #include "support/Random.h"
 #include "support/Statistics.h"
@@ -8,6 +9,29 @@
 #include <gtest/gtest.h>
 
 using namespace flexvec;
+
+TEST(ArgParse, DoubleRejectsNonFiniteValues) {
+  double D = 7;
+  EXPECT_TRUE(parseDouble("0.25", D));
+  EXPECT_EQ(D, 0.25);
+  for (const char *S : {"nan", "NaN", "-nan", "inf", "-inf", "infinity",
+                        "1e999", "", "1.5x"}) {
+    D = 7;
+    EXPECT_FALSE(parseDouble(S, D)) << S;
+    EXPECT_EQ(D, 7) << S << ": a rejected value must not be stored";
+  }
+}
+
+TEST(ArgParse, UnsignedRejectsValuesAboveUintMax) {
+  unsigned N = 7;
+  EXPECT_TRUE(parseUnsigned("4294967295", N));
+  EXPECT_EQ(N, 4294967295u);
+  for (const char *S : {"4294967296", "4294967808", "-1", "", "12x"}) {
+    N = 7;
+    EXPECT_FALSE(parseUnsigned(S, N)) << S;
+    EXPECT_EQ(N, 7u) << S;
+  }
+}
 
 TEST(Bits, LowBitMask) {
   EXPECT_EQ(lowBitMask(0), 0u);

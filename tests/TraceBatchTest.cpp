@@ -11,7 +11,7 @@
 
 #include "core/Evaluator.h"
 #include "core/ParallelEvaluator.h"
-#include "core/Pipeline.h"
+#include "driver/CompilerDriver.h"
 #include "support/Hash.h"
 #include "support/Random.h"
 #include "workloads/Figure8.h"
@@ -115,7 +115,7 @@ TEST(TraceBatch, EveryFigure8CellDeliversIdenticalSequences) {
   workloads::Figure8Suite Suite = workloads::buildFigure8Suite(/*IterationScale=*/0.02);
   uint64_t CellsChecked = 0, RecordsChecked = 0;
   for (const core::SweepWorkload &W : Suite.Workloads) {
-    core::PipelineResult PR = core::compileLoop(*W.F);
+    driver::CompileResult PR = driver::compileLoop(*W.F);
     Rng R(deriveStreamSeed(/*BaseSeed=*/1, fnv1a64(W.Name)));
     core::WorkloadInstance In = W.Gen(R);
     for (unsigned V = 0; V < core::NumVariants; ++V) {
@@ -170,7 +170,7 @@ TEST(TraceBatch, RecordedStreamsMatchFieldByField) {
   // owned copies of the gather/scatter address lists.
   workloads::Figure8Suite Suite = workloads::buildFigure8Suite(/*IterationScale=*/0.02);
   const core::SweepWorkload &W = Suite.Workloads.front();
-  core::PipelineResult PR = core::compileLoop(*W.F);
+  driver::CompileResult PR = driver::compileLoop(*W.F);
   const codegen::CompiledLoop *CL =
       core::selectVariant(PR, core::VariantId::FlexVec);
   ASSERT_NE(CL, nullptr);
@@ -206,7 +206,7 @@ TEST(TraceBatch, RecordedStreamsMatchFieldByField) {
 TEST(TraceBatch, NoSinkRunStillCountsAccessesButNoBatches) {
   workloads::Figure8Suite Suite = workloads::buildFigure8Suite(/*IterationScale=*/0.02);
   const core::SweepWorkload &W = Suite.Workloads.front();
-  core::PipelineResult PR = core::compileLoop(*W.F);
+  driver::CompileResult PR = driver::compileLoop(*W.F);
   Rng R(deriveStreamSeed(1, fnv1a64(W.Name)));
   core::WorkloadInstance In = W.Gen(R);
 

@@ -16,7 +16,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Pipeline.h"
+#include "driver/CompilerDriver.h"
 #include "gen/Differential.h"
 #include "gen/Gen.h"
 #include "ir/Parser.h"

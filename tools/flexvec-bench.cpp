@@ -22,9 +22,9 @@
 //     --sample-seed=N sampling regimen (defaults 25000/10000/3000/1);
 //                     only meaningful with --sim-mode=sampled
 //     --vl=BITS       vector width every cell compiles and runs at: 128,
-//                     256, 512, 1024, or 2048 bits (default: FLEXVEC_VL,
-//                     else 512). A non-default width also runs the
-//                     fixed-512 reference sweep and emits per-workload
+//                     256, 512, 1024, or 2048 bits (default 512). A
+//                     non-default width also runs the fixed-512
+//                     reference sweep and emits per-workload
 //                     width-comparison rows (table + "width_compare" in
 //                     the JSON); the payload then carries a "vl" field
 //                     and is not comparable against the 512-bit baseline
@@ -70,14 +70,15 @@ bool parseArgs(int Argc, char **Argv, BenchOptions &Opts) {
   for (int A = 1; A < Argc; ++A) {
     std::string Arg = Argv[A];
     uint64_t U = 0;
+    unsigned N = 0;
     double D = 0;
     if (Arg.rfind("--jobs=", 0) == 0) {
-      if (!parseUInt(Arg.substr(7), U)) {
+      if (!parseUnsigned(Arg.substr(7), N)) {
         std::fprintf(stderr, "error: --jobs expects a non-negative integer, "
                              "got '%s'\n", Arg.c_str());
         return false;
       }
-      Opts.Sweep.Jobs = static_cast<unsigned>(U);
+      Opts.Sweep.Jobs = N;
     } else if (Arg.rfind("--seed=", 0) == 0) {
       if (!parseUInt(Arg.substr(7), U)) {
         std::fprintf(stderr, "error: --seed expects a non-negative integer, "
@@ -93,12 +94,12 @@ bool parseArgs(int Argc, char **Argv, BenchOptions &Opts) {
       }
       Opts.Sweep.Scale = D;
     } else if (Arg.rfind("--trips=", 0) == 0) {
-      if (!parseUInt(Arg.substr(8), U) || U == 0) {
+      if (!parseUnsigned(Arg.substr(8), N) || N == 0) {
         std::fprintf(stderr, "error: --trips expects a positive integer, "
                              "got '%s'\n", Arg.c_str());
         return false;
       }
-      Opts.Sweep.Trips = static_cast<unsigned>(U);
+      Opts.Sweep.Trips = N;
     } else if (Arg.rfind("--fault-seed=", 0) == 0) {
       if (!parseUInt(Arg.substr(13), U)) {
         std::fprintf(stderr, "error: --fault-seed expects a non-negative "
@@ -146,14 +147,14 @@ bool parseArgs(int Argc, char **Argv, BenchOptions &Opts) {
       }
       Opts.Sweep.Sample.Seed = U;
     } else if (Arg.rfind("--vl=", 0) == 0) {
-      if (!parseUInt(Arg.substr(5), U) ||
-          !isa::VectorConfig::isValidBits(static_cast<unsigned>(U))) {
+      if (!parseUnsigned(Arg.substr(5), N) ||
+          !isa::VectorConfig::isValidBits(N)) {
         std::fprintf(stderr, "error: --vl expects a power-of-two vector "
                              "length in bits between 128 and 2048, got "
                              "'%s'\n", Arg.c_str());
         return false;
       }
-      Opts.Sweep.Vec = isa::VectorConfig(static_cast<unsigned>(U) / 8);
+      Opts.Sweep.Vec = isa::VectorConfig(N / 8);
     } else if (Arg.rfind("--out=", 0) == 0) {
       Opts.OutPath = Arg.substr(6);
       if (Opts.OutPath.empty()) {

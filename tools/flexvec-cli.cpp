@@ -21,8 +21,7 @@
 //     --arraysize=N       elements per array for --run (default 65536)
 //     --set NAME=V        initial value for scalar NAME (repeatable)
 //     --vl=BITS           vector width to compile for: 128, 256, 512,
-//                         1024, or 2048 bits (default: FLEXVEC_VL, else
-//                         512)
+//                         1024, or 2048 bits (default 512)
 //     --predicated        SVE-style predicated loop control (whilelt
 //                         masks instead of the broadcast/vcmp chunk
 //                         bound)
@@ -52,7 +51,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/FaultHarness.h"
-#include "core/Pipeline.h"
+#include "driver/CompilerDriver.h"
 #include "ir/Parser.h"
 #include "sim/OooCore.h"
 #include "support/ArgParse.h"
@@ -84,7 +83,7 @@ struct CliOptions {
   int64_t ArraySize = 65536;
   std::map<std::string, double> Sets;
   core::FaultPlan Faults;
-  isa::VectorConfig Vec = isa::defaultVectorConfig();
+  isa::VectorConfig Vec;
   bool Predicated = false;
 };
 
@@ -111,6 +110,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     std::string Arg = Argv[A];
     int64_t I = 0;
     uint64_t U = 0;
+    unsigned N = 0;
     double D = 0;
     if (Arg == "--dump-pdg") {
       Opts.DumpPdg = true;
@@ -127,9 +127,9 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     } else if (Arg == "--run") {
       Opts.Run = true;
     } else if (Arg.rfind("--jobs=", 0) == 0) {
-      if (!parseUInt(Arg.substr(7), U))
+      if (!parseUnsigned(Arg.substr(7), N))
         return badValue(Arg, "a non-negative integer");
-      Opts.Jobs = static_cast<unsigned>(U);
+      Opts.Jobs = N;
     } else if (Arg.rfind("--trip=", 0) == 0) {
       if (!parseInt(Arg.substr(7), I) || I <= 0)
         return badValue(Arg, "a positive integer");
@@ -184,19 +184,19 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
         return false;
       }
     } else if (Arg.rfind("--rtm-retries=", 0) == 0) {
-      if (!parseUInt(Arg.substr(14), U))
+      if (!parseUnsigned(Arg.substr(14), N))
         return badValue(Arg, "a non-negative integer");
-      Opts.Faults.Limits.MaxRtmRetries = static_cast<unsigned>(U);
+      Opts.Faults.Limits.MaxRtmRetries = N;
     } else if (Arg.rfind("--budget=", 0) == 0) {
       if (!parseUInt(Arg.substr(9), U) || U == 0)
         return badValue(Arg, "a positive integer");
       Opts.Faults.Limits.MaxInstructions = U;
     } else if (Arg.rfind("--vl=", 0) == 0) {
-      if (!parseUInt(Arg.substr(5), U) ||
-          !isa::VectorConfig::isValidBits(static_cast<unsigned>(U)))
+      if (!parseUnsigned(Arg.substr(5), N) ||
+          !isa::VectorConfig::isValidBits(N))
         return badValue(Arg, "a power-of-two vector length in bits "
                              "between 128 and 2048");
-      Opts.Vec = isa::VectorConfig(static_cast<unsigned>(U) / 8);
+      Opts.Vec = isa::VectorConfig(N / 8);
     } else if (Arg == "--predicated") {
       Opts.Predicated = true;
     } else if (Arg == "--set") {
@@ -290,7 +290,7 @@ core::WorkloadInstance buildInputs(const ir::LoopFunction &F,
   return In;
 }
 
-int runLoop(const ir::LoopFunction &F, const core::PipelineResult &PR,
+int runLoop(const ir::LoopFunction &F, const driver::CompileResult &PR,
             const CliOptions &Opts) {
   core::WorkloadInstance In = buildInputs(F, Opts);
   core::RunOutcome Ref = core::runReferenceMulti(F, In.Image, In.Invocations);
@@ -347,7 +347,7 @@ int runLoop(const ir::LoopFunction &F, const core::PipelineResult &PR,
   return 0;
 }
 
-int runFaultDiff(const ir::LoopFunction &F, const core::PipelineResult &PR,
+int runFaultDiff(const ir::LoopFunction &F, const driver::CompileResult &PR,
                  const CliOptions &Opts) {
   core::WorkloadInstance In = buildInputs(F, Opts);
 
@@ -416,14 +416,14 @@ int main(int Argc, char **Argv) {
   DOpts.Predicated = Opts.Predicated;
 
   if (Opts.RemarksJson) {
-    core::PipelineResult PR = driver::compileLoop(F, DOpts);
+    driver::CompileResult PR = driver::compileLoop(F, DOpts);
     std::fputs(PR.Remarks.toJson().dump().c_str(), stdout);
     return 0;
   }
 
   std::printf("== Parsed loop ==\n%s\n", F.print().c_str());
 
-  core::PipelineResult PR = driver::compileLoop(F, DOpts);
+  driver::CompileResult PR = driver::compileLoop(F, DOpts);
   if (Opts.DumpPdg)
     std::printf("== PDG ==\n%s\n", PR.PdgDump.c_str());
   std::printf("== Analysis ==\n%s\n\n", PR.Plan.describe(F).c_str());

@@ -100,12 +100,13 @@ bool parseArgs(int Argc, char **Argv, FuzzOptions &Opts) {
       }
       Opts.CaseSeed = U;
     } else if (Arg.rfind("--jobs=", 0) == 0) {
-      if (!parseUInt(Arg.substr(7), U)) {
+      unsigned N = 0;
+      if (!parseUnsigned(Arg.substr(7), N)) {
         std::fprintf(stderr, "error: --jobs expects a non-negative integer, "
                              "got '%s'\n", Arg.c_str());
         return false;
       }
-      Opts.Jobs = static_cast<unsigned>(U);
+      Opts.Jobs = N;
     } else if (Arg.rfind("--envelope=", 0) == 0) {
       Opts.EnvelopeName = Arg.substr(11);
       if (Opts.EnvelopeName != "classic" && Opts.EnvelopeName != "widened") {
