@@ -221,34 +221,21 @@ void BM_PredecodeAndSetup(benchmark::State &State) {
   }
 }
 
-// Layer 3, trace delivery. The same run fed to a sink that only
-// implements onInstr (every record goes through the compatibility shim —
-// one virtual call per retired instruction, the legacy cost model) versus
-// a batch-native sink (one virtual call per 64-entry batch).
-struct PerInstrCountingSink final : emu::TraceSink {
-  uint64_t Records = 0;
-  void onInstr(const emu::DynInstr &DI) override {
-    Records += 1 + DI.NumMemAddrs;
-  }
-};
-
+// Layer 3, trace delivery. The same run fed to a counting sink (one
+// virtual call per 64-entry batch) versus no sink at all.
 struct BatchCountingSink final : emu::TraceSink {
   uint64_t Records = 0;
-  void onInstr(const emu::DynInstr &DI) override {
-    Records += 1 + DI.NumMemAddrs;
-  }
   void onBatch(const emu::DynInstr *Batch, size_t N) override {
     for (size_t I = 0; I < N; ++I)
       Records += 1 + Batch[I].NumMemAddrs;
   }
 };
 
-template <typename SinkT>
-void runTraceDelivery(benchmark::State &State) {
+void BM_TraceDeliveryBatched(benchmark::State &State) {
   Fixture &Fx = fixture();
   uint64_t Instrs = 0;
   for (auto _ : State) {
-    SinkT Sink;
+    BatchCountingSink Sink;
     core::RunOutcome Out = core::runProgramMulti(
         *Fx.F, *Fx.PR.FlexVec, Fx.In.Image, Fx.Invocations, &Sink);
     Instrs += Out.Exec.Stats.Instructions;
@@ -256,14 +243,6 @@ void runTraceDelivery(benchmark::State &State) {
   }
   State.counters["instrs/s"] = benchmark::Counter(
       static_cast<double>(Instrs), benchmark::Counter::kIsRate);
-}
-
-void BM_TraceDeliveryPerInstr(benchmark::State &State) {
-  runTraceDelivery<PerInstrCountingSink>(State);
-}
-
-void BM_TraceDeliveryBatched(benchmark::State &State) {
-  runTraceDelivery<BatchCountingSink>(State);
 }
 
 void BM_TraceDeliveryNoSink(benchmark::State &State) {
@@ -570,7 +549,6 @@ BENCHMARK(BM_MemoryDeepClone)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_MemoryCloneThenTouchAll)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_PredecodeAndSetup)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_TraceDeliveryNoSink)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TraceDeliveryPerInstr)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TraceDeliveryBatched)->Unit(benchmark::kMillisecond);
 
 } // namespace

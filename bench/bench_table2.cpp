@@ -12,11 +12,12 @@
 
 #include "driver/CompilerDriver.h"
 #include "profile/LoopProfiler.h"
+#include "support/ArgParse.h"
 #include "support/Table.h"
 #include "workloads/Benchmarks.h"
 
 #include <cstdio>
-#include <cstring>
+#include <string>
 
 using namespace flexvec;
 using namespace flexvec::workloads;
@@ -48,9 +49,16 @@ std::string mixOf(const isa::Program &P) {
 
 int main(int argc, char **argv) {
   double Scale = 0.3;
-  for (int A = 1; A < argc; ++A)
-    if (std::strncmp(argv[A], "--scale=", 8) == 0)
-      Scale = std::atof(argv[A] + 8);
+  for (int A = 1; A < argc; ++A) {
+    std::string Arg = argv[A];
+    if (Arg.rfind("--scale=", 0) == 0 && parseDouble(Arg.substr(8), Scale) &&
+        Scale > 0 && Scale <= MaxIterationScale)
+      continue;
+    std::fprintf(stderr, "error: bad argument '%s'\n"
+                         "usage: bench_table2 [--scale=X]  (0 < X <= %g)\n",
+                 Arg.c_str(), MaxIterationScale);
+    return 2;
+  }
 
   std::printf("Table 2: Breakdown of Coverage, Average Trip Count and "
               "FlexVec Instructions Used\n\n");

@@ -6,7 +6,7 @@
 // the analysis plan (statement tags), and the generated partial vector
 // code with VPLs.
 //
-//   $ ./examples/paper_figures [h264|conflict|earlyexit]
+//   $ ./examples/paper_figures [all|conflict|earlyexit|h264]
 //
 //===----------------------------------------------------------------------===//
 
@@ -49,6 +49,14 @@ void show(const char *Title, const char *FigureRef,
 
 int main(int argc, char **argv) {
   const char *Which = argc > 1 ? argv[1] : "all";
+  bool Known = false;
+  for (const char *Name : {"all", "conflict", "earlyexit", "h264"})
+    Known |= std::strcmp(Which, Name) == 0;
+  if (argc > 2 || !Known) {
+    std::fprintf(stderr,
+                 "usage: paper_figures [all|conflict|earlyexit|h264]\n");
+    return 2;
+  }
   bool All = std::strcmp(Which, "all") == 0;
 
   if (All || std::strcmp(Which, "conflict") == 0) {

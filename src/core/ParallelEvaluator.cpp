@@ -139,13 +139,6 @@ CellResult evalCell(const SweepWorkload &W, VariantId V,
   const RunOutcome &Ref = SI.Ref;
 
   sim::OooCore Core;
-  // In sampled mode the emulator's trace feeds the sampler, which routes
-  // seed-chosen windows into the core and extrapolates; in full mode the
-  // core drinks the whole stream directly (the sampler sits unused).
-  sim::SampledCore Sampler(Core, Opts.Sample);
-  emu::TraceSink *Sink =
-      Opts.Sim == SimMode::Sampled ? static_cast<emu::TraceSink *>(&Sampler)
-                                   : &Core;
   RunOutcome Out;
   {
     obs::ScopedTimer T(Cell.Times.SimulateMs);
@@ -161,26 +154,15 @@ CellResult evalCell(const SweepWorkload &W, VariantId V,
                                       Plan)
                 .Outcome;
     } else {
-      Out = runProgramMulti(*W.F, *CL, In.Image, In.Invocations, Sink);
+      Out = runProgramMulti(*W.F, *CL, In.Image, In.Invocations, &Core);
     }
   }
 
   Cell.Correct = outcomesMatch(*W.F, Ref, Out);
   sim::SimStats Stats = Core.stats();
-  if (Opts.Sim == SimMode::Sampled && !Opts.FaultSeed) {
-    // Extrapolated cycle count over the full stream; instruction count is
-    // the full stream too (the emulator always retires everything). Uops
-    // stay a detailed-subset counter — documented in the v2-sampled
-    // schema notes (docs/EVALUATION.md).
-    sim::SampledStats SS = Sampler.stats();
-    Cell.Cycles = SS.EstimatedCycles;
-    Cell.Instructions = SS.Instructions;
-    Cell.Uops = Stats.Uops;
-  } else {
-    Cell.Cycles = Stats.Cycles;
-    Cell.Instructions = Stats.Instructions;
-    Cell.Uops = Stats.Uops;
-  }
+  Cell.Cycles = Stats.Cycles;
+  Cell.Instructions = Stats.Instructions;
+  Cell.Uops = Stats.Uops;
   Cell.EmuInstructions = Out.Exec.Stats.Instructions;
 
   // Harvest the per-layer stats into this cell's registry. Registration
@@ -194,19 +176,6 @@ CellResult evalCell(const SweepWorkload &W, VariantId V,
         .set(static_cast<double>(Out.Exec.Stats.RtmFallbacks) /
              static_cast<double>(Out.Tx.Begins));
   sim::recordMetrics(Stats, Cell.Metrics);
-  if (Opts.Sim == SimMode::Sampled && !Opts.FaultSeed) {
-    // Sampling observability (only in the v2-sampled payload): how much
-    // of the stream the detailed model actually saw. The sim.* counters
-    // above cover the detailed subset only.
-    sim::SampledStats SS = Sampler.stats();
-    Cell.Metrics.counter("sim.sample.windows").inc(SS.Windows);
-    Cell.Metrics.counter("sim.sample.measured_instructions")
-        .inc(SS.MeasuredInstructions);
-    Cell.Metrics.counter("sim.sample.detailed_instructions")
-        .inc(SS.DetailedInstructions);
-    Cell.Metrics.counter("sim.sample.estimated_cycles")
-        .inc(SS.EstimatedCycles);
-  }
   mem::recordMetrics(Out.Mem, Cell.Metrics);
   if (Out.HasDispatch) {
     const driver::DispatchCounts &D = Out.Dispatch;
@@ -245,8 +214,6 @@ SweepResult core::runSweep(const std::vector<SweepWorkload> &Workloads,
   R.Scale = Opts.Scale;
   R.Trips = std::max(1u, Opts.Trips);
   R.Vec = Opts.Vec;
-  R.Sim = Opts.Sim;
-  R.Sample = Opts.Sample;
 
   // Pool-occupancy probe: cells in flight right now, and the high-water
   // mark. Observability only — the values are schedule-dependent and are
@@ -312,12 +279,7 @@ SweepResult core::runSweep(const std::vector<SweepWorkload> &Workloads,
 
 Json core::benchJson(const SweepResult &R, bool Deterministic) {
   Json Doc = Json::object();
-  // Sampled runs carry their own schema tag and a sampling section; full
-  // runs render exactly the v2 document — byte-identical to the
-  // pre-sampling baseline, which is what the benchdiff gate compares.
-  bool Sampled = R.Sim == SimMode::Sampled;
-  Doc.set("schema", Sampled ? "flexvec-bench-figure8/v2-sampled"
-                            : "flexvec-bench-figure8/v2");
+  Doc.set("schema", "flexvec-bench-figure8/v2");
   Doc.set("seed", R.Seed);
   Doc.set("scale", R.Scale);
   Doc.set("trips", R.Trips);
@@ -327,14 +289,6 @@ Json core::benchJson(const SweepResult &R, bool Deterministic) {
   // treats the two spellings as equal).
   if (R.Vec.Bytes != isa::VectorBytes)
     Doc.set("vl", R.Vec.bits());
-  if (Sampled) {
-    Json Samp = Json::object();
-    Samp.set("interval_instrs", R.Sample.IntervalInstrs);
-    Samp.set("detail_instrs", R.Sample.DetailInstrs);
-    Samp.set("warmup_instrs", R.Sample.WarmupInstrs);
-    Samp.set("seed", R.Sample.Seed);
-    Doc.set("sampling", std::move(Samp));
-  }
 
   if (!Deterministic) {
     Json Run = Json::object();

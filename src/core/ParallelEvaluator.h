@@ -29,7 +29,6 @@
 #include "ir/Interp.h"
 #include "memory/Memory.h"
 #include "obs/Metrics.h"
-#include "sim/Sampled.h"
 #include "support/Json.h"
 #include "support/Random.h"
 
@@ -71,13 +70,6 @@ struct SweepWorkload {
   std::function<WorkloadInstance(Rng &)> Gen;
 };
 
-/// Timing-model fidelity for the sweep. Full plays every retired
-/// instruction through the OOO model; Sampled simulates deterministic
-/// seed-chosen windows and extrapolates (sim::SampledCore), trading a
-/// documented error bound for throughput. Full mode's JSON payload is
-/// byte-identical to the pre-sampling baseline.
-enum class SimMode : uint8_t { Full, Sampled };
-
 struct SweepOptions {
   unsigned Jobs = 1;  ///< Worker threads (0 = one per hardware thread).
   uint64_t Seed = 1;  ///< Base seed for the per-workload input streams.
@@ -88,8 +80,6 @@ struct SweepOptions {
   isa::VectorConfig Vec;
   /// SVE-style predicated loop control for every compiled variant.
   bool Predicated = false;
-  SimMode Sim = SimMode::Full;  ///< Timing-model fidelity.
-  sim::SampleConfig Sample;     ///< Regimen when Sim == Sampled.
   /// Chaos mode: when non-zero, every cell runs under a seeded RTM
   /// conflict-abort storm (probability 0.5, derived per workload from this
   /// seed) through the fault harness. Timing-model cycles are not
@@ -160,8 +150,6 @@ struct SweepResult {
   double WallSeconds = 0;
   /// Width the cells compiled and ran at.
   isa::VectorConfig Vec;
-  SimMode Sim = SimMode::Full;  ///< Fidelity the cells ran under.
-  sim::SampleConfig Sample;     ///< Regimen (meaningful when Sampled).
 
   double cacheHitRate() const {
     uint64_t Total = CacheHits + CacheMisses;

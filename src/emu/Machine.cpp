@@ -17,13 +17,6 @@ using namespace flexvec::isa;
 
 TraceSink::~TraceSink() = default;
 
-void TraceSink::onBatch(const DynInstr *Batch, size_t N) {
-  // Compatibility shim: sinks that predate batching observe the exact
-  // per-instruction stream they always did.
-  for (size_t I = 0; I < N; ++I)
-    onInstr(Batch[I]);
-}
-
 const char *emu::stopReasonName(StopReason R) {
   switch (R) {
   case StopReason::Halted:

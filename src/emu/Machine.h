@@ -70,18 +70,19 @@ struct DynInstr {
 /// Consumer of the dynamic instruction stream. Delivery is chunked: the
 /// machine stages retired instructions in a fixed-size ring and hands the
 /// sink whole batches, which replaces one virtual call per retired
-/// instruction with one per batch (docs/PERFORMANCE.md). Sinks that only
-/// implement onInstr keep working through the default onBatch shim.
+/// instruction with one per batch (docs/PERFORMANCE.md). onBatch is the
+/// only delivery path: the machine never calls onInstr.
 class TraceSink {
 public:
   virtual ~TraceSink();
-  /// Per-instruction delivery (legacy interface); the default onBatch
-  /// funnels every batched record through this.
-  virtual void onInstr(const DynInstr &DI) = 0;
   /// Batched delivery: \p N retired instructions in program order. The
   /// array and the MemAddrs ranges it references are owned by the machine
   /// and valid only for the duration of the call.
-  virtual void onBatch(const DynInstr *Batch, size_t N);
+  virtual void onBatch(const DynInstr *Batch, size_t N) = 0;
+  /// One-record forwarder kept only because the benchmark harness's
+  /// TimedSink (perfbench/src/Table2.cpp) overrides it; deleting it is a
+  /// change to the benchmark. Nothing in the library calls it.
+  virtual void onInstr(const DynInstr &DI) { onBatch(&DI, 1); }
 };
 
 /// Why execution stopped.

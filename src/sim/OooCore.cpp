@@ -128,8 +128,6 @@ uint64_t OooCore::issueUop(const UopDesc &U, uint64_t SrcReady, uint32_t Pc) {
   return Complete;
 }
 
-void OooCore::onInstr(const emu::DynInstr &DI) { step(DI); }
-
 void OooCore::onBatch(const emu::DynInstr *Batch, size_t N) {
   Mem.beginBatch();
   for (size_t I = 0; I < N; ++I)
@@ -301,36 +299,6 @@ void OooCore::step(const emu::DynInstr &DI) {
     if (Complete > FetchCycle) {
       FetchCycle = Complete;
       FetchedThisCycle = 0;
-    }
-  }
-}
-
-void OooCore::warmBatch(const emu::DynInstr *Batch, size_t N) {
-  Mem.beginBatch();
-  for (size_t I = 0; I < N; ++I) {
-    const emu::DynInstr &DI = Batch[I];
-    const DecodedSim &D = decoded(DI);
-    if (D.Skip)
-      continue;
-    if (D.IsCondBranch)
-      Bp.predictAndUpdate(DI.InstrIdx, DI.Taken);
-    if (!D.IsMemory)
-      continue;
-    if (D.LanesPerMemUop > 0) {
-      for (uint32_t A = 0; A < DI.NumMemAddrs; ++A)
-        Mem.accessLatency(DI.MemAddrs[A], DI.InstrIdx);
-    } else if (DI.NumMemAddrs) {
-      // Same line-touch pattern as the detailed scalar path: the first
-      // address, interior lines of a wide contiguous access, then the
-      // trailing line of a straddling access.
-      uint64_t First = DI.MemAddrs[0];
-      uint64_t Last = DI.MemAddrs[DI.NumMemAddrs - 1];
-      Mem.accessLatency(First, DI.InstrIdx);
-      if ((Last >> 6) != (First >> 6)) {
-        for (uint64_t Line = (First >> 6) + 1; Line < (Last >> 6); ++Line)
-          Mem.accessLatency(Line << 6, DI.InstrIdx);
-        Mem.accessLatency(Last, DI.InstrIdx);
-      }
     }
   }
 }

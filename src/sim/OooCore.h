@@ -68,45 +68,12 @@ class OooCore : public emu::TraceSink {
 public:
   explicit OooCore(const CoreConfig &Cfg = CoreConfig());
 
-  /// Legacy per-instruction delivery; identical to a one-element batch.
-  void onInstr(const emu::DynInstr &DI) override;
-
   /// Batched delivery from the emulator; processes the records in order
   /// with the hierarchy's same-line memo armed (see Cache.h).
   void onBatch(const emu::DynInstr *Batch, size_t N) override;
 
   /// Final statistics (cycle count is the last retirement).
   SimStats stats() const;
-
-  /// Current cycle count, maintained live at every retirement. Cheap —
-  /// the sampled-simulation wrapper reads it at window boundaries.
-  uint64_t cycles() const { return Stats.Cycles; }
-
-  /// Functional warming: trains the caches (demand path and prefetcher)
-  /// and the branch predictor with a skipped subrange of the stream,
-  /// without touching the scoreboard or the cycle clock. Sampled
-  /// simulation routes skip gaps through this so measurement windows open
-  /// with warm microarchitectural state (the SMARTS recipe); without it,
-  /// post-gap cold misses inflate window CPI by tens of percent.
-  void warmBatch(const emu::DynInstr *Batch, size_t N);
-
-  /// Re-aligns the front-end and commit clocks with the retirement
-  /// watermark. After a sampled skip gap the fetch clock is frozen below
-  /// LastRetire, so the first post-gap instructions would retire in a
-  /// zero-cost bunch at the watermark and then pay the latency ramp again
-  /// inside the measured window — a systematic per-window bias. Jumping
-  /// both clocks to the watermark makes the resumed stream behave as a
-  /// steady-state continuation.
-  void resyncClock() {
-    if (LastRetire > FetchCycle) {
-      FetchCycle = LastRetire;
-      FetchedThisCycle = 0;
-    }
-    if (LastRetire > CommitCycle) {
-      CommitCycle = LastRetire;
-      CommittedThisCycle = 0;
-    }
-  }
 
 private:
   /// Plays one retired instruction through the scoreboard.

@@ -467,12 +467,15 @@ workloads::genMatchInputs(const LoopFunction &F, Rng &R, int64_t MeanTrip,
 
 // --- the 18 benchmarks ----------------------------------------------------===//
 
+int64_t workloads::scaledCount(int64_t V, double IterationScale) {
+  assert(IterationScale > 0 && IterationScale <= MaxIterationScale &&
+         "iteration scale out of range");
+  double S = static_cast<double>(V) * IterationScale;
+  return S >= 1 ? static_cast<int64_t>(S) : 1;
+}
+
 std::vector<Benchmark> workloads::buildAllBenchmarks(double IterationScale) {
   std::vector<Benchmark> Out;
-  auto scaled = [IterationScale](int64_t V) {
-    int64_t S = static_cast<int64_t>(static_cast<double>(V) * IterationScale);
-    return std::max<int64_t>(1, S);
-  };
 
   struct Row {
     const char *Name;
@@ -572,7 +575,7 @@ std::vector<Benchmark> workloads::buildAllBenchmarks(double IterationScale) {
 
     const LoopFunction *FPtr = B.F.get();
     Row RC = R;
-    int64_t Invs = scaled(R.Invocations);
+    int64_t Invs = scaledCount(R.Invocations, IterationScale);
     B.Gen = [FPtr, RC, Invs](Rng &Rand) {
       switch (RC.Kind) {
       case KernelKind::ArgExtreme:

@@ -72,6 +72,17 @@ struct Benchmark {
 /// tests can pass a smaller value).
 std::vector<Benchmark> buildAllBenchmarks(double IterationScale = 1.0);
 
+/// Largest IterationScale the builders accept. Far above any scale the
+/// evaluation uses (3.0), and small enough that every row's scaled count
+/// stays inside int64_t; command-line `--scale` parsers reject anything
+/// above it.
+constexpr double MaxIterationScale = 1e6;
+
+/// \p V scaled by \p IterationScale (in (0, MaxIterationScale]),
+/// truncated and clamped to at least 1: the one conversion every builder
+/// uses for its scaled row counts.
+int64_t scaledCount(int64_t V, double IterationScale);
+
 // --- Template builders (exposed for tests and ablation benches) ---------===//
 
 /// argmin/argmax: if (e <op> best) { best = e; best_idx = i; } with

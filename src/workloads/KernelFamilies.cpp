@@ -6,8 +6,6 @@
 #include "ir/Parser.h"
 #include "support/Error.h"
 
-#include <algorithm>
-
 using namespace flexvec;
 using namespace flexvec::workloads;
 
@@ -112,9 +110,7 @@ workloads::buildFamilyBenchmarks(double IterationScale) {
     Plan.IndexBound = R.IndexBound;
     Plan.IndexMask = R.IndexMask;
     Plan.ArraySlack = 8;
-    int64_t Invs = std::max<int64_t>(
-        1, static_cast<int64_t>(
-               static_cast<double>(R.Invocations) * IterationScale));
+    int64_t Invs = scaledCount(R.Invocations, IterationScale);
     const ir::LoopFunction *FPtr = B.F.get();
     B.Gen = [FPtr, Plan, Invs](Rng &Rand) {
       core::WorkloadInstance In;

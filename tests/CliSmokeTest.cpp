@@ -1,9 +1,10 @@
 //===- tests/CliSmokeTest.cpp - Driver binary smoke tests ------------------===//
 //
-// Runs the installed flexvec-cli and flexvec-bench binaries as a user
-// would and checks the argument-parsing contract: unknown flags and
-// malformed values exit with status 2 and print a usage hint, valid
-// invocations exit 0. Binary paths come from CMake ($<TARGET_FILE:...>).
+// Runs the installed flexvec-cli, flexvec-bench and flexvec-fuzz binaries,
+// bench_table2 and the paper_figures example as a user would and checks
+// the argument-parsing contract: unknown flags and malformed values exit
+// with status 2 and print a usage hint, valid invocations exit 0. Binary
+// paths come from CMake ($<TARGET_FILE:...>).
 //
 //===----------------------------------------------------------------------===//
 
@@ -72,8 +73,8 @@ TEST(CliSmoke, MalformedNumericFlagsRejected) {
 }
 
 TEST(CliSmoke, MalformedVlRejected) {
-  // The --vl contract mirrors --sim-mode: non-power-of-two, out-of-range,
-  // and malformed values all exit 2 with a usage hint.
+  // Non-power-of-two, out-of-range, and malformed values all exit 2 with
+  // a usage hint.
   expectRejected(Cli + " --vl=abc " + Argmin, "--vl");
   expectRejected(Cli + " --vl= " + Argmin, "--vl");
   expectRejected(Cli + " --vl=384 " + Argmin, "--vl");
@@ -163,9 +164,10 @@ TEST(CliSmoke, RemarksBadValueRejected) {
 }
 
 TEST(BenchSmoke, UnknownFlagRejected) {
-  CmdResult R = run(Bench + " --bogus");
-  EXPECT_EQ(R.Exit, 2) << R.Output;
-  EXPECT_NE(R.Output.find("usage:"), std::string::npos) << R.Output;
+  // The deleted timing-fidelity flags are unknown options like any other.
+  for (const char *Flag : {"--bogus", "--sim-mode=sampled",
+                           "--sample-interval=25000"})
+    expectRejected(Bench + " " + Flag, "unknown option");
 }
 
 TEST(BenchSmoke, MalformedJobsRejected) {
@@ -178,12 +180,9 @@ TEST(BenchSmoke, MalformedJobsRejected) {
 TEST(BenchSmoke, NonFiniteScaleRejected) {
   expectRejected(Bench + " --scale=nan", "--scale");
   expectRejected(Bench + " --scale=inf", "--scale");
-}
-
-TEST(BenchSmoke, BadSimModeRejected) {
-  expectRejected(Bench + " --sim-mode=warp", "--sim-mode");
-  expectRejected(Bench + " --sim-mode=", "--sim-mode");
-  expectRejected(Bench + " --sim-mode=FULL", "--sim-mode");
+  // Finite but past the workload builders' ceiling: the scaled row
+  // counts would overflow int64_t.
+  expectRejected(Bench + " --scale=1e300", "--scale");
 }
 
 TEST(BenchSmoke, MalformedVlRejected) {
@@ -195,12 +194,26 @@ TEST(BenchSmoke, MalformedVlRejected) {
   expectRejected(Bench + " --vl=4294967808", "--vl");
 }
 
-TEST(BenchSmoke, MalformedSamplingFlagsRejected) {
-  expectRejected(Bench + " --sample-interval=0", "--sample-interval");
-  expectRejected(Bench + " --sample-interval=abc", "--sample-interval");
-  expectRejected(Bench + " --sample-detail=0", "--sample-detail");
-  expectRejected(Bench + " --sample-warmup=-1", "--sample-warmup");
-  expectRejected(Bench + " --sample-seed=bogus", "--sample-seed");
+const std::string Table2 = FLEXVEC_BENCH_TABLE2_PATH;
+
+TEST(Table2Smoke, MalformedArgumentsRejected) {
+  for (const char *Bad : {"--scale=nan", "--scale=abc", "--scale=-1",
+                          "--scale=0", "--scale=1e300", "--bogus"})
+    expectRejected(Table2 + " " + Bad, Bad);
+}
+
+const std::string PaperFigures = FLEXVEC_PAPER_FIGURES_PATH;
+
+TEST(PaperFiguresSmoke, UnknownFigureRejected) {
+  expectRejected(PaperFigures + " bogus", "all|conflict|earlyexit|h264");
+  expectRejected(PaperFigures + " h264 extra", "all|conflict|earlyexit|h264");
+}
+
+TEST(PaperFiguresSmoke, KnownFigureSucceeds) {
+  CmdResult R = run(PaperFigures + " conflict");
+  EXPECT_EQ(R.Exit, 0) << R.Output;
+  EXPECT_NE(R.Output.find("Runtime memory dependence"), std::string::npos)
+      << R.Output;
 }
 
 const std::string Fuzz = FLEXVEC_FUZZ_PATH;

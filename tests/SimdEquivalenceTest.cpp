@@ -59,7 +59,6 @@ struct RecordDigest {
 class DigestSink : public emu::TraceSink {
 public:
   RecordDigest D;
-  void onInstr(const emu::DynInstr &DI) override { D.fold(DI); }
   void onBatch(const emu::DynInstr *Batch, size_t N) override {
     for (size_t I = 0; I < N; ++I)
       D.fold(Batch[I]);

@@ -8,19 +8,13 @@
 //   flexvec-bench [options]
 //     --jobs=N        worker threads (default: one per hardware thread)
 //     --seed=N        base seed for the workload input streams (default 1)
-//     --scale=X       iteration scale for the workloads (default 1.0)
+//     --scale=X       iteration scale for the workloads (default 1.0; at
+//                     most workloads::MaxIterationScale = 1e6)
 //     --trips=N       whole-matrix repetitions; trips > 1 exercise the
 //                     compiled-loop cache across sweeps (default 1)
 //     --out=PATH      JSON output path (default BENCH_figure8.json)
 //     --fault-seed=N  chaos mode: run every cell under a seeded RTM
 //                     conflict-abort storm (prob 0.5). 0 = off (default)
-//     --sim-mode=M    timing-model fidelity: "full" (every retired
-//                     instruction through the OOO model; the default) or
-//                     "sampled" (deterministic interval sampling with
-//                     extrapolation; emits the v2-sampled schema)
-//     --sample-interval=N / --sample-detail=N / --sample-warmup=N /
-//     --sample-seed=N sampling regimen (defaults 25000/10000/3000/1);
-//                     only meaningful with --sim-mode=sampled
 //     --vl=BITS       vector width every cell compiles and runs at: 128,
 //                     256, 512, 1024, or 2048 bits (default 512). A
 //                     non-default width also runs the fixed-512
@@ -60,8 +54,6 @@ void usage(std::FILE *To) {
   std::fprintf(To,
                "usage: flexvec-bench [--jobs=N] [--seed=N] [--scale=X] "
                "[--trips=N] [--out=PATH] [--fault-seed=N] "
-               "[--sim-mode=full|sampled] [--sample-interval=N] "
-               "[--sample-detail=N] [--sample-warmup=N] [--sample-seed=N] "
                "[--vl=128|256|512|1024|2048] [--deterministic] [--quiet]\n");
 }
 
@@ -87,9 +79,11 @@ bool parseArgs(int Argc, char **Argv, BenchOptions &Opts) {
       }
       Opts.Sweep.Seed = U;
     } else if (Arg.rfind("--scale=", 0) == 0) {
-      if (!parseDouble(Arg.substr(8), D) || D <= 0) {
-        std::fprintf(stderr, "error: --scale expects a positive number, "
-                             "got '%s'\n", Arg.c_str());
+      if (!parseDouble(Arg.substr(8), D) || D <= 0 ||
+          D > workloads::MaxIterationScale) {
+        std::fprintf(stderr, "error: --scale expects a positive number no "
+                             "larger than %g, got '%s'\n",
+                     workloads::MaxIterationScale, Arg.c_str());
         return false;
       }
       Opts.Sweep.Scale = D;
@@ -107,45 +101,6 @@ bool parseArgs(int Argc, char **Argv, BenchOptions &Opts) {
         return false;
       }
       Opts.Sweep.FaultSeed = U;
-    } else if (Arg.rfind("--sim-mode=", 0) == 0) {
-      std::string Mode = Arg.substr(11);
-      if (Mode == "full") {
-        Opts.Sweep.Sim = core::SimMode::Full;
-      } else if (Mode == "sampled") {
-        Opts.Sweep.Sim = core::SimMode::Sampled;
-      } else {
-        std::fprintf(stderr, "error: --sim-mode expects 'full' or "
-                             "'sampled', got '%s'\n", Mode.c_str());
-        return false;
-      }
-    } else if (Arg.rfind("--sample-interval=", 0) == 0) {
-      if (!parseUInt(Arg.substr(18), U) || U == 0) {
-        std::fprintf(stderr, "error: --sample-interval expects a positive "
-                             "integer, got '%s'\n", Arg.c_str());
-        return false;
-      }
-      Opts.Sweep.Sample.IntervalInstrs = U;
-    } else if (Arg.rfind("--sample-detail=", 0) == 0) {
-      if (!parseUInt(Arg.substr(16), U) || U == 0) {
-        std::fprintf(stderr, "error: --sample-detail expects a positive "
-                             "integer, got '%s'\n", Arg.c_str());
-        return false;
-      }
-      Opts.Sweep.Sample.DetailInstrs = U;
-    } else if (Arg.rfind("--sample-warmup=", 0) == 0) {
-      if (!parseUInt(Arg.substr(16), U)) {
-        std::fprintf(stderr, "error: --sample-warmup expects a non-negative "
-                             "integer, got '%s'\n", Arg.c_str());
-        return false;
-      }
-      Opts.Sweep.Sample.WarmupInstrs = U;
-    } else if (Arg.rfind("--sample-seed=", 0) == 0) {
-      if (!parseUInt(Arg.substr(14), U)) {
-        std::fprintf(stderr, "error: --sample-seed expects a non-negative "
-                             "integer, got '%s'\n", Arg.c_str());
-        return false;
-      }
-      Opts.Sweep.Sample.Seed = U;
     } else if (Arg.rfind("--vl=", 0) == 0) {
       if (!parseUnsigned(Arg.substr(5), N) ||
           !isa::VectorConfig::isValidBits(N)) {
