@@ -28,10 +28,6 @@
 namespace flexvec {
 namespace codegen {
 
-/// Maximum parameter counts imposed by the register conventions.
-inline constexpr unsigned MaxScalarParams = 12;
-inline constexpr unsigned MaxArrayParams = 10;
-
 inline isa::Reg scalarParamReg(int ScalarId) {
   return isa::Reg::scalar(2 + static_cast<unsigned>(ScalarId));
 }

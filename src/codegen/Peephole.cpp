@@ -95,16 +95,14 @@ Program rebuild(const std::vector<Instruction> &Instrs,
 
 // --- Dead code elimination ------------------------------------------------===//
 
-unsigned deadCodeElimination(Program &P, const PeepholeOptions &Opts) {
+unsigned deadCodeElimination(Program &P) {
   const auto &Instrs = P.instructions();
   std::vector<bool> Live(Instrs.size(), false);
 
+  // Roots: every scalar register (keys 0..31) is observable after Halt.
   std::vector<bool> RootRegs(96, false);
-  if (Opts.AllScalarsLiveOut)
-    for (unsigned R = 0; R < 32; ++R)
-      RootRegs[R] = true;
-  for (Reg R : Opts.LiveOutRegs)
-    RootRegs[regKey(R)] = true;
+  for (unsigned R = 0; R < 32; ++R)
+    RootRegs[R] = true;
 
   // Flow-insensitive fixpoint: side-effecting instructions are live; an
   // instruction is live if a live instruction reads any register it
@@ -368,30 +366,20 @@ std::string PeepholeStats::describe() const {
          std::to_string(DeadRemoved);
 }
 
-Program codegen::optimizeProgram(const Program &In,
-                                 const PeepholeOptions &Opts,
-                                 PeepholeStats *Stats) {
+Program codegen::optimizeProgram(const Program &In, PeepholeStats *Stats) {
   Program P = In;
   PeepholeStats S;
   // Bounded fixpoint: each LICM round moves one instruction; CSE and DCE
   // run between rounds.
   for (int Round = 0; Round < 256; ++Round) {
-    unsigned Work = 0;
-    if (Opts.LocalCse) {
-      unsigned N = localCse(P);
-      S.CseRemoved += N;
-      Work += N;
-    }
-    if (Opts.HoistLoopInvariants) {
-      unsigned N = hoistOneLoop(P);
-      S.Hoisted += N;
-      Work += N;
-    }
-    if (Work == 0)
+    unsigned Cse = localCse(P);
+    unsigned Hoisted = hoistOneLoop(P);
+    S.CseRemoved += Cse;
+    S.Hoisted += Hoisted;
+    if (Cse + Hoisted == 0)
       break;
   }
-  if (Opts.DeadCodeElimination)
-    S.DeadRemoved = deadCodeElimination(P, Opts);
+  S.DeadRemoved = deadCodeElimination(P);
   if (Stats)
     *Stats = S;
   return P;

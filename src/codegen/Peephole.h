@@ -12,7 +12,9 @@
 //    re-computations if-conversion leaves behind,
 //  * dead code elimination — drops instructions whose results are never
 //    read (conservatively; memory, control, and mask-writing side effects
-//    are kept).
+//    are kept). Every scalar register is observable after Halt (live-outs
+//    are returned in scalar registers); vector and mask registers are dead
+//    at exit.
 //
 // All passes preserve program semantics; the ablation benchmark
 // (bench/bench_peephole) measures their cycle contribution.
@@ -25,23 +27,9 @@
 #include "isa/Program.h"
 
 #include <string>
-#include <vector>
 
 namespace flexvec {
 namespace codegen {
-
-/// Which passes to run.
-struct PeepholeOptions {
-  bool HoistLoopInvariants = true;
-  bool LocalCse = true;
-  bool DeadCodeElimination = true;
-  /// Dead-code roots: when true (default), every scalar register is
-  /// treated as observable after Halt (live-outs are returned in scalar
-  /// registers); vector and mask registers are dead at exit. Tests may
-  /// clear this and list precise roots in LiveOutRegs.
-  bool AllScalarsLiveOut = true;
-  std::vector<isa::Reg> LiveOutRegs;
-};
 
 /// What the passes did.
 struct PeepholeStats {
@@ -53,11 +41,10 @@ struct PeepholeStats {
   std::string describe() const;
 };
 
-/// Runs the enabled passes to a fixed point (bounded) and returns the
+/// Runs CSE and LICM to a fixed point (bounded), then DCE, and returns the
 /// optimized program. Branch targets are remapped across deletions and
 /// insertions.
 isa::Program optimizeProgram(const isa::Program &P,
-                             const PeepholeOptions &Opts = PeepholeOptions(),
                              PeepholeStats *Stats = nullptr);
 
 } // namespace codegen

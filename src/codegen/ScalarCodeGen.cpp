@@ -241,8 +241,8 @@ void codegen::emitScalarLoopBody(ProgramBuilder &B, const LoopFunction &F,
 }
 
 CompiledLoop codegen::generateScalar(const LoopFunction &F) {
-  assert(F.scalars().size() <= MaxScalarParams &&
-         F.arrays().size() <= MaxArrayParams &&
+  assert(F.scalars().size() <= ir::MaxScalarParams &&
+         F.arrays().size() <= ir::MaxArrayParams &&
          "loop exceeds the register conventions");
   CompiledLoop Out;
   Out.Kind = CodeGenKind::Scalar;

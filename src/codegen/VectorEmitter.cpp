@@ -91,8 +91,9 @@ VectorEmitter::VectorEmitter(ProgramBuilder &B, const LoopFunction &F,
 
   // Scalar classification.
   size_t NumScalars = F.scalars().size();
-  assert(NumScalars <= MaxScalarParams && "too many scalar parameters");
-  assert(F.arrays().size() <= MaxArrayParams && "too many array parameters");
+  assert(NumScalars <= ir::MaxScalarParams && "too many scalar parameters");
+  assert(F.arrays().size() <= ir::MaxArrayParams &&
+         "too many array parameters");
   std::vector<bool> Assigned(NumScalars, false);
   collectAssignedScalars(F.body(), Assigned);
 

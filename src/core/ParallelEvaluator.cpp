@@ -10,7 +10,6 @@
 #include "support/Statistics.h"
 #include "support/ThreadPool.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <chrono>
@@ -212,7 +211,6 @@ SweepResult core::runSweep(const std::vector<SweepWorkload> &Workloads,
   R.Workers = Pool.workerCount();
   R.Seed = Opts.Seed;
   R.Scale = Opts.Scale;
-  R.Trips = std::max(1u, Opts.Trips);
   R.Vec = Opts.Vec;
 
   // Pool-occupancy probe: cells in flight right now, and the high-water
@@ -220,20 +218,18 @@ SweepResult core::runSweep(const std::vector<SweepWorkload> &Workloads,
   // excluded from the deterministic JSON payload.
   std::atomic<unsigned> InFlight{0}, PeakInFlight{0};
 
-  for (unsigned Trip = 0; Trip < R.Trips; ++Trip) {
-    R.Cells = Pool.map<CellResult>(NumCells, [&](size_t I) {
-      unsigned Now = InFlight.fetch_add(1, std::memory_order_relaxed) + 1;
-      unsigned Peak = PeakInFlight.load(std::memory_order_relaxed);
-      while (Now > Peak && !PeakInFlight.compare_exchange_weak(
-                               Peak, Now, std::memory_order_relaxed))
-        ;
-      const SweepWorkload &W = Workloads[I / NumVariants];
-      VariantId V = static_cast<VariantId>(I % NumVariants);
-      CellResult Cell = evalCell(W, V, Opts, C, Shared[I / NumVariants]);
-      InFlight.fetch_sub(1, std::memory_order_relaxed);
-      return Cell;
-    });
-  }
+  R.Cells = Pool.map<CellResult>(NumCells, [&](size_t I) {
+    unsigned Now = InFlight.fetch_add(1, std::memory_order_relaxed) + 1;
+    unsigned Peak = PeakInFlight.load(std::memory_order_relaxed);
+    while (Now > Peak && !PeakInFlight.compare_exchange_weak(
+                             Peak, Now, std::memory_order_relaxed))
+      ;
+    const SweepWorkload &W = Workloads[I / NumVariants];
+    VariantId V = static_cast<VariantId>(I % NumVariants);
+    CellResult Cell = evalCell(W, V, Opts, C, Shared[I / NumVariants]);
+    InFlight.fetch_sub(1, std::memory_order_relaxed);
+    return Cell;
+  });
   R.PeakInFlight = PeakInFlight.load(std::memory_order_relaxed);
   R.SingleFlightWaits = C.waits() - Waits0;
 
@@ -282,7 +278,9 @@ Json core::benchJson(const SweepResult &R, bool Deterministic) {
   Doc.set("schema", "flexvec-bench-figure8/v2");
   Doc.set("seed", R.Seed);
   Doc.set("scale", R.Scale);
-  Doc.set("trips", R.Trips);
+  // Fixed at 1; kept because flexvec-benchdiff compares it and the
+  // checked-in baseline carries it.
+  Doc.set("trips", 1u);
   // Sweep-config field: the vector width the cells ran at, in bits.
   // Emitted only at non-default widths so the VL=512 payload stays
   // byte-identical to the v2 baseline; absent means 512 (benchdiff
@@ -345,7 +343,7 @@ Json core::benchJson(const SweepResult &R, bool Deterministic) {
   obs::Registry Totals;
   for (const CellResult &Cell : R.Cells)
     Totals.merge(Cell.Metrics);
-  Doc.set("metrics", Totals.toJson(/*IncludeTimers=*/!Deterministic));
+  Doc.set("metrics", Totals.toJson());
 
   Json Cells = Json::array();
   for (const CellResult &Cell : R.Cells) {
@@ -367,8 +365,7 @@ Json core::benchJson(const SweepResult &R, bool Deterministic) {
       J.set("overall_speedup", Cell.Overall);
       J.set("coverage", Cell.Coverage);
       J.set("paper_speedup", Cell.PaperSpeedup);
-      J.set("metrics",
-            Cell.Metrics.toJson(/*IncludeTimers=*/!Deterministic));
+      J.set("metrics", Cell.Metrics.toJson());
       if (!Deterministic) {
         Json Stage = Json::object();
         Stage.set("compile_ms", Cell.Times.CompileMs);

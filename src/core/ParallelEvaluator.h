@@ -74,7 +74,6 @@ struct SweepOptions {
   unsigned Jobs = 1;  ///< Worker threads (0 = one per hardware thread).
   uint64_t Seed = 1;  ///< Base seed for the per-workload input streams.
   double Scale = 1.0; ///< Recorded in the result (workload sizing).
-  unsigned Trips = 1; ///< Whole-matrix repetitions (cache reuse check).
   unsigned RtmTile = codegen::DefaultRtmTile;
   /// Vector width every cell is compiled and run at (512-bit by default).
   isa::VectorConfig Vec;
@@ -146,7 +145,6 @@ struct SweepResult {
   unsigned Workers = 0; ///< Actual worker count used.
   uint64_t Seed = 0;
   double Scale = 1.0;
-  unsigned Trips = 1;
   double WallSeconds = 0;
   /// Width the cells compiled and ran at.
   isa::VectorConfig Vec;

@@ -132,8 +132,6 @@ std::vector<ArrayBound> analyzeArrayBounds(const LoopFunction &F) {
 
 class AdaptiveStrategy final : public LoweringStrategy {
 public:
-  explicit AdaptiveStrategy(const AdaptiveConfig &Cfg) : Cfg(Cfg) {}
-
   CodeGenKind kind() const override { return CodeGenKind::FlexVecAdaptive; }
   const char *name() const override { return "flexvec-adaptive"; }
 
@@ -182,7 +180,7 @@ public:
     }
 
     TradEntry = Ctx.B.createLabel();
-    Ctx.DispatchCellAddr = Cfg.CellAddr;
+    Ctx.DispatchCellAddr = dispatch::CellAddr;
     Bounds = analyzeArrayBounds(Ctx.F);
     return true;
   }
@@ -235,8 +233,9 @@ public:
     std::string N = "adaptive dispatch: minTrip=" +
                     std::to_string(effectiveMinTrip(Ctx)) +
                     ", aliasPairs=" + std::to_string(GuardPairs) +
-                    ", demote>=" + std::to_string(Cfg.DemotePercent) +
-                    "% over " + std::to_string(Cfg.Window) +
+                    ", demote>=" +
+                    std::to_string(dispatch::DemotePercent) +
+                    "% over " + std::to_string(dispatch::Window) +
                     " invocations; speculative=[" + Spec->notes(Ctx) +
                     "]; demoted=[" +
                     (Trad ? TradNotes : std::string("scalar loop")) + "]";
@@ -247,9 +246,9 @@ private:
   /// A wide configuration raises the guard floor to one full vector of the
   /// narrowest lane width: below that, a chunk cannot even fill its lanes
   /// and the vector setup cost always dominates. At the 512-bit default
-  /// this equals the configured MinTrip of 16, so nothing changes.
+  /// this equals dispatch::MinTrip (16), so nothing changes.
   unsigned effectiveMinTrip(const LoweringContext &Ctx) const {
-    return std::max(Cfg.MinTrip, Ctx.Vec.Bytes / 4);
+    return std::max(dispatch::MinTrip, Ctx.Vec.Bytes / 4);
   }
 
   /// The prologue reads and writes only r25..r29; r24 (i), r31 (break
@@ -273,7 +272,7 @@ private:
       St(Off, T0);
     };
 
-    B.movImm(Cell, static_cast<int64_t>(Cfg.CellAddr)).Comment =
+    B.movImm(Cell, static_cast<int64_t>(dispatch::CellAddr)).Comment =
         "dispatch cell base";
     B.movImm(Zero, 0);
 
@@ -299,11 +298,12 @@ private:
     // aborted * 100 >= invocations * percent.
     ProgramBuilder::Label GuardL = B.createLabel();
     Ld(T0, dispatch::InvocationsOff);
-    B.cmpImm(T1, CmpKind::GE, T0, static_cast<int64_t>(Cfg.Window));
+    B.cmpImm(T1, CmpKind::GE, T0, static_cast<int64_t>(dispatch::Window));
     B.brZero(T1, GuardL).Comment = "dispatch: window not reached";
     Ld(T1, dispatch::AbortedOff);
     B.binOpImm(Opcode::MulImm, T1, T1, 100);
-    B.binOpImm(Opcode::MulImm, T0, T0, static_cast<int64_t>(Cfg.DemotePercent));
+    B.binOpImm(Opcode::MulImm, T0, T0,
+               static_cast<int64_t>(dispatch::DemotePercent));
     B.cmp(T2, CmpKind::GE, T1, T0).Comment = "dispatch: abort rate at threshold?";
     B.brZero(T2, GuardL);
     B.movImm(T0, 1);
@@ -360,7 +360,6 @@ private:
     // Fall through into the speculative nest.
   }
 
-  AdaptiveConfig Cfg;
   std::unique_ptr<LoweringStrategy> Spec;
   std::unique_ptr<LoweringStrategy> Trad; ///< Null: scalar floor instead.
   ProgramBuilder::Label TradEntry = 0;
@@ -403,7 +402,6 @@ std::vector<Remark> driver::dispatchRemarks(const DispatchCounts &C) {
   return Out;
 }
 
-std::unique_ptr<LoweringStrategy>
-driver::createAdaptiveStrategy(const AdaptiveConfig &Cfg) {
-  return std::make_unique<AdaptiveStrategy>(Cfg);
+std::unique_ptr<LoweringStrategy> driver::newAdaptiveStrategy() {
+  return std::make_unique<AdaptiveStrategy>();
 }

@@ -12,8 +12,8 @@
 //      program's data image tracking invocations, aborted invocations,
 //      guard outcomes, and demotions.
 //
-// Once the observed abort rate crosses the configured threshold (default:
-// >= 50% aborted invocations over >= 8 invocations) the prologue stores a
+// Once the observed abort rate crosses the threshold (>= 50% aborted
+// invocations over >= 8 invocations) the prologue stores a
 // demoted state flag and every later invocation re-dispatches permanently
 // to the traditional variant — graceful degradation under abort storms
 // instead of paying the retry+rollback tax forever.
@@ -61,20 +61,16 @@ inline constexpr int64_t GuardPassOff = 40;
 inline constexpr int64_t GuardFailOff = 48;
 inline constexpr int64_t DemotionsOff = 56;
 
-} // namespace dispatch
-
 /// Thresholds of the dispatch prologue; all compiled into the program.
-struct AdaptiveConfig {
-  /// Trip counts below this fail the guard (vector setup cost dominates).
-  unsigned MinTrip = 16;
-  /// Demotion is considered only after this many speculative invocations.
-  unsigned Window = 8;
-  /// Demote when aborted invocations reach this percentage of speculative
-  /// invocations (>= comparison, integer arithmetic).
-  unsigned DemotePercent = 50;
-  /// Dispatch-cell base address (tests may relocate it).
-  uint64_t CellAddr = dispatch::CellAddr;
-};
+/// Trip counts below MinTrip fail the guard (vector setup cost dominates).
+inline constexpr unsigned MinTrip = 16;
+/// Demotion is considered only after this many speculative invocations.
+inline constexpr unsigned Window = 8;
+/// Demote when aborted invocations reach this percentage of speculative
+/// invocations (>= comparison, integer arithmetic).
+inline constexpr unsigned DemotePercent = 50;
+
+} // namespace dispatch
 
 /// Post-run dispatch-cell counter values, read back by the harnesses.
 struct DispatchCounts {
@@ -94,9 +90,9 @@ struct DispatchCounts {
 /// RemarksGoldenTest.
 std::vector<Remark> dispatchRemarks(const DispatchCounts &C);
 
-/// Creates the adaptive strategy with \p Cfg.
-std::unique_ptr<LoweringStrategy>
-createAdaptiveStrategy(const AdaptiveConfig &Cfg = AdaptiveConfig());
+/// The adaptive strategy; createStrategy(CodeGenKind::FlexVecAdaptive)
+/// is the way to build one.
+std::unique_ptr<LoweringStrategy> newAdaptiveStrategy();
 
 } // namespace driver
 } // namespace flexvec

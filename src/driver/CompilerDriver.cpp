@@ -29,10 +29,10 @@ public:
   const char *name() const override { return "ir-normalize"; }
 
   void run(PassContext &Ctx) override {
-    if (Ctx.F.scalars().size() > codegen::MaxScalarParams)
+    if (Ctx.F.scalars().size() > ir::MaxScalarParams)
       fatalError("loop has more scalar parameters than the register "
                  "conventions allow");
-    if (Ctx.F.arrays().size() > codegen::MaxArrayParams)
+    if (Ctx.F.arrays().size() > ir::MaxArrayParams)
       fatalError("loop has more array parameters than the register "
                  "conventions allow");
     if (Ctx.F.tripCountScalar() < 0)
@@ -142,7 +142,7 @@ public:
 
 // --- lower ------------------------------------------------------------------
 
-/// Generates the scalar baseline and runs each of the four vector
+/// Generates the scalar baseline and runs each of the five vector
 /// strategies through the Algorithm-1 skeleton.
 class LowerPass final : public Pass {
 public:
@@ -157,12 +157,7 @@ public:
     R.Speculative = lower(Ctx, CodeGenKind::Speculative);
     R.FlexVec = lower(Ctx, CodeGenKind::FlexVec);
     R.Rtm = lower(Ctx, CodeGenKind::FlexVecRtm);
-    {
-      std::unique_ptr<LoweringStrategy> S =
-          createAdaptiveStrategy(Ctx.Opts.Adaptive);
-      R.Adaptive = lowerLoop(Ctx.F, R.Plan, Ctx.Opts.RtmTile, *S, R.Remarks,
-                             Ctx.Opts.Vec, Ctx.Opts.Predicated);
-    }
+    R.Adaptive = lower(Ctx, CodeGenKind::FlexVecAdaptive);
   }
 
 private:
@@ -185,9 +180,7 @@ public:
     if (!R.FlexVec)
       return;
     CompiledLoop Opt = *R.FlexVec;
-    Opt.Prog = codegen::optimizeProgram(R.FlexVec->Prog,
-                                        codegen::PeepholeOptions(),
-                                        &R.OptStats);
+    Opt.Prog = codegen::optimizeProgram(R.FlexVec->Prog, &R.OptStats);
     Opt.Notes += "; peephole: " + R.OptStats.describe();
     R.FlexVecOpt = std::move(Opt);
     R.Remarks.note(name(), "peephole", R.OptStats.describe()).Variant =

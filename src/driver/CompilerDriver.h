@@ -19,7 +19,6 @@
 #include "analysis/Patterns.h"
 #include "codegen/Compiled.h"
 #include "codegen/Peephole.h"
-#include "driver/AdaptiveStrategy.h"
 #include "driver/Pass.h"
 #include "driver/Remarks.h"
 
@@ -48,8 +47,6 @@ struct DriverOptions {
   /// SVE-style predicated loop control: chunk heads compute k_loop with
   /// KWHILELT instead of the vindex/broadcast/vcmp triple.
   bool Predicated = false;
-  /// Thresholds compiled into the flexvec-adaptive dispatch prologue.
-  AdaptiveConfig Adaptive = AdaptiveConfig();
 };
 
 /// Everything the pipeline produces for one loop.

@@ -583,7 +583,7 @@ std::unique_ptr<LoweringStrategy> driver::createStrategy(CodeGenKind Kind) {
   case CodeGenKind::FlexVecRtm:
     return std::make_unique<RtmStrategy>();
   case CodeGenKind::FlexVecAdaptive:
-    return createAdaptiveStrategy();
+    return newAdaptiveStrategy();
   case CodeGenKind::Scalar:
     break; // Scalar codegen is not an Algorithm-1 strategy.
   }

@@ -150,9 +150,7 @@ public:
   virtual std::string notes(const LoweringContext &Ctx) const = 0;
 };
 
-/// Creates the strategy for \p Kind (one of the five vector variants; the
-/// adaptive strategy is built with its default configuration — use
-/// createAdaptiveStrategy for a custom one).
+/// Creates the strategy for \p Kind (one of the five vector variants).
 std::unique_ptr<LoweringStrategy> createStrategy(codegen::CodeGenKind Kind);
 
 /// The body of the Algorithm-1 skeleton: creates fresh VecExit/HaltL labels

@@ -12,10 +12,6 @@ using namespace flexvec::faults;
 
 namespace {
 
-/// Granule of the address-deterministic range faults; matches the RTM
-/// footprint tracking granule.
-constexpr uint64_t LineBytes = 64;
-
 /// Uniform [0,1) value derived from (Seed, Key) alone.
 double hashToUnit(uint64_t Seed, uint64_t Key) {
   SplitMix64 SM(Seed ^ (Key * 0x9e3779b97f4a7c15ULL));
@@ -75,11 +71,11 @@ bool FaultInjector::shouldFault(uint64_t Addr, uint64_t Size, bool IsWrite,
 
   if (Mem.Ranges.empty() || Size == 0)
     return false;
-  uint64_t FirstLine = Addr / LineBytes;
-  uint64_t LastLine = (Addr + Size - 1) / LineBytes;
+  uint64_t FirstLine = Addr / mem::LineBytes;
+  uint64_t LastLine = (Addr + Size - 1) / mem::LineBytes;
   for (uint64_t L = FirstLine; L <= LastLine; ++L) {
-    uint64_t LineLo = L * LineBytes;
-    uint64_t LineHi = LineLo + LineBytes;
+    uint64_t LineLo = L * mem::LineBytes;
+    uint64_t LineHi = LineLo + mem::LineBytes;
     for (const RangeFault &R : Mem.Ranges) {
       if (LineHi <= R.Lo || LineLo >= R.Hi)
         continue;

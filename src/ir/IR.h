@@ -27,6 +27,12 @@ namespace ir {
 using isa::CmpKind;
 using isa::ElemType;
 
+/// Maximum parameter counts imposed by the code generators' register
+/// conventions (scalars in r2..r13, array bases in r14..r23). The parser
+/// rejects loops that exceed them.
+inline constexpr unsigned MaxScalarParams = 12;
+inline constexpr unsigned MaxArrayParams = 10;
+
 class LoopFunction;
 
 /// Binary operators on same-typed operands.

@@ -5,6 +5,7 @@
 #include <cctype>
 #include <cstdio>
 #include <map>
+#include <string>
 #include <vector>
 
 using namespace flexvec;
@@ -246,10 +247,16 @@ private:
       if (IsArray) {
         if (LiveOut || Trip)
           return fail("array parameters cannot be liveout/trip");
+        if (F->arrays().size() == MaxArrayParams)
+          return fail("more than " + std::to_string(MaxArrayParams) +
+                      " array parameters");
         Arrays[Name] = F->addArray(Name, Ty, ReadOnly);
       } else {
         if (ReadOnly)
           return fail("'readonly' applies to arrays");
+        if (F->scalars().size() == MaxScalarParams)
+          return fail("more than " + std::to_string(MaxScalarParams) +
+                      " scalar parameters");
         int Id = F->addScalar(Name, Ty, LiveOut);
         Scalars[Name] = Id;
         if (Trip)
@@ -267,6 +274,7 @@ private:
   bool parseBlock(std::vector<Stmt *> &Out) {
     if (!expectPunct("{"))
       return false;
+    ++BlockDepth;
     while (!isPunct("}")) {
       if (Lex.peek().Kind == TokKind::End)
         return fail("unterminated block");
@@ -276,11 +284,18 @@ private:
       Out.push_back(S);
     }
     Lex.take(); // '}'
+    --BlockDepth;
     return true;
   }
 
   Stmt *parseStmt() {
     if (isIdent("break")) {
+      // Only a guarded break is an early exit; at the top of the body it
+      // would make every iteration after the first dead code.
+      if (BlockDepth == 1) {
+        fail("'break' must be inside an 'if'");
+        return nullptr;
+      }
       Lex.take();
       if (!expectPunct(";"))
         return nullptr;
@@ -528,6 +543,8 @@ private:
   std::map<std::string, int> Scalars;
   std::map<std::string, int> Arrays;
   std::string Error;
+  /// Braces open around the current statement; 1 is the loop body.
+  unsigned BlockDepth = 0;
 };
 
 } // namespace

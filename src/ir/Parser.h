@@ -36,7 +36,10 @@
 //              | "(" expr ")"
 //
 // `i` is the induction variable. Statement ids follow source order, so
-// printed plans and disassembly comments line up with the text.
+// printed plans and disassembly comments line up with the text. A
+// `break` must sit inside an `if`, and a loop takes at most
+// MaxScalarParams scalars and MaxArrayParams arrays (ir/IR.h); anything
+// else is a parse error.
 //
 //===----------------------------------------------------------------------===//
 

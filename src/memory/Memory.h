@@ -45,6 +45,9 @@ namespace mem {
 
 inline constexpr uint64_t PageSize = 4096;
 inline constexpr uint64_t PageMask = PageSize - 1;
+/// Cache-line size: the granule of the timing model's caches, the RTM
+/// read/write sets and the line-poisoning fault policy.
+inline constexpr uint64_t LineBytes = 64;
 
 /// Page permission bits.
 enum PagePerms : uint8_t {

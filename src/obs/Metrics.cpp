@@ -46,10 +46,6 @@ Histogram &Registry::histogram(const std::string &Name, unsigned NumBuckets) {
   return E.H;
 }
 
-Timer &Registry::timer(const std::string &Name) {
-  return entry(Name, Entry::Kind::Timer).T;
-}
-
 const Counter *Registry::findCounter(const std::string &Name) const {
   const Entry *E = find(Name, Entry::Kind::Counter);
   return E ? &E->C : nullptr;
@@ -86,14 +82,11 @@ void Registry::merge(const Registry &O) {
           D.addToBucket(B, S.H.bucket(B));
       break;
     }
-    case Entry::Kind::Timer:
-      timer(S.Name).add(S.T.ms());
-      break;
     }
   }
 }
 
-Json Registry::toJson(bool IncludeTimers) const {
+Json Registry::toJson() const {
   Json Out = Json::object();
   for (const auto &EP : Entries) {
     const Entry &E = *EP;
@@ -111,10 +104,6 @@ Json Registry::toJson(bool IncludeTimers) const {
       Out.set(E.Name, std::move(Buckets));
       break;
     }
-    case Entry::Kind::Timer:
-      if (IncludeTimers)
-        Out.set(E.Name, Json(E.T.ms()));
-      break;
     }
   }
   return Out;

@@ -2,9 +2,9 @@
 //
 // The observability substrate behind the per-cell `metrics` objects in
 // BENCH_figure8.json (schema v2) and docs/OBSERVABILITY.md: named
-// counters, gauges, fixed-bucket histograms, and wall-clock timers
-// collected in an insertion-ordered Registry that renders to the
-// deterministic JSON writer (support/Json.h).
+// counters, gauges, and fixed-bucket histograms collected in an
+// insertion-ordered Registry that renders to the deterministic JSON writer
+// (support/Json.h).
 //
 // Design rules:
 //
@@ -14,18 +14,15 @@
 //     indirection — and each layer exports them into a Registry *after*
 //     the run via its recordMetrics() hook. The disabled path therefore
 //     costs exactly nothing on the hot loop.
-//   * For call sites that do hold an optional `Registry *`, the null-safe
-//     free helpers (obs::inc / obs::set / obs::observe) and the
-//     ScopedTimer(nullptr, ...) constructor no-op without reading the
-//     clock, so "off" is a single branch.
 //   * Determinism: counters, gauges, and histograms derive from event
-//     counts and are byte-stable across worker counts and machines;
-//     timers are wall-clock and are excluded from deterministic exports
-//     (toJson(/*IncludeTimers=*/false)).
-//   * Merging sums counters, histograms, and timers in the target's
-//     insertion order (new names append in source order). Gauges are
-//     per-scope derived values (e.g. IPC) and are skipped by merge();
-//     recompute them for aggregates.
+//     counts and are byte-stable across worker counts and machines.
+//     Wall-clock time never enters a Registry; ScopedTimer accumulates
+//     into a plain `double` (the sweep's StageTimes), which only the
+//     non-deterministic `run` section reports.
+//   * Merging sums counters and histograms in the target's insertion
+//     order (new names append in source order). Gauges are per-scope
+//     derived values (e.g. IPC) and are skipped by merge(); recompute
+//     them for aggregates.
 //
 //===----------------------------------------------------------------------===//
 
@@ -96,17 +93,6 @@ private:
   uint64_t Total_ = 0;
 };
 
-/// Accumulated wall-clock time in milliseconds. Non-deterministic by
-/// nature; excluded from deterministic JSON exports.
-class Timer {
-public:
-  void add(double Ms) { Ms_ += Ms; }
-  double ms() const { return Ms_; }
-
-private:
-  double Ms_ = 0.0;
-};
-
 /// Insertion-ordered collection of named metrics. Rendering walks the
 /// entries in first-registration order, so two registries populated by the
 /// same code path render byte-identically.
@@ -131,7 +117,6 @@ public:
   Counter &counter(const std::string &Name);
   Gauge &gauge(const std::string &Name);
   Histogram &histogram(const std::string &Name, unsigned NumBuckets);
-  Timer &timer(const std::string &Name);
 
   /// Lookup without creation; null when \p Name is absent or of a
   /// different kind.
@@ -141,25 +126,22 @@ public:
   bool empty() const { return Entries.empty(); }
   size_t size() const { return Entries.size(); }
 
-  /// Sums \p O's counters, histograms, and timers into this registry
-  /// (creating entries as needed, in \p O's order). Gauges are derived
-  /// per-scope values and are skipped.
+  /// Sums \p O's counters and histograms into this registry (creating
+  /// entries as needed, in \p O's order). Gauges are derived per-scope
+  /// values and are skipped.
   void merge(const Registry &O);
 
   /// Renders an object mapping metric name -> value: counters as
   /// integers, gauges as doubles, histograms as arrays of bucket counts.
-  /// Timers (wall-clock, non-deterministic) are included only when
-  /// \p IncludeTimers is set.
-  Json toJson(bool IncludeTimers = true) const;
+  Json toJson() const;
 
 private:
   struct Entry {
-    enum class Kind : uint8_t { Counter, Gauge, Histogram, Timer } K;
+    enum class Kind : uint8_t { Counter, Gauge, Histogram } K;
     std::string Name;
     Counter C;
     Gauge G;
     Histogram H{1};
-    Timer T;
   };
 
   Entry &entry(const std::string &Name, Entry::Kind K);
@@ -171,58 +153,24 @@ private:
   std::unordered_map<std::string, size_t> Index;
 };
 
-/// RAII wall-clock timer. Two sinks: a plain `double&` accumulator in
-/// milliseconds, or a named Timer in a Registry. The Registry form
-/// accepts null ("off"): nothing is recorded and the clock is never read.
+/// RAII wall-clock timer: adds the scope's duration, in milliseconds, to
+/// a plain `double` accumulator.
 class ScopedTimer {
 public:
-  explicit ScopedTimer(double &SinkMs) : Sink(&SinkMs) { arm(); }
-  ScopedTimer(Registry *R, const char *Name)
-      : T(R ? &R->timer(Name) : nullptr) {
-    if (T)
-      arm();
-  }
+  explicit ScopedTimer(double &SinkMs)
+      : Sink(SinkMs), Start(std::chrono::steady_clock::now()) {}
   ScopedTimer(const ScopedTimer &) = delete;
   ScopedTimer &operator=(const ScopedTimer &) = delete;
   ~ScopedTimer() {
-    if (!Armed)
-      return;
-    double Ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - Start)
-                    .count();
-    if (Sink)
-      *Sink += Ms;
-    if (T)
-      T->add(Ms);
+    Sink += std::chrono::duration<double, std::milli>(
+                std::chrono::steady_clock::now() - Start)
+                .count();
   }
 
 private:
-  void arm() {
-    Armed = true;
-    Start = std::chrono::steady_clock::now();
-  }
-
-  double *Sink = nullptr;
-  Timer *T = nullptr;
-  bool Armed = false;
+  double &Sink;
   std::chrono::steady_clock::time_point Start;
 };
-
-/// Null-safe recording helpers: a disabled site passes a null registry
-/// and pays one predictable branch.
-inline void inc(Registry *R, const char *Name, uint64_t N = 1) {
-  if (R)
-    R->counter(Name).inc(N);
-}
-inline void set(Registry *R, const char *Name, double V) {
-  if (R)
-    R->gauge(Name).set(V);
-}
-inline void observe(Registry *R, const char *Name, unsigned NumBuckets,
-                    uint64_t Value) {
-  if (R)
-    R->histogram(Name, NumBuckets).observe(Value);
-}
 
 } // namespace obs
 } // namespace flexvec

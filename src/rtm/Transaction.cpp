@@ -10,10 +10,6 @@
 using namespace flexvec;
 using namespace flexvec::rtm;
 
-namespace {
-constexpr uint64_t LineBytes = 64;
-} // namespace
-
 TxFaultHook::~TxFaultHook() = default;
 
 const char *rtm::abortReasonName(AbortReason R) {
@@ -116,8 +112,8 @@ void TransactionManager::abort(AbortReason Reason) {
 
 bool TransactionManager::trackFootprint(uint64_t Addr, uint64_t Size,
                                         bool IsWrite) {
-  uint64_t First = Addr / LineBytes;
-  uint64_t Last = Size ? (Addr + Size - 1) / LineBytes : First;
+  uint64_t First = Addr / mem::LineBytes;
+  uint64_t Last = Size ? (Addr + Size - 1) / mem::LineBytes : First;
   for (uint64_t L = First; L <= Last; ++L) {
     if (IsWrite)
       WriteSetLines.insert(L);

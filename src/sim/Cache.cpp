@@ -5,23 +5,21 @@
 #include "obs/Metrics.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 
 using namespace flexvec;
 using namespace flexvec::sim;
 
-CacheLevel::CacheLevel(const CacheLevelConfig &Cfg, unsigned LineBytes)
+CacheLevel::CacheLevel(const CacheLevelConfig &Cfg)
     : Latency(Cfg.LatencyCycles), Ways(Cfg.Ways) {
-  LineShift = static_cast<unsigned>(std::countr_zero(LineBytes));
-  NumSets = Cfg.SizeBytes / (static_cast<uint64_t>(LineBytes) * Cfg.Ways);
+  NumSets = Cfg.SizeBytes / (mem::LineBytes * Cfg.Ways);
   assert(NumSets > 0 && (NumSets & (NumSets - 1)) == 0 &&
          "sets must be a power of two");
   Lines.assign(NumSets * Ways, ~0ULL);
 }
 
 bool CacheLevel::access(uint64_t Addr) {
-  uint64_t Line = Addr >> LineShift;
+  uint64_t Line = Addr / mem::LineBytes;
   uint64_t *Set = &Lines[(Line & (NumSets - 1)) * Ways];
   for (unsigned I = 0; I < Ways; ++I) {
     if (Set[I] == Line) {
@@ -38,7 +36,7 @@ bool CacheLevel::access(uint64_t Addr) {
 }
 
 void CacheLevel::install(uint64_t Addr) {
-  uint64_t Line = Addr >> LineShift;
+  uint64_t Line = Addr / mem::LineBytes;
   uint64_t *Set = &Lines[(Line & (NumSets - 1)) * Ways];
   // Shift down to the line's old slot if present, else over the LRU way.
   unsigned I = Ways - 1;
@@ -54,8 +52,7 @@ void CacheLevel::install(uint64_t Addr) {
 }
 
 MemoryHierarchy::MemoryHierarchy(const CoreConfig &Cfg)
-    : Cfg(Cfg), L1(Cfg.L1D, Cfg.LineBytes), L2(Cfg.L2, Cfg.LineBytes),
-      L3(Cfg.L3, Cfg.LineBytes), Streams(NumStreams) {}
+    : Cfg(Cfg), L1(Cfg.L1D), L2(Cfg.L2), L3(Cfg.L3), Streams(NumStreams) {}
 
 void MemoryHierarchy::installAll(uint64_t Addr) {
   L1.install(Addr);
@@ -66,8 +63,8 @@ void MemoryHierarchy::installAll(uint64_t Addr) {
 void MemoryHierarchy::prefetch(uint64_t Addr) {
   if (!Cfg.EnablePrefetcher)
     return;
-  uint64_t Page = Addr >> 12;
-  uint64_t Line = Addr >> 6;
+  uint64_t Page = Addr / mem::PageSize;
+  uint64_t Line = Addr / mem::LineBytes;
 
   StreamEntry *E = nullptr;
   for (StreamEntry &S : Streams)
@@ -95,9 +92,10 @@ void MemoryHierarchy::prefetch(uint64_t Addr) {
   // Prefetch ahead, never crossing the page boundary (Section 5).
   for (unsigned D = 1; D <= Cfg.PrefetchDegree; ++D) {
     uint64_t Target = Line + static_cast<uint64_t>(Dir) * D;
-    if ((Target << 6 >> 12) != Page)
+    uint64_t TargetAddr = Target * mem::LineBytes;
+    if (TargetAddr / mem::PageSize != Page)
       break;
-    installAll(Target << 6);
+    installAll(TargetAddr);
     ++Stats.PrefetchIssued;
   }
 }
@@ -115,7 +113,7 @@ unsigned MemoryHierarchy::accessLatencySlow(uint64_t Addr, uint32_t,
   // still resident because no other access has run). Replicating the
   // hit's counter updates keeps every statistic identical to the full
   // walk. This slow path only runs when the memo missed.
-  uint64_t Line = Addr >> 6;
+  uint64_t Line = Addr / mem::LineBytes;
   MemoLine = Line;
 
   ++Stats.Accesses;

@@ -10,6 +10,7 @@
 #ifndef FLEXVEC_SIM_CACHE_H
 #define FLEXVEC_SIM_CACHE_H
 
+#include "memory/Memory.h"
 #include "sim/Config.h"
 
 #include <cstddef>
@@ -26,7 +27,7 @@ namespace sim {
 /// One set-associative LRU cache level.
 class CacheLevel {
 public:
-  CacheLevel(const CacheLevelConfig &Cfg, unsigned LineBytes);
+  explicit CacheLevel(const CacheLevelConfig &Cfg);
 
   /// True if the line holding \p Addr is present; updates LRU on hit.
   bool access(uint64_t Addr);
@@ -45,11 +46,10 @@ public:
 
 private:
   unsigned Latency;
-  unsigned LineShift;
   uint64_t NumSets;
   unsigned Ways;
   /// Flat tag store, Ways slots per set, most recent first; empty slots
-  /// hold ~0 (never a real tag — line indices are addresses >> LineShift).
+  /// hold ~0 (never a real tag — line indices are Addr / mem::LineBytes).
   /// Same LRU order and hit/miss sequence as a per-set list, without the
   /// per-set heap node or erase/insert traffic.
   std::vector<uint64_t> Lines;
@@ -87,7 +87,7 @@ public:
   /// hit bit for bit.
   unsigned accessLatency(uint64_t Addr, uint32_t Pc,
                          Level *LevelOut = nullptr) {
-    if ((Addr >> 6) == MemoLine) {
+    if (Addr / mem::LineBytes == MemoLine) {
       ++Stats.Accesses;
       ++Stats.L1Hits;
       L1.countHit();
@@ -118,7 +118,7 @@ private:
 
   /// Line of the previous demand access. A repeat access to the same line
   /// is a guaranteed L1 hit and is serviced without walking the hierarchy
-  /// (the ~0ULL sentinel can never equal Addr >> 6).
+  /// (the ~0ULL sentinel can never equal Addr / mem::LineBytes).
   uint64_t MemoLine = ~0ULL;
 
   /// Per-page stream detector: direction-confirmed sequential access

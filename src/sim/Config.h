@@ -3,11 +3,15 @@
 // Table 1 of the paper: an aggressive out-of-order core. Defaults
 // reproduce the published configuration:
 //
-//   Fetch/Dispatch/Issue/Commit   5/5/8/5 wide
+//   Fetch/Commit                  5/5 wide
 //   RS 97, ROB 224, LQ/SQ 80/56
 //   L1I 32K/4w (1 cycle), L1D 32K/8w (4-cycle load-to-use),
 //   L2 256K/8w (12), L3 8M/32w (25), memory 200 cycles
 //   2 load ports, 1 store port
+//
+// Table 1's dispatch and issue widths (5 and 8) are not modelled: dispatch
+// has no width limit of its own, and issue is bounded only by the
+// execution units below. Lines are mem::LineBytes (64) everywhere.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,8 +31,6 @@ struct CacheLevelConfig {
 
 struct CoreConfig {
   unsigned FetchWidth = 5;
-  unsigned DispatchWidth = 5;
-  unsigned IssueWidth = 8;
   unsigned CommitWidth = 5;
 
   unsigned RsEntries = 97;
@@ -48,7 +50,6 @@ struct CoreConfig {
   CacheLevelConfig L2{256 * 1024, 8, 12};
   CacheLevelConfig L3{8 * 1024 * 1024, 32, 25};
   unsigned MemoryLatency = 200;
-  unsigned LineBytes = 64;
 
   /// Store-to-load forwarding latency when a load hits an in-flight store.
   unsigned ForwardLatency = 5;

@@ -236,14 +236,17 @@ void OooCore::step(const emu::DynInstr &DI) {
     if (D.IsLoad) {
       UopDesc MemU{PortKind::Load, D.Latency, First, 0};
       Complete = issueUop<true, false>(MemU, SrcReady, DI.InstrIdx);
-      if ((Last >> 6) != (First >> 6)) {
+      uint64_t FirstLine = First / mem::LineBytes;
+      uint64_t LastLine = Last / mem::LineBytes;
+      if (LastLine != FirstLine) {
         // The access spans multiple lines (a straddling access, or a wide
         // VL whose contiguous block covers several): the result waits for
         // the slowest of the extra lines. A two-line access touches only
         // the trailing address, exactly the historical straddle charge.
         unsigned Extra = 0;
-        for (uint64_t Line = (First >> 6) + 1; Line < (Last >> 6); ++Line)
-          Extra = std::max(Extra, Mem.accessLatency(Line << 6, DI.InstrIdx));
+        for (uint64_t Line = FirstLine + 1; Line < LastLine; ++Line)
+          Extra = std::max(Extra, Mem.accessLatency(Line * mem::LineBytes,
+                                                    DI.InstrIdx));
         Extra = std::max(Extra, Mem.accessLatency(Last, DI.InstrIdx));
         if (Extra > Cfg.L1D.LatencyCycles)
           Complete += Extra - Cfg.L1D.LatencyCycles;

@@ -7,15 +7,6 @@
 
 using namespace flexvec;
 
-double flexvec::mean(const std::vector<double> &Values) {
-  if (Values.empty())
-    return 0.0;
-  double Sum = 0.0;
-  for (double V : Values)
-    Sum += V;
-  return Sum / static_cast<double>(Values.size());
-}
-
 double flexvec::geomean(const std::vector<double> &Values) {
   if (Values.empty())
     return 0.0;
@@ -25,25 +16,4 @@ double flexvec::geomean(const std::vector<double> &Values) {
     LogSum += std::log(V);
   }
   return std::exp(LogSum / static_cast<double>(Values.size()));
-}
-
-void RunningStats::add(double X) {
-  if (N == 0) {
-    Min = Max = X;
-  } else {
-    if (X < Min)
-      Min = X;
-    if (X > Max)
-      Max = X;
-  }
-  Sum += X;
-  ++N;
-}
-
-void Histogram::add(uint64_t Value) {
-  assert(!Buckets.empty() && "histogram has no buckets");
-  unsigned Idx = Value < Buckets.size() ? static_cast<unsigned>(Value)
-                                        : numBuckets() - 1;
-  ++Buckets[Idx];
-  ++Total;
 }

@@ -1,59 +1,18 @@
 //===- support/Statistics.h - Summary statistics ---------------*- C++ -*-===//
 //
-// Aggregation helpers used by the evaluation harness (geomean speedups,
-// means, distribution summaries for VPL iteration counts).
+// Aggregation helpers used by the evaluation harness (geomean speedups).
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef FLEXVEC_SUPPORT_STATISTICS_H
 #define FLEXVEC_SUPPORT_STATISTICS_H
 
-#include <cstdint>
 #include <vector>
 
 namespace flexvec {
 
-/// Arithmetic mean; 0 for an empty range.
-double mean(const std::vector<double> &Values);
-
 /// Geometric mean; 0 for an empty range. All values must be positive.
 double geomean(const std::vector<double> &Values);
-
-/// Incrementally built summary of a stream of observations.
-class RunningStats {
-public:
-  void add(double X);
-
-  uint64_t count() const { return N; }
-  double mean() const { return N ? Sum / static_cast<double>(N) : 0.0; }
-  double min() const { return N ? Min : 0.0; }
-  double max() const { return N ? Max : 0.0; }
-  double sum() const { return Sum; }
-
-private:
-  uint64_t N = 0;
-  double Sum = 0.0;
-  double Min = 0.0;
-  double Max = 0.0;
-};
-
-/// Fixed-bucket histogram for small non-negative integer observations
-/// (e.g. VPL iterations per vector iteration).
-class Histogram {
-public:
-  explicit Histogram(unsigned NumBuckets) : Buckets(NumBuckets, 0) {}
-
-  /// Adds an observation; values >= NumBuckets land in the last bucket.
-  void add(uint64_t Value);
-
-  uint64_t bucket(unsigned Idx) const { return Buckets[Idx]; }
-  unsigned numBuckets() const { return static_cast<unsigned>(Buckets.size()); }
-  uint64_t total() const { return Total; }
-
-private:
-  std::vector<uint64_t> Buckets;
-  uint64_t Total = 0;
-};
 
 } // namespace flexvec
 

@@ -42,7 +42,7 @@ void extendInvocations(core::WorkloadInstance &In, size_t Want) {
 // sequence — including the demotion-boundary invocation itself.
 TEST(AdaptiveDispatch, CorpusConflictStormDemotesWithinWindowBitExact) {
   workloads::Figure8Suite Suite = workloads::buildFigure8Suite(1.0);
-  const unsigned Window = driver::AdaptiveConfig().Window;
+  const unsigned Window = driver::dispatch::Window;
   const size_t TotalInvocations = 12;
   size_t Checked = 0, Table2Rows = 0;
   for (const core::SweepWorkload &W : Suite.Workloads) {
@@ -175,7 +175,7 @@ loop shorty(i64 n trip, i64 acc liveout, i32 a[] readonly) {
     Image.set<int32_t>(Base + 4 * static_cast<uint64_t>(I),
                        static_cast<int32_t>(7 * I + 1));
   ir::Bindings B = ir::Bindings::forFunction(*R.F);
-  B.setInt(0, driver::AdaptiveConfig().MinTrip - 1);
+  B.setInt(0, driver::dispatch::MinTrip - 1);
   B.ArrayBases[0] = Base;
   std::vector<ir::Bindings> Invocations(2, B);
 

@@ -251,10 +251,9 @@ void expectCellsIdentical(const core::SweepResult &A,
     EXPECT_EQ(X.Uops, Y.Uops) << X.Benchmark << "/" << X.Variant;
     EXPECT_EQ(X.HotSpeedup, Y.HotSpeedup) << X.Benchmark << "/" << X.Variant;
     EXPECT_EQ(X.Overall, Y.Overall) << X.Benchmark << "/" << X.Variant;
-    // Per-cell metrics are pure event counts: rendered without timers they
-    // must be byte-identical regardless of the worker schedule.
-    EXPECT_EQ(X.Metrics.toJson(/*IncludeTimers=*/false).dump(),
-              Y.Metrics.toJson(/*IncludeTimers=*/false).dump())
+    // Per-cell metrics are pure event counts: they must render
+    // byte-identically regardless of the worker schedule.
+    EXPECT_EQ(X.Metrics.toJson().dump(), Y.Metrics.toJson().dump())
         << X.Benchmark << "/" << X.Variant;
     // StageTimes are wall-clock and deliberately not compared.
   }
@@ -345,17 +344,17 @@ TEST(SweepDeterminism, DifferentSeedsChangeInputsNotStructure) {
 }
 
 TEST(SweepDeterminism, MultiTripReusesTheCache) {
-  core::SweepOptions One = sweepOpts(2, 1);
-  core::SweepOptions Three = One;
-  Three.Trips = 3;
+  // Two sweeps sharing one cache: the second compiles nothing.
+  core::SweepOptions Opts = sweepOpts(2, 1);
+  workloads::Figure8Suite Suite = workloads::buildFigure8Suite(Opts.Scale);
+  core::CompileCache Cache;
+  core::SweepResult R1 = core::runSweep(Suite.Workloads, Opts, &Cache);
+  core::SweepResult R2 = core::runSweep(Suite.Workloads, Opts, &Cache);
 
-  core::SweepResult R1 = workloads::runFigure8Sweep(One);
-  core::SweepResult R3 = workloads::runFigure8Sweep(Three);
-
-  // Unique compilations are a property of the matrix, not the trip count.
-  EXPECT_EQ(R3.CacheMisses, R1.CacheMisses);
-  EXPECT_GT(R3.CacheHits, R1.CacheHits);
-  expectCellsIdentical(R1, R3); // Cells report the last trip; same numbers.
+  EXPECT_GT(R1.CacheMisses, 0u);
+  EXPECT_EQ(R2.CacheMisses, 0u);
+  EXPECT_EQ(R2.CacheHits, R1.CacheHits + R1.CacheMisses);
+  expectCellsIdentical(R1, R2);
 }
 
 TEST(SweepDeterminism, DeterministicJsonOmitsWallClockFields) {

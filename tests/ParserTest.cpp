@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
 using namespace flexvec;
 using namespace flexvec::ir;
@@ -177,6 +178,41 @@ TEST(Parser, RejectsMalformedInput) {
       parseLoop("loop x(i64 n trip, i32 a[] readonly) { a[i] = 1; }"));
   EXPECT_FALSE(parseLoop("loop x(i64 i trip) {}")); // Reserved name.
   EXPECT_FALSE(parseLoop("loop x(i64 n trip) {} extra"));
+}
+
+// Loops past the register conventions, or with a break that is not inside
+// an if, are parse errors rather than aborts further down the pipeline.
+namespace {
+std::string loopWithParams(unsigned Scalars, unsigned Arrays) {
+  std::string Src = "loop t(i64 n trip";
+  for (unsigned S = 1; S < Scalars; ++S)
+    Src += ", i64 s" + std::to_string(S);
+  for (unsigned A = 0; A < Arrays; ++A)
+    Src += ", i32 x" + std::to_string(A) + "[] readonly";
+  return Src + ") { }";
+}
+} // namespace
+
+TEST(Parser, RejectsMoreScalarsThanTheRegisterConventionsAllow) {
+  EXPECT_TRUE(parseLoop(loopWithParams(MaxScalarParams, 1)));
+  ParseResult R = parseLoop(loopWithParams(MaxScalarParams + 1, 1));
+  ASSERT_FALSE(R);
+  EXPECT_NE(R.Error.find("scalar parameters"), std::string::npos) << R.Error;
+}
+
+TEST(Parser, RejectsMoreArraysThanTheRegisterConventionsAllow) {
+  EXPECT_TRUE(parseLoop(loopWithParams(2, MaxArrayParams)));
+  ParseResult R = parseLoop(loopWithParams(2, MaxArrayParams + 1));
+  ASSERT_FALSE(R);
+  EXPECT_NE(R.Error.find("array parameters"), std::string::npos) << R.Error;
+}
+
+TEST(Parser, RejectsBreakOutsideAnIf) {
+  ParseResult R = parseLoop("loop t(i64 n trip, i64 a liveout, "
+                            "i32 x[] readonly) { a = x[i]; break; }");
+  ASSERT_FALSE(R);
+  EXPECT_NE(R.Error.find("'break' must be inside an 'if'"), std::string::npos)
+      << R.Error;
 }
 
 TEST(Parser, CommentsAreIgnored) {

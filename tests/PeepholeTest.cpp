@@ -38,7 +38,7 @@ TEST(Peephole, HoistsLoopInvariantBroadcast) {
   Program P = B.finalize();
 
   PeepholeStats Stats;
-  Program Opt = optimizeProgram(P, PeepholeOptions(), &Stats);
+  Program Opt = optimizeProgram(P, &Stats);
   EXPECT_GE(Stats.Hoisted, 1u);
 
   // Both versions must compute the same reduction.
@@ -65,7 +65,7 @@ TEST(Peephole, RemovesBlockLocalDuplicates) {
   B.halt();
   Program P = B.finalize();
   PeepholeStats Stats;
-  Program Opt = optimizeProgram(P, PeepholeOptions(), &Stats);
+  Program Opt = optimizeProgram(P, &Stats);
   EXPECT_GE(Stats.CseRemoved, 1u);
   mem::Memory M;
   emu::Machine Mach(M);
@@ -90,21 +90,26 @@ TEST(Peephole, CseRespectsClobberedInputs) {
 TEST(Peephole, RemovesDeadWrites) {
   ProgramBuilder B;
   B.movImm(Reg::scalar(1), 1);
-  B.movImm(Reg::scalar(5), 42); // Never read, not a live-out root.
+  B.movImm(Reg::scalar(5), 42); // Never read, but scalars are live-out.
   B.vbroadcastImm(Reg::vector(9), ElemType::I32, 3); // Never read.
+  B.kset(Reg::mask(3), 0xF);                          // Never read.
   B.binOpImm(Opcode::AddImm, Reg::scalar(2), Reg::scalar(1), 1);
   B.halt();
   Program P = B.finalize();
   PeepholeStats Stats;
-  PeepholeOptions Opts;
-  Opts.AllScalarsLiveOut = false;
-  Opts.LiveOutRegs = {Reg::scalar(2)};
-  Program Opt = optimizeProgram(P, Opts, &Stats);
-  EXPECT_GE(Stats.DeadRemoved, 2u);
+  Program Opt = optimizeProgram(P, &Stats);
+  // Exactly the dead vector and mask writes go; every scalar write stays.
+  EXPECT_EQ(Stats.DeadRemoved, 2u);
+  EXPECT_EQ(Opt.size(), P.size() - 2);
+  for (const Instruction &I : Opt.instructions())
+    EXPECT_TRUE(I.Dst.Class != RegClass::Vector &&
+                I.Dst.Class != RegClass::Mask)
+        << "dead vector/mask write survived";
   mem::Memory M;
   emu::Machine Mach(M);
   Mach.run(Opt);
   EXPECT_EQ(Mach.getScalar(2), 2);
+  EXPECT_EQ(Mach.getScalar(5), 42);
 }
 
 TEST(Peephole, StoresAndBranchesSurvive) {

@@ -259,7 +259,6 @@ TEST(Sim, GatherExpandsToLaneUops) {
 TEST(Sim, Table1ConfigIsDefault) {
   CoreConfig Cfg;
   EXPECT_EQ(Cfg.FetchWidth, 5u);
-  EXPECT_EQ(Cfg.IssueWidth, 8u);
   EXPECT_EQ(Cfg.CommitWidth, 5u);
   EXPECT_EQ(Cfg.RsEntries, 97u);
   EXPECT_EQ(Cfg.RobEntries, 224u);

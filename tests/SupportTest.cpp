@@ -77,32 +77,10 @@ TEST(Random, BoolProbabilityRoughlyHolds) {
   EXPECT_NEAR(Hits / 100000.0, 0.25, 0.01);
 }
 
-TEST(Statistics, MeanAndGeomean) {
-  EXPECT_DOUBLE_EQ(mean({1.0, 2.0, 3.0}), 2.0);
+TEST(Statistics, Geomean) {
   EXPECT_DOUBLE_EQ(geomean({}), 0.0);
   EXPECT_NEAR(geomean({1.0, 4.0}), 2.0, 1e-12);
   EXPECT_NEAR(geomean({1.09, 1.09, 1.09}), 1.09, 1e-12);
-}
-
-TEST(Statistics, RunningStats) {
-  RunningStats S;
-  for (double X : {3.0, 1.0, 2.0})
-    S.add(X);
-  EXPECT_EQ(S.count(), 3u);
-  EXPECT_DOUBLE_EQ(S.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(S.min(), 1.0);
-  EXPECT_DOUBLE_EQ(S.max(), 3.0);
-}
-
-TEST(Statistics, HistogramClampsToLastBucket) {
-  Histogram H(4);
-  H.add(0);
-  H.add(1);
-  H.add(3);
-  H.add(100);
-  EXPECT_EQ(H.bucket(0), 1u);
-  EXPECT_EQ(H.bucket(3), 2u);
-  EXPECT_EQ(H.total(), 4u);
 }
 
 TEST(Table, RendersAlignedColumns) {

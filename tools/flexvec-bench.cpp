@@ -10,8 +10,6 @@
 //     --seed=N        base seed for the workload input streams (default 1)
 //     --scale=X       iteration scale for the workloads (default 1.0; at
 //                     most workloads::MaxIterationScale = 1e6)
-//     --trips=N       whole-matrix repetitions; trips > 1 exercise the
-//                     compiled-loop cache across sweeps (default 1)
 //     --out=PATH      JSON output path (default BENCH_figure8.json)
 //     --fault-seed=N  chaos mode: run every cell under a seeded RTM
 //                     conflict-abort storm (prob 0.5). 0 = off (default)
@@ -53,7 +51,7 @@ struct BenchOptions {
 void usage(std::FILE *To) {
   std::fprintf(To,
                "usage: flexvec-bench [--jobs=N] [--seed=N] [--scale=X] "
-               "[--trips=N] [--out=PATH] [--fault-seed=N] "
+               "[--out=PATH] [--fault-seed=N] "
                "[--vl=128|256|512|1024|2048] [--deterministic] [--quiet]\n");
 }
 
@@ -87,13 +85,6 @@ bool parseArgs(int Argc, char **Argv, BenchOptions &Opts) {
         return false;
       }
       Opts.Sweep.Scale = D;
-    } else if (Arg.rfind("--trips=", 0) == 0) {
-      if (!parseUnsigned(Arg.substr(8), N) || N == 0) {
-        std::fprintf(stderr, "error: --trips expects a positive integer, "
-                             "got '%s'\n", Arg.c_str());
-        return false;
-      }
-      Opts.Sweep.Trips = N;
     } else if (Arg.rfind("--fault-seed=", 0) == 0) {
       if (!parseUInt(Arg.substr(13), U)) {
         std::fprintf(stderr, "error: --fault-seed expects a non-negative "

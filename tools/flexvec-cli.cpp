@@ -14,8 +14,6 @@
 //     --remarks=json      print ONLY the remark stream as JSON (for
 //                         tooling; suppresses all other output)
 //     --run               execute on random inputs and report timing
-//     --jobs=N            measure the variants on N worker threads
-//                         (results are identical for every N; default 1)
 //     --trip=N            trip count for --run (default 10000)
 //     --seed=N            PRNG seed for --run (default 1)
 //     --arraysize=N       elements per array for --run (default 65536)
@@ -57,7 +55,6 @@
 #include "support/ArgParse.h"
 #include "support/Random.h"
 #include "support/Table.h"
-#include "support/ThreadPool.h"
 
 #include <cstdio>
 #include <cstring>
@@ -77,7 +74,6 @@ struct CliOptions {
   bool RemarksJson = false;
   bool Run = false;
   bool FaultDiff = false;
-  unsigned Jobs = 1;
   int64_t Trip = 10000;
   uint64_t Seed = 1;
   int64_t ArraySize = 65536;
@@ -91,7 +87,7 @@ void usage(std::FILE *To) {
   std::fprintf(To,
                "usage: flexvec-cli LOOP.fv [--dump-pdg] [--dump-all] "
                "[--remarks[=json]] "
-               "[--run] [--jobs=N] [--trip=N] [--seed=N] [--arraysize=N] "
+               "[--run] [--trip=N] [--seed=N] [--arraysize=N] "
                "[--set NAME=V] [--fault-diff] [--fault-seed=N] "
                "[--fault-nth=N] [--fault-range=LO:HI:PROB[:DUR]] "
                "[--tx-abort-nth=N] [--tx-abort-prob=P] "
@@ -126,10 +122,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       return false;
     } else if (Arg == "--run") {
       Opts.Run = true;
-    } else if (Arg.rfind("--jobs=", 0) == 0) {
-      if (!parseUnsigned(Arg.substr(7), N))
-        return badValue(Arg, "a non-negative integer");
-      Opts.Jobs = N;
     } else if (Arg.rfind("--trip=", 0) == 0) {
       if (!parseInt(Arg.substr(7), I) || I <= 0)
         return badValue(Arg, "a positive integer");
@@ -304,9 +296,8 @@ int runLoop(const ir::LoopFunction &F, const driver::CompileResult &PR,
                   static_cast<long long>(Ref.LiveOuts[S]));
   std::printf("\n\n");
 
-  // Measure every generated variant, fanned over --jobs workers. Each job
-  // clones the base image, so the measurements are independent and the
-  // table is identical for every worker count.
+  // Measure every generated variant, one after another; each run clones
+  // the base image, so the measurements are independent.
   std::vector<std::pair<const char *, const codegen::CompiledLoop *>>
       Variants;
   auto addVariant = [&](const char *Name,
@@ -322,16 +313,14 @@ int runLoop(const ir::LoopFunction &F, const driver::CompileResult &PR,
   addVariant("flexvec-rtm", PR.Rtm);
   addVariant("flexvec-adaptive", PR.Adaptive);
 
-  ThreadPool Pool(Opts.Jobs);
-  std::vector<sim::SimStats> Timing(Variants.size());
-  std::vector<core::RunOutcome> Outs =
-      Pool.map<core::RunOutcome>(Variants.size(), [&](size_t I) {
-        sim::OooCore Core;
-        core::RunOutcome Out = core::runProgramMulti(
-            F, *Variants[I].second, In.Image, In.Invocations, &Core);
-        Timing[I] = Core.stats();
-        return Out;
-      });
+  std::vector<sim::SimStats> Timing;
+  std::vector<core::RunOutcome> Outs;
+  for (const auto &V : Variants) {
+    sim::OooCore Core;
+    Outs.push_back(core::runProgramMulti(F, *V.second, In.Image,
+                                         In.Invocations, &Core));
+    Timing.push_back(Core.stats());
+  }
 
   TextTable T({"variant", "cycles", "IPC", "speedup vs scalar", "correct"});
   const double BaseCycles = static_cast<double>(Timing[0].Cycles); // Scalar.
