@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "codegen/Peephole.h"
 #include "core/Evaluator.h"
 #include "driver/CompilerDriver.h"
 #include "sim/OooCore.h"
@@ -58,17 +59,18 @@ int main() {
                "correct"});
   for (Case &C : Cases) {
     driver::CompileResult PR = driver::compileLoop(*C.F);
+    codegen::PeepholeStats Stats;
+    codegen::CompiledLoop Opt = codegen::optimizeLoop(*PR.FlexVec, &Stats);
     sim::OooCore RawCore, OptCore;
     core::RunOutcome RawOut = core::runProgramMulti(
         *C.F, *PR.FlexVec, C.In.Image, C.In.Invocations, &RawCore);
     core::RunOutcome OptOut = core::runProgramMulti(
-        *C.F, *PR.FlexVecOpt, C.In.Image, C.In.Invocations, &OptCore);
+        *C.F, Opt, C.In.Image, C.In.Invocations, &OptCore);
     bool Correct = core::outcomesMatch(*C.F, RawOut, OptOut);
     double Gain = static_cast<double>(RawCore.stats().Cycles) /
                   static_cast<double>(OptCore.stats().Cycles);
     T.addRow({C.Name, std::to_string(PR.FlexVec->Prog.size()),
-              std::to_string(PR.FlexVecOpt->Prog.size()),
-              PR.OptStats.describe(),
+              std::to_string(Opt.Prog.size()), Stats.describe(),
               TextTable::fmtInt(static_cast<long long>(RawCore.stats().Cycles)),
               TextTable::fmtInt(static_cast<long long>(OptCore.stats().Cycles)),
               TextTable::fmt(Gain, 3) + "x", Correct ? "yes" : "NO"});

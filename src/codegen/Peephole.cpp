@@ -193,6 +193,21 @@ InstrKey keyOf(const Instruction &I) {
                   I.Scale};
 }
 
+/// True when running \p I twice in a row can leave a different value than
+/// running it once: it reads a register it writes (x = x op y), and op is
+/// not idempotent. Only the mask AND/OR are.
+bool rewritesOwnInput(const Instruction &I) {
+  if (I.Op == Opcode::KAnd || I.Op == Opcode::KOr)
+    return false;
+  std::vector<Reg> Reads, Writes;
+  collectReads(I, Reads);
+  collectWrites(I, Writes);
+  for (Reg W : Writes)
+    if (std::find(Reads.begin(), Reads.end(), W) != Reads.end())
+      return true;
+  return false;
+}
+
 unsigned localCse(Program &P) {
   const auto &Instrs = P.instructions();
   std::vector<bool> Leader = blockLeaders(P);
@@ -219,7 +234,10 @@ unsigned localCse(Program &P) {
         ++Removed;
         continue; // Identical value already in the same register.
       }
-      Available[Key] = I;
+      // x = x op y is not available after itself: repeating it would
+      // apply op again.
+      if (!rewritesOwnInput(Ins))
+        Available[Key] = I;
     }
 
     // Invalidate available expressions whose inputs or outputs this
@@ -383,4 +401,15 @@ Program codegen::optimizeProgram(const Program &In, PeepholeStats *Stats) {
   if (Stats)
     *Stats = S;
   return P;
+}
+
+CompiledLoop codegen::optimizeLoop(const CompiledLoop &C,
+                                   PeepholeStats *Stats) {
+  PeepholeStats S;
+  CompiledLoop Opt = C;
+  Opt.Prog = optimizeProgram(C.Prog, &S);
+  Opt.Notes += "; peephole: " + S.describe();
+  if (Stats)
+    *Stats = S;
+  return Opt;
 }

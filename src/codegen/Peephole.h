@@ -17,13 +17,16 @@
 //    at exit.
 //
 // All passes preserve program semantics; the ablation benchmark
-// (bench/bench_peephole) measures their cycle contribution.
+// (bench/bench_peephole) measures their cycle contribution. The compiler
+// pipeline does not run them: Figure 8 measures the raw FlexVec program,
+// and optimizeLoop() builds the "flexvec-opt" program on request.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef FLEXVEC_CODEGEN_PEEPHOLE_H
 #define FLEXVEC_CODEGEN_PEEPHOLE_H
 
+#include "codegen/Compiled.h"
 #include "isa/Program.h"
 
 #include <string>
@@ -46,6 +49,11 @@ struct PeepholeStats {
 /// insertions.
 isa::Program optimizeProgram(const isa::Program &P,
                              PeepholeStats *Stats = nullptr);
+
+/// The "flexvec-opt" program: a copy of \p C with its program optimized
+/// and "; peephole: <stats>" appended to its notes.
+CompiledLoop optimizeLoop(const CompiledLoop &C,
+                          PeepholeStats *Stats = nullptr);
 
 } // namespace codegen
 } // namespace flexvec

@@ -56,7 +56,6 @@ public:
 
   void run(PassContext &Ctx) override {
     Ctx.Graph = std::make_unique<pdg::Pdg>(Ctx.F);
-    Ctx.R.PdgDump = Ctx.Graph->dump();
   }
 };
 
@@ -169,25 +168,6 @@ private:
   }
 };
 
-// --- peephole ---------------------------------------------------------------
-
-class PeepholePass final : public Pass {
-public:
-  const char *name() const override { return "peephole"; }
-
-  void run(PassContext &Ctx) override {
-    CompileResult &R = Ctx.R;
-    if (!R.FlexVec)
-      return;
-    CompiledLoop Opt = *R.FlexVec;
-    Opt.Prog = codegen::optimizeProgram(R.FlexVec->Prog, &R.OptStats);
-    Opt.Notes += "; peephole: " + R.OptStats.describe();
-    R.FlexVecOpt = std::move(Opt);
-    R.Remarks.note(name(), "peephole", R.OptStats.describe()).Variant =
-        "flexvec";
-  }
-};
-
 // --- program-verify ---------------------------------------------------------
 
 /// Runs the structural verifier over every generated program. Emits no
@@ -208,7 +188,6 @@ public:
     verify(Ctx, "flexvec", R.FlexVec);
     verify(Ctx, "flexvec-rtm", R.Rtm);
     verify(Ctx, "flexvec-adaptive", R.Adaptive);
-    verify(Ctx, "flexvec-opt", R.FlexVecOpt);
   }
 
 private:
@@ -239,7 +218,6 @@ PassManager driver::buildPipeline() {
   PM.add(std::make_unique<PatternAnalysisPass>());
   PM.add(std::make_unique<PlanLegalizePass>());
   PM.add(std::make_unique<LowerPass>());
-  PM.add(std::make_unique<PeepholePass>());
   PM.add(std::make_unique<ProgramVerifyPass>());
   return PM;
 }

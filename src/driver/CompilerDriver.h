@@ -4,11 +4,11 @@
 // pipeline
 //
 //   ir-normalize → pdg-build → pattern-analysis → plan-legalize →
-//   lower → peephole → program-verify
+//   lower → program-verify
 //
-// and returns every program variant the evaluation compares plus the full
-// remark stream. compileLoop(F, DriverOptions) is the only way to compile a
-// loop.
+// and returns the six program variants the evaluation compares plus the
+// full remark stream. compileLoop(F, DriverOptions) is the only way to
+// compile a loop.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,12 +18,10 @@
 #include "analysis/CostModel.h"
 #include "analysis/Patterns.h"
 #include "codegen/Compiled.h"
-#include "codegen/Peephole.h"
 #include "driver/Pass.h"
 #include "driver/Remarks.h"
 
 #include <optional>
-#include <string>
 #include <vector>
 
 namespace flexvec {
@@ -61,12 +59,6 @@ struct CompileResult {
   /// Multi-versioned program: speculative + demoted variant behind the
   /// runtime dispatch guard (see driver/AdaptiveStrategy.h).
   std::optional<codegen::CompiledLoop> Adaptive;
-  /// FlexVec program after the downstream peephole passes (Section 3.7's
-  /// "down-stream passes of the compiler"); kept separate so the ablation
-  /// benchmark can compare.
-  std::optional<codegen::CompiledLoop> FlexVecOpt;
-  codegen::PeepholeStats OptStats;
-  std::string PdgDump;
   /// Structured remarks from every pass: what was recognized, what was
   /// generated, and why each variant that is absent was declined.
   RemarkStream Remarks;
@@ -83,7 +75,7 @@ struct CompileResult {
   }
 };
 
-/// Builds the standard seven-pass pipeline.
+/// Builds the standard six-pass pipeline.
 PassManager buildPipeline();
 
 /// Runs the full pipeline over \p F. The program-verify pass runs when

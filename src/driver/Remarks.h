@@ -33,7 +33,7 @@ enum class RemarkKind : uint8_t {
   Analysis, ///< A fact established about the loop (patterns, shape).
   Applied,  ///< A transformation that fired (a variant was generated).
   Missed,   ///< A transformation that was declined, with the reason.
-  Note,     ///< Supporting detail (peephole stats, scalar codegen).
+  Note,     ///< Supporting detail (scalar codegen notes).
 };
 
 const char *remarkKindName(RemarkKind K);

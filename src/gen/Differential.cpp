@@ -46,6 +46,19 @@ CheckResult fail(FailureClass C, std::string Variant, std::string Detail) {
 
 } // namespace
 
+int64_t gen::buildRoundInputs(const ir::LoopFunction &F, uint64_t InputSeed,
+                              uint64_t Stream, const CheckOptions &Opts,
+                              mem::Memory &M, ir::Bindings &B) {
+  Rng R(deriveStreamSeed(InputSeed, Stream));
+  InputPlan Plan = Opts.Inputs;
+  Plan.Trip = Opts.MinTrip +
+              static_cast<int64_t>(R.nextBelow(
+                  static_cast<uint64_t>(Opts.MaxTrip - Opts.MinTrip + 1)));
+  B = ir::Bindings::forFunction(F);
+  buildConventionInputs(F, R, Plan, M, B);
+  return Plan.Trip;
+}
+
 CheckResult gen::checkLoop(const ir::LoopFunction &F, uint64_t InputSeed,
                            const CheckOptions &Opts) {
   // 1. The reproducer path itself: the loop must survive a DSL round trip
@@ -94,14 +107,10 @@ CheckResult gen::checkLoop(const ir::LoopFunction &F, uint64_t InputSeed,
   // through the multi-invocation path, which maps and tears down its
   // dispatch cell.
   for (int Round = 0; Round < Opts.Rounds; ++Round) {
-    Rng R(deriveStreamSeed(InputSeed, static_cast<uint64_t>(Round)));
-    InputPlan Plan = Opts.Inputs;
-    Plan.Trip = Opts.MinTrip +
-                static_cast<int64_t>(R.nextBelow(static_cast<uint64_t>(
-                    Opts.MaxTrip - Opts.MinTrip + 1)));
     mem::Memory M;
-    ir::Bindings B = ir::Bindings::forFunction(F);
-    buildConventionInputs(F, R, Plan, M, B);
+    ir::Bindings B;
+    int64_t Trip = buildRoundInputs(F, InputSeed,
+                                    static_cast<uint64_t>(Round), Opts, M, B);
     std::vector<ir::Bindings> Invocations{B};
 
     core::RunOutcome Ref = core::runReferenceMulti(F, M, Invocations);
@@ -118,7 +127,7 @@ CheckResult gen::checkLoop(const ir::LoopFunction &F, uint64_t InputSeed,
       core::RunOutcome Out = core::runProgramMulti(F, *CL, M, Invocations);
       std::string Ctx = std::string(Name) + " (round " +
                         std::to_string(Round) + ", trip " +
-                        std::to_string(Plan.Trip) + ")";
+                        std::to_string(Trip) + ")";
       if (!Out.Ok)
         return fail(FailureClass::RunError, Name,
                     Ctx + ": " + Out.Error + "\n" + Dsl);
@@ -133,14 +142,9 @@ CheckResult gen::checkLoop(const ir::LoopFunction &F, uint64_t InputSeed,
   // RTM retries/falls back and adaptive demotes, but architectural
   // equivalence with the stormed scalar run must hold throughout.
   if (Opts.StormSeed) {
-    Rng R(deriveStreamSeed(InputSeed, 0x5702)); // Independent input round.
-    InputPlan Plan = Opts.Inputs;
-    Plan.Trip = Opts.MinTrip +
-                static_cast<int64_t>(R.nextBelow(static_cast<uint64_t>(
-                    Opts.MaxTrip - Opts.MinTrip + 1)));
     mem::Memory M;
-    ir::Bindings B = ir::Bindings::forFunction(F);
-    buildConventionInputs(F, R, Plan, M, B);
+    ir::Bindings B;
+    buildRoundInputs(F, InputSeed, 0x5702, Opts, M, B); // Independent round.
     std::vector<ir::Bindings> Invocations(Opts.StormInvocations, B);
 
     for (core::VariantId V : {core::VariantId::Rtm, core::VariantId::Adaptive}) {

@@ -69,6 +69,13 @@ struct CheckResult {
   }
 };
 
+/// Builds one input round for \p F the way checkLoop() does: a trip drawn
+/// from [MinTrip, MaxTrip], then convention-built arrays and scalars, all
+/// from the stream \p Stream of \p InputSeed. Returns the trip.
+int64_t buildRoundInputs(const ir::LoopFunction &F, uint64_t InputSeed,
+                         uint64_t Stream, const CheckOptions &Opts,
+                         mem::Memory &M, ir::Bindings &B);
+
 /// Runs every check on \p F. Inputs derive deterministically from
 /// \p InputSeed, so a (loop, seed, options) triple always yields the same
 /// verdict.

@@ -33,6 +33,11 @@ using isa::ElemType;
 inline constexpr unsigned MaxScalarParams = 12;
 inline constexpr unsigned MaxArrayParams = 10;
 
+/// Deepest `if` nesting the vector code generators can if-convert: each
+/// level holds its predicate in one of k2/k3. The parser rejects deeper
+/// nesting.
+inline constexpr unsigned MaxIfNesting = 2;
+
 class LoopFunction;
 
 /// Binary operators on same-typed operands.

@@ -2,10 +2,12 @@
 
 #include "ir/Parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 using namespace flexvec;
@@ -138,6 +140,12 @@ private:
 };
 
 class Parser {
+  /// Bound on expression nesting, both sub-expressions on the parser's
+  /// stack (parentheses, subscripts, min/max arguments) and the height of
+  /// the tree built, so adversarial input ends in an error instead of
+  /// exhausting the stack here or in the recursive passes downstream.
+  static constexpr unsigned MaxExprDepth = 256;
+
 public:
   explicit Parser(const std::string &Source) : Lex(Source) {}
 
@@ -302,6 +310,10 @@ private:
       return F->makeBreak();
     }
     if (isIdent("if")) {
+      if (BlockDepth > MaxIfNesting) {
+        fail("'if' nested deeper than " + std::to_string(MaxIfNesting));
+        return nullptr;
+      }
       Lex.take();
       if (!expectPunct("("))
         return nullptr;
@@ -375,7 +387,38 @@ private:
     return F->assignScalar(It->second, Value);
   }
 
-  const Expr *parseExpr() { return parseAnd(); }
+  bool failTooDeep() {
+    return fail("expression nested deeper than " +
+                std::to_string(MaxExprDepth));
+  }
+
+  unsigned height(const Expr *E) const {
+    auto It = Heights.find(E);
+    return It == Heights.end() ? 1 : It->second;
+  }
+
+  /// Records the height of \p E, built over \p L and \p R; null once the
+  /// tree grows past MaxExprDepth.
+  const Expr *nest(const Expr *E, const Expr *L, const Expr *R) {
+    unsigned H = 1 + std::max(height(L), height(R));
+    if (H > MaxExprDepth) {
+      failTooDeep();
+      return nullptr;
+    }
+    Heights[E] = H;
+    return E;
+  }
+
+  const Expr *parseExpr() {
+    if (ExprDepth == MaxExprDepth) {
+      failTooDeep();
+      return nullptr;
+    }
+    ++ExprDepth;
+    const Expr *E = parseAnd();
+    --ExprDepth;
+    return E;
+  }
 
   /// Integer literals written in float context become float constants of
   /// the sibling's type (the IR requires matched operand types).
@@ -414,7 +457,9 @@ private:
         fail("'&&' requires comparisons on both sides");
         return nullptr;
       }
-      L = F->logicalAnd(L, R);
+      L = nest(F->logicalAnd(L, R), L, R);
+      if (!L)
+        return nullptr;
     }
     return L;
   }
@@ -435,7 +480,7 @@ private:
         if (!R)
           return nullptr;
         coerce(L, R);
-        return F->compare(It->second, L, R);
+        return nest(F->compare(It->second, L, R), L, R);
       }
     }
     return L;
@@ -459,7 +504,9 @@ private:
                 : Op == "|" ? BinOp::Or
                             : BinOp::Xor;
       coerce(L, R);
-      L = F->binary(K, L, R);
+      L = nest(F->binary(K, L, R), L, R);
+      if (!L)
+        return nullptr;
     }
     return L;
   }
@@ -475,7 +522,9 @@ private:
       if (!R)
         return nullptr;
       coerce(L, R);
-      L = F->binary(Op == "*" ? BinOp::Mul : BinOp::Div, L, R);
+      L = nest(F->binary(Op == "*" ? BinOp::Mul : BinOp::Div, L, R), L, R);
+      if (!L)
+        return nullptr;
     }
     return L;
   }
@@ -516,7 +565,8 @@ private:
       if (!B || !expectPunct(")"))
         return nullptr;
       coerce(A, B);
-      return F->binary(Name == "min" ? BinOp::Min : BinOp::Max, A, B);
+      return nest(F->binary(Name == "min" ? BinOp::Min : BinOp::Max, A, B), A,
+                  B);
     }
     if (isPunct("[")) {
       auto It = Arrays.find(Name);
@@ -528,7 +578,7 @@ private:
       const Expr *Index = parseExpr();
       if (!Index || !expectPunct("]"))
         return nullptr;
-      return F->arrayRef(It->second, Index);
+      return nest(F->arrayRef(It->second, Index), Index, Index);
     }
     auto It = Scalars.find(Name);
     if (It == Scalars.end()) {
@@ -545,6 +595,10 @@ private:
   std::string Error;
   /// Braces open around the current statement; 1 is the loop body.
   unsigned BlockDepth = 0;
+  /// parseExpr() calls on the stack.
+  unsigned ExprDepth = 0;
+  /// Heights of the operator nodes built so far; leaves have height 1.
+  std::unordered_map<const Expr *, unsigned> Heights;
 };
 
 } // namespace

@@ -37,9 +37,10 @@
 //
 // `i` is the induction variable. Statement ids follow source order, so
 // printed plans and disassembly comments line up with the text. A
-// `break` must sit inside an `if`, and a loop takes at most
-// MaxScalarParams scalars and MaxArrayParams arrays (ir/IR.h); anything
-// else is a parse error.
+// `break` must sit inside an `if`, `if`s nest at most MaxIfNesting deep,
+// and a loop takes at most MaxScalarParams scalars and MaxArrayParams
+// arrays (ir/IR.h). Expressions nest at most 256 deep. Anything else is
+// a parse error.
 //
 //===----------------------------------------------------------------------===//
 

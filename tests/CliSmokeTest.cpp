@@ -125,8 +125,9 @@ TEST(CliSmoke, ValidRunSucceeds) {
   EXPECT_NE(R.Output.find("argmin"), std::string::npos) << R.Output;
 }
 
-// Syntactically valid loops the code generators cannot take end in a parse
-// error (exit 1), never an abort, with and without --remarks=json.
+// Syntactically valid loops the code generators cannot take, and nesting
+// deep enough to exhaust the parser's stack, end in a parse error (exit 1),
+// never an abort or a crash, with and without --remarks=json.
 TEST(CliSmoke, UnsupportedLoopsAreParseErrors) {
   std::string Scalars = "loop t(i64 n trip";
   for (int S = 0; S < 12; ++S)
@@ -138,8 +139,27 @@ TEST(CliSmoke, UnsupportedLoopsAreParseErrors) {
   Arrays += ") { a = x0[i]; }";
   const std::string Break = "loop t(i64 n trip, i64 a liveout, "
                             "i32 x[] readonly) { a = x[i]; break; }";
+  const std::string Head = "loop t(i64 n trip, i32 a liveout, "
+                           "i32 x[] readonly) { ";
+  const std::string Parens = Head + "a = " + std::string(10000, '(') +
+                             "x[i]" + std::string(10000, ')') + "; }";
+  std::string Chain = Head + "a = x[i]";
+  for (int O = 0; O < 50000; ++O)
+    Chain += " + x[i]";
+  Chain += "; }";
+  auto nestedIfs = [&](int Depth) {
+    std::string Src = Head;
+    for (int D = 0; D < Depth; ++D)
+      Src += "if (x[i] > 0) { ";
+    Src += "a = x[i]; ";
+    for (int D = 0; D < Depth; ++D)
+      Src += "} ";
+    return Src + "}";
+  };
   const std::string Path = "cli_smoke_unsupported.fv";
-  for (const std::string &Src : {Scalars, Arrays, Break}) {
+  for (const std::string &Src :
+       {Scalars, Arrays, Break, Parens, Chain, nestedIfs(3),
+        nestedIfs(30000)}) {
     FILE *F = std::fopen(Path.c_str(), "w");
     ASSERT_NE(F, nullptr);
     std::fputs(Src.c_str(), F);

@@ -18,6 +18,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "codegen/Peephole.h"
 #include "core/ParallelEvaluator.h"
 #include "driver/CompilerDriver.h"
 #include "driver/Verifier.h"
@@ -99,8 +100,11 @@ std::string renderGolden(const ir::LoopFunction &F) {
     renderSection(Out, Name, Name, Kinds[V], core::selectVariant(PR, Id),
                   PR.Remarks);
   }
+  std::optional<codegen::CompiledLoop> Opt;
+  if (PR.FlexVec)
+    Opt = codegen::optimizeLoop(*PR.FlexVec);
   renderSection(Out, "flexvec-opt", "flexvec", CodeGenKind::FlexVec,
-                ifGenerated(PR.FlexVecOpt), PR.Remarks);
+                ifGenerated(Opt), PR.Remarks);
 
   driver::CompileResult Tile192 = driver::compileLoop(F, {.RtmTile = 192});
   renderSection(Out, "flexvec-rtm (tile 192)", "flexvec-rtm",

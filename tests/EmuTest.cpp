@@ -78,6 +78,7 @@ TEST_F(EmuTest, BranchesAndLoop) {
   B.bind(Exit);
   B.halt();
   ExecResult R = run(B);
+  EXPECT_EQ(R.Reason, StopReason::Halted);
   EXPECT_EQ(Mach.getScalar(2), 45);
   EXPECT_EQ(R.Stats.Branches, 21u); // 11 brz + 10 jmp.
   EXPECT_EQ(R.Stats.TakenBranches, 11u);

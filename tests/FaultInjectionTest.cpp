@@ -10,6 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "codegen/Peephole.h"
 #include "core/FaultHarness.h"
 #include "driver/CompilerDriver.h"
 #include "emu/Machine.h"
@@ -31,6 +32,8 @@ struct LoopCase {
   std::unique_ptr<ir::LoopFunction> F;
   workloads::LoopInputs In;
   driver::CompileResult PR;
+  /// The peepholed FlexVec program (codegen::optimizeLoop).
+  std::optional<codegen::CompiledLoop> FlexVecOpt;
 };
 
 std::vector<LoopCase>
@@ -64,6 +67,9 @@ buildPaperLoops(uint64_t Seed, int64_t N = 200,
     C.PR = driver::compileLoop(*C.F, {.Vec = Vec});
     Cases.push_back(std::move(C));
   }
+  for (LoopCase &C : Cases)
+    if (C.PR.FlexVec)
+      C.FlexVecOpt = codegen::optimizeLoop(*C.PR.FlexVec);
   return Cases;
 }
 
@@ -73,8 +79,8 @@ vectorVariants(const LoopCase &C) {
   std::vector<std::pair<std::string, const codegen::CompiledLoop *>> Out;
   if (C.PR.FlexVec)
     Out.push_back({"flexvec", &*C.PR.FlexVec});
-  if (C.PR.FlexVecOpt)
-    Out.push_back({"flexvec-opt", &*C.PR.FlexVecOpt});
+  if (C.FlexVecOpt)
+    Out.push_back({"flexvec-opt", &*C.FlexVecOpt});
   if (C.PR.Rtm)
     Out.push_back({"rtm", &*C.PR.Rtm});
   return Out;

@@ -215,6 +215,58 @@ TEST(Parser, RejectsBreakOutsideAnIf) {
       << R.Error;
 }
 
+// Deep nesting ends in an error: deep parentheses would exhaust the
+// parser's stack, a long operator chain the stack of the recursive passes
+// downstream, and a third `if` level the vector code generators' mask
+// registers.
+namespace {
+std::string loopWithParens(unsigned Depth) {
+  return "loop t(i64 n trip, i32 a liveout) { a = " +
+         std::string(Depth, '(') + "a" + std::string(Depth, ')') + "; }";
+}
+std::string loopWithChain(unsigned Operators) {
+  std::string Src = "loop t(i64 n trip, i32 a liveout) { a = a";
+  for (unsigned O = 0; O < Operators; ++O)
+    Src += " + a";
+  return Src + "; }";
+}
+std::string loopWithNestedIfs(unsigned Depth) {
+  std::string Src = "loop t(i64 n trip, i32 a liveout, i32 x[] readonly) { ";
+  for (unsigned D = 0; D < Depth; ++D)
+    Src += "if (x[i] > " + std::to_string(D) + ") { ";
+  Src += "a = x[i]; ";
+  for (unsigned D = 0; D < Depth; ++D)
+    Src += "} ";
+  return Src + "}";
+}
+} // namespace
+
+TEST(Parser, RejectsExpressionsNestedTooDeep) {
+  // The statement's expression plus 255 parentheses, and a tree 256 nodes
+  // high, are the deepest legal.
+  EXPECT_TRUE(parseLoop(loopWithParens(255)));
+  EXPECT_TRUE(parseLoop(loopWithChain(255)));
+  for (const std::string &Src :
+       {loopWithParens(256), loopWithParens(10000), loopWithChain(256),
+        loopWithChain(50000)}) {
+    ParseResult R = parseLoop(Src);
+    ASSERT_FALSE(R) << Src.size();
+    EXPECT_NE(R.Error.find("expression nested deeper than 256"),
+              std::string::npos)
+        << R.Error;
+  }
+}
+
+TEST(Parser, RejectsIfsNestedDeeperThanTheMaskStack) {
+  EXPECT_TRUE(parseLoop(loopWithNestedIfs(MaxIfNesting)));
+  for (unsigned Depth : {MaxIfNesting + 1, 30000u}) {
+    ParseResult R = parseLoop(loopWithNestedIfs(Depth));
+    ASSERT_FALSE(R) << Depth;
+    EXPECT_NE(R.Error.find("'if' nested deeper than 2"), std::string::npos)
+        << R.Error;
+  }
+}
+
 TEST(Parser, CommentsAreIgnored) {
   ParseResult R = parseLoop(R"(
 // header comment

@@ -7,6 +7,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "codegen/Peephole.h"
 #include "core/Evaluator.h"
 #include "driver/CompilerDriver.h"
 #include "ir/Parser.h"
@@ -113,8 +114,8 @@ void expectAllMatch(const Built &L, unsigned RtmTile = 64) {
   driver::CompileResult PR = driver::compileLoop(*L.F, {.RtmTile = RtmTile});
   ASSERT_TRUE(PR.Plan.Vectorizable) << PR.Plan.Reason;
   core::RunOutcome Ref = core::runReferenceMulti(*L.F, L.Image, {L.B});
-  for (const auto *CL : {&PR.Scalar, &*PR.FlexVec, &*PR.FlexVecOpt,
-                         &*PR.Rtm}) {
+  codegen::CompiledLoop Opt = codegen::optimizeLoop(*PR.FlexVec);
+  for (const auto *CL : {&PR.Scalar, &*PR.FlexVec, &Opt, &*PR.Rtm}) {
     core::RunOutcome Out = core::runProgramMulti(*L.F, *CL, L.Image, {L.B});
     ASSERT_TRUE(Out.Ok) << Out.Error;
     EXPECT_TRUE(core::outcomesMatch(*L.F, Ref, Out))

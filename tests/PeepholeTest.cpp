@@ -2,13 +2,19 @@
 //
 // The peephole passes must (a) actually transform the canonical shapes
 // (loop-invariant rebroadcasts, block-local duplicates, dead writes) and
-// (b) preserve semantics on every workload and on randomized loops.
+// (b) preserve semantics on every workload and on generated loops. The
+// compiler pipeline does not run them, so these tests are the only
+// differential coverage the optimized program gets.
 //
 //===----------------------------------------------------------------------===//
 
 #include "codegen/Peephole.h"
 #include "core/Evaluator.h"
 #include "driver/CompilerDriver.h"
+#include "driver/Verifier.h"
+#include "gen/Differential.h"
+#include "ir/Parser.h"
+#include "support/Hash.h"
 #include "workloads/Benchmarks.h"
 
 #include <gtest/gtest.h>
@@ -87,6 +93,30 @@ TEST(Peephole, CseRespectsClobberedInputs) {
   EXPECT_EQ(Mach.getScalar(2), 103);
 }
 
+// x = x * y twice is two multiplications: the first one overwrote its
+// own source, so the second is not a duplicate.
+TEST(Peephole, CseKeepsRepeatedSelfUpdate) {
+  ProgramBuilder B;
+  B.vbroadcastImm(Reg::vector(20), ElemType::I32, 2);
+  B.vbroadcastImm(Reg::vector(16), ElemType::I32, 3);
+  B.vbinOp(Opcode::VMul, ElemType::I32, Reg::vector(20), Reg::vector(20),
+           Reg::vector(16));
+  B.vbinOp(Opcode::VMul, ElemType::I32, Reg::vector(20), Reg::vector(20),
+           Reg::vector(16));
+  B.movImm(Reg::scalar(3), 0);
+  B.vreduce(Opcode::VReduceAdd, ElemType::I32, Reg::scalar(4), Reg::mask(0),
+            Reg::vector(20), Reg::scalar(3));
+  B.halt();
+  Program P = B.finalize();
+  PeepholeStats Stats;
+  Program Opt = optimizeProgram(P, &Stats);
+  EXPECT_EQ(Stats.CseRemoved, 0u);
+  mem::Memory M;
+  emu::Machine Mach(M);
+  Mach.run(Opt);
+  EXPECT_EQ(Mach.getScalar(4), 16 * 18); // 16 lanes of 2 * 3 * 3.
+}
+
 TEST(Peephole, RemovesDeadWrites) {
   ProgramBuilder B;
   B.movImm(Reg::scalar(1), 1);
@@ -131,26 +161,82 @@ TEST(Peephole, OptimizedFlexVecMatchesReferenceOnAllBenchmarks) {
       workloads::buildAllBenchmarks(/*IterationScale=*/0.05);
   for (workloads::Benchmark &B : Benchmarks) {
     driver::CompileResult PR = driver::compileLoop(*B.F);
-    ASSERT_TRUE(PR.FlexVecOpt.has_value()) << B.Name;
+    ASSERT_TRUE(PR.FlexVec.has_value()) << B.Name;
+    PeepholeStats Stats;
+    CompiledLoop Opt = optimizeLoop(*PR.FlexVec, &Stats);
     Rng R(0x9E9 + std::hash<std::string>{}(B.Name));
     core::WorkloadInstance In = B.Gen(R);
     if (In.Invocations.size() > 12)
       In.Invocations.resize(12);
     core::RunOutcome Ref =
         core::runReferenceMulti(*B.F, In.Image, In.Invocations);
-    core::RunOutcome Opt =
-        core::runProgramMulti(*B.F, *PR.FlexVecOpt, In.Image, In.Invocations);
-    EXPECT_TRUE(core::outcomesMatch(*B.F, Ref, Opt))
-        << B.Name << " optimized program diverges ("
-        << PR.OptStats.describe() << ")";
+    core::RunOutcome Out =
+        core::runProgramMulti(*B.F, Opt, In.Image, In.Invocations);
+    EXPECT_TRUE(core::outcomesMatch(*B.F, Ref, Out))
+        << B.Name << " optimized program diverges (" << Stats.describe()
+        << ")";
+  }
+}
+
+// Generated loops through the optimized FlexVec program: the structural
+// verifier, then checkLoop's two input rounds against the reference.
+TEST(Peephole, OptimizedFlexVecMatchesReferenceOnGeneratedLoops) {
+  struct Envelope {
+    const char *Name;
+    gen::Envelope E;
+    /// Loops a CSE miscompile (x = x op y taken for a duplicate) broke.
+    std::vector<uint64_t> Pinned;
+  };
+  const Envelope Envelopes[] = {
+      {"classic", gen::Envelope::classic(), {777505, 778183, 778422}},
+      {"widened",
+       gen::Envelope::widened(),
+       {777450, 777505, 777599, 777665, 778183, 778338}},
+  };
+  const gen::CheckOptions CO;
+  for (const Envelope &Env : Envelopes) {
+    std::vector<uint64_t> Seeds = Env.Pinned;
+    size_t Checked = 0;
+    for (uint64_t I = 0; I < 300; ++I)
+      Seeds.push_back(deriveStreamSeed(0x9E9, I));
+    for (uint64_t Seed : Seeds) {
+      SCOPED_TRACE(std::string(Env.Name) + " seed " + std::to_string(Seed));
+      gen::GeneratedLoop G = gen::generateLoop(Seed, Env.E);
+      driver::CompileResult PR =
+          driver::compileLoop(*G.F, {.RtmTile = CO.RtmTile});
+      if (!PR.FlexVec)
+        continue;
+      ++Checked;
+      PeepholeStats Stats;
+      CompiledLoop Opt = optimizeLoop(*PR.FlexVec, &Stats);
+      std::vector<std::string> Errors = driver::verifyProgram(Opt.Prog);
+      ASSERT_TRUE(Errors.empty()) << Errors.front();
+      for (int Round = 0; Round < CO.Rounds; ++Round) {
+        mem::Memory M;
+        ir::Bindings B;
+        gen::buildRoundInputs(*G.F, Seed, static_cast<uint64_t>(Round), CO,
+                              M, B);
+        core::RunOutcome Ref = core::runReferenceMulti(*G.F, M, {B});
+        core::RunOutcome Out = core::runProgramMulti(*G.F, Opt, M, {B});
+        ASSERT_TRUE(Out.Ok) << Out.Error;
+        EXPECT_TRUE(core::outcomesMatch(*G.F, Ref, Out))
+            << "round " << Round << " diverges (" << Stats.describe()
+            << ")\n"
+            << ir::printLoopDsl(*G.F);
+      }
+    }
+    EXPECT_GE(Checked, 300u) << Env.Name;
   }
 }
 
 TEST(Peephole, ActuallyOptimizesGeneratedCode) {
   auto F = workloads::buildH264Loop();
   driver::CompileResult PR = driver::compileLoop(*F);
-  EXPECT_GT(PR.OptStats.total(), 0u)
+  PeepholeStats Stats;
+  CompiledLoop Opt = optimizeLoop(*PR.FlexVec, &Stats);
+  EXPECT_GT(Stats.total(), 0u)
       << "the generated partial vector code should contain hoistable "
          "rebroadcasts";
-  EXPECT_LE(PR.FlexVecOpt->Prog.size(), PR.FlexVec->Prog.size());
+  EXPECT_LE(Opt.Prog.size(), PR.FlexVec->Prog.size());
+  EXPECT_EQ(Opt.Notes, PR.FlexVec->Notes + "; peephole: " + Stats.describe());
 }
