@@ -104,17 +104,16 @@ double gatherFFLanesPerCycle(int N = 500) {
 int main() {
   std::printf("Table 1: Simulation Parameters\n\n");
 
-  CoreConfig Cfg;
   TextTable Top({"component", "configuration"});
   char Buf[128];
-  std::snprintf(Buf, sizeof(Buf), "%u/%u wide", Cfg.FetchWidth,
-                Cfg.CommitWidth);
+  std::snprintf(Buf, sizeof(Buf), "%u/%u wide", FetchWidth,
+                CommitWidth);
   Top.addRow({"Fetch/Commit", Buf});
-  Top.addRow({"RS", std::to_string(Cfg.RsEntries) + " entries"});
-  Top.addRow({"ROB", std::to_string(Cfg.RobEntries) + " entries"});
-  Top.addRow({"Load/Store Queues", std::to_string(Cfg.LoadQueueEntries) +
+  Top.addRow({"RS", std::to_string(RsEntries) + " entries"});
+  Top.addRow({"ROB", std::to_string(RobEntries) + " entries"});
+  Top.addRow({"Load/Store Queues", std::to_string(LoadQueueEntries) +
                                        "/" +
-                                       std::to_string(Cfg.StoreQueueEntries) +
+                                       std::to_string(StoreQueueEntries) +
                                        " entries"});
   auto cache = [](const CacheLevelConfig &C, const char *Latency) {
     uint64_t K = C.SizeBytes / 1024;
@@ -123,13 +122,13 @@ int main() {
     return Size + ", " + std::to_string(C.Ways) + " way, " +
            std::to_string(C.LatencyCycles) + Latency;
   };
-  Top.addRow({"L1 Dcache", cache(Cfg.L1D, " cycles load to use latency")});
-  Top.addRow({"L2 Unified Cache", cache(Cfg.L2, " cycles hit time")});
-  Top.addRow({"L3 Cache", cache(Cfg.L3, " cycles hit time")});
-  Top.addRow({"Memory Latency", std::to_string(Cfg.MemoryLatency) +
+  Top.addRow({"L1 Dcache", cache(L1D, " cycles load to use latency")});
+  Top.addRow({"L2 Unified Cache", cache(L2, " cycles hit time")});
+  Top.addRow({"L3 Cache", cache(L3, " cycles hit time")});
+  Top.addRow({"Memory Latency", std::to_string(MemoryLatency) +
                                     " cycles"});
-  Top.addRow({"Load/Store Ports", std::to_string(Cfg.LoadPorts) + "/" +
-                                      std::to_string(Cfg.StorePorts) +
+  Top.addRow({"Load/Store Ports", std::to_string(LoadPorts) + "/" +
+                                      std::to_string(StorePorts) +
                                       " units"});
   Top.print();
   std::printf("(Table 1's 5-wide dispatch and 8-wide issue are not modelled: "

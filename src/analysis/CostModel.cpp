@@ -62,26 +62,25 @@ LoopShape analysis::computeLoopShape(const LoopFunction &F) {
 
 CostDecision analysis::shouldVectorize(const VectorizationPlan &Plan,
                                        const LoopShape &Shape,
-                                       const LoopProfile &Profile,
-                                       const CostModelParams &Params) {
+                                       const LoopProfile &Profile) {
   CostDecision D;
   if (!Plan.Vectorizable) {
     D.Reason = "not legal: " + Plan.Reason;
     return D;
   }
-  if (Profile.Coverage < Params.MinCoverage) {
+  if (Profile.Coverage < MinCoverage) {
     D.Reason = "coverage below threshold";
     return D;
   }
-  if (Profile.AvgTripCount < Params.MinTripCount) {
+  if (Profile.AvgTripCount < MinTripCount) {
     D.Reason = "average trip count below 16";
     return D;
   }
-  if (Plan.needsFlexVec() && Profile.EffectiveVL < Params.MinEffectiveVL) {
+  if (Plan.needsFlexVec() && Profile.EffectiveVL < MinEffectiveVL) {
     D.Reason = "effective vector length below 6";
     return D;
   }
-  if (Shape.memToComputeRatio() > Params.MaxMemToCompute) {
+  if (Shape.memToComputeRatio() > MaxMemToCompute) {
     D.Reason = "vector memory to compute ratio above 2";
     return D;
   }

@@ -45,13 +45,11 @@ struct LoopShape {
 /// the vectorized loop will need).
 LoopShape computeLoopShape(const ir::LoopFunction &F);
 
-/// Selection thresholds (paper defaults).
-struct CostModelParams {
-  double MinCoverage = 0.05;
-  double MinTripCount = 16;
-  double MinEffectiveVL = 6;
-  double MaxMemToCompute = 2.0;
-};
+/// Selection thresholds (Section 5).
+inline constexpr double MinCoverage = 0.05;
+inline constexpr double MinTripCount = 16;
+inline constexpr double MinEffectiveVL = 6;
+inline constexpr double MaxMemToCompute = 2.0;
 
 /// Decision with an explanation.
 struct CostDecision {
@@ -62,8 +60,7 @@ struct CostDecision {
 /// Applies the paper's profile-guided heuristics.
 CostDecision shouldVectorize(const VectorizationPlan &Plan,
                              const LoopShape &Shape,
-                             const LoopProfile &Profile,
-                             const CostModelParams &Params = CostModelParams());
+                             const LoopProfile &Profile);
 
 } // namespace analysis
 } // namespace flexvec

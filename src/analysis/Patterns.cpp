@@ -14,26 +14,6 @@ using namespace flexvec::pdg;
 
 namespace {
 
-/// True if \p E reads scalar \p ScalarId anywhere.
-bool exprReadsScalar(const Expr *E, int ScalarId) {
-  switch (E->Kind) {
-  case ExprKind::ConstInt:
-  case ExprKind::ConstFloat:
-  case ExprKind::IndexRef:
-    return false;
-  case ExprKind::ScalarRef:
-    return E->ScalarId == ScalarId;
-  case ExprKind::ArrayRef:
-    return exprReadsScalar(E->Index, ScalarId);
-  case ExprKind::Binary:
-  case ExprKind::Compare:
-  case ExprKind::LogicalAnd:
-    return exprReadsScalar(E->Lhs, ScalarId) ||
-           exprReadsScalar(E->Rhs, ScalarId);
-  }
-  unreachable("unknown expr kind");
-}
-
 /// True if \p E contains any array read.
 bool exprHasArrayRead(const Expr *E) {
   switch (E->Kind) {

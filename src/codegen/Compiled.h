@@ -38,7 +38,8 @@ inline isa::Reg arrayBaseReg(int ArrayId) {
 
 inline isa::Reg inductionReg() { return isa::Reg::scalar(24); }
 
-/// Which generator produced a program.
+/// Which generator produced a program; also the six code variants of the
+/// evaluation matrix, in column order.
 enum class CodeGenKind : uint8_t {
   Scalar,       ///< Strict scalar reference code (the "branchy" baseline).
   Traditional,  ///< Classic AVX-512-style vectorization (no FlexVec).
@@ -49,7 +50,10 @@ enum class CodeGenKind : uint8_t {
                    ///< guard with abort-rate-driven demotion.
 };
 
-const char *codeGenKindName(CodeGenKind K);
+inline constexpr unsigned NumVariants = 6;
+
+/// The variant's name: its evaluation-matrix column and remark tag.
+const char *variantName(CodeGenKind K);
 
 /// A generated program plus its metadata.
 struct CompiledLoop {

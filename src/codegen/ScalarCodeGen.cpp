@@ -13,11 +13,12 @@ using namespace flexvec::isa;
 
 namespace {
 
-/// Stack-discipline pool over the scalar scratch registers r25..r31.
+/// Stack-discipline pool over the scalar scratch registers r25..r31; the
+/// parser rejects statements that need more (ir::scalarScratchNeed).
 class ScratchPool {
 public:
   Reg acquire() {
-    if (Next > 31)
+    if (Next >= 25 + ir::MaxScalarScratchRegs)
       fatalError("scalar expression too deep for the scratch register pool");
     return Reg::scalar(Next++);
   }
@@ -205,14 +206,14 @@ private:
 
 } // namespace
 
-const char *codegen::codeGenKindName(CodeGenKind K) {
+const char *codegen::variantName(CodeGenKind K) {
   switch (K) {
   case CodeGenKind::Scalar:
     return "scalar";
   case CodeGenKind::Traditional:
     return "traditional";
   case CodeGenKind::Speculative:
-    return "speculative-pact13";
+    return "speculative";
   case CodeGenKind::FlexVec:
     return "flexvec";
   case CodeGenKind::FlexVecRtm:

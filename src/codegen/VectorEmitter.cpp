@@ -17,55 +17,6 @@ using flexvec::analysis::EarlyExitInfo;
 using flexvec::analysis::MemConflictVpl;
 using flexvec::analysis::ReductionKind;
 
-namespace {
-
-/// True if \p E reads scalar \p Id.
-bool readsScalar(const Expr *E, int Id) {
-  switch (E->Kind) {
-  case ExprKind::ConstInt:
-  case ExprKind::ConstFloat:
-  case ExprKind::IndexRef:
-    return false;
-  case ExprKind::ScalarRef:
-    return E->ScalarId == Id;
-  case ExprKind::ArrayRef:
-    return readsScalar(E->Index, Id);
-  case ExprKind::Binary:
-  case ExprKind::Compare:
-  case ExprKind::LogicalAnd:
-    return readsScalar(E->Lhs, Id) || readsScalar(E->Rhs, Id);
-  }
-  unreachable("unknown expr kind");
-}
-
-bool stmtReadsScalar(const Stmt *S, int Id) {
-  switch (S->Kind) {
-  case StmtKind::AssignScalar:
-    return readsScalar(S->Value, Id);
-  case StmtKind::StoreArray:
-    return readsScalar(S->Index, Id) || readsScalar(S->Value, Id);
-  case StmtKind::If:
-    return readsScalar(S->Cond, Id);
-  case StmtKind::Break:
-    return false;
-  }
-  unreachable("unknown stmt kind");
-}
-
-void collectAssignedScalars(const std::vector<Stmt *> &Stmts,
-                            std::vector<bool> &Assigned) {
-  for (const Stmt *S : Stmts) {
-    if (S->Kind == StmtKind::AssignScalar)
-      Assigned[S->ScalarId] = true;
-    if (S->Kind == StmtKind::If) {
-      collectAssignedScalars(S->Then, Assigned);
-      collectAssignedScalars(S->Else, Assigned);
-    }
-  }
-}
-
-} // namespace
-
 VectorEmitter::VectorEmitter(ProgramBuilder &B, const LoopFunction &F,
                              const analysis::VectorizationPlan &Plan,
                              Options Opts)
@@ -77,11 +28,10 @@ VectorEmitter::VectorEmitter(ProgramBuilder &B, const LoopFunction &F,
     if (Width == 0)
       Width = W;
     else if (Width != W)
-      fatalError("loop " + F.name() +
-                 " mixes 4- and 8-byte array elements; one lane width per "
-                 "loop is required");
+      unsupported("arrays mix 4- and 8-byte elements; vector code needs "
+                  "one lane width per loop");
   }
-  if (Width == 0)
+  if (Width == 0 || !Unsupported.empty())
     Width = 4;
   assert(isa::VectorConfig::isValidBytes(Opts.VectorBytes) &&
          "invalid vector width");
@@ -121,21 +71,23 @@ VectorEmitter::VectorEmitter(ProgramBuilder &B, const LoopFunction &F,
 
   for (size_t S = 0; S < NumScalars; ++S) {
     if (Classes[S] == ScalarClass::Temp && F.scalar(S).IsLiveOut)
-      fatalError("live-out scalar '" + F.scalar(S).Name +
-                 "' is neither a reduction nor a committed update; "
-                 "unsupported by the vector code generators");
+      unsupported("live-out scalar '" + F.scalar(S).Name +
+                  "' keeps its last value but is neither a reduction nor "
+                  "a conditional update");
     bool Read = false;
     F.forEachStmt([&](const Stmt *St) {
       Read |= stmtReadsScalar(St, static_cast<int>(S));
     });
     if ((Read || Assigned[S]) && isFloatType(F.scalar(S).Type) &&
         elemSize(F.scalar(S).Type) != elemSize(FloatTy))
-      fatalError("float scalar '" + F.scalar(S).Name +
-                 "' width does not match the loop lane width");
+      unsupported("float scalar '" + F.scalar(S).Name + "' is " +
+                  elemTypeName(F.scalar(S).Type) +
+                  " but the loop's vector lanes are " +
+                  std::to_string(Width) + " bytes wide");
   }
 
   // Scratch vector registers v16..v31.
-  for (unsigned R = 31; R >= 16; --R)
+  for (unsigned R = 15 + ir::MaxVectorScratchRegs; R >= 16; --R)
     VecFree.push_back(static_cast<uint8_t>(R));
 
   CurMask = kLoop();
@@ -221,9 +173,18 @@ ElemType VectorEmitter::laneType(ElemType Declared) const {
 
 std::string VectorEmitter::notes() const { return NotesText; }
 
+void VectorEmitter::unsupported(std::string Why) {
+  if (Unsupported.empty())
+    Unsupported = std::move(Why);
+}
+
 Reg VectorEmitter::acquireVec() {
-  if (VecFree.empty())
-    fatalError("vector scratch registers exhausted");
+  if (VecFree.empty()) {
+    unsupported("vector code needs more than " +
+                std::to_string(ir::MaxVectorScratchRegs) +
+                " live scratch vector registers (v16..v31)");
+    return Reg::vector(15 + ir::MaxVectorScratchRegs);
+  }
   Reg R = Reg::vector(VecFree.back());
   VecFree.pop_back();
   return R;
@@ -427,7 +388,9 @@ Reg VectorEmitter::evalVec(const Expr *E) {
       case BinOp::Shl:
       case BinOp::Shr:
       case BinOp::Div:
-        fatalError("vector shift/divide on integer lanes is unsupported");
+        unsupported(std::string("integer '") + binOpName(E->Op) + "' in " +
+                    E->str(F) + " has no vector instruction");
+        break;
       }
     }
     B.vbinOp(Op, Ty, T, L, R);
@@ -435,7 +398,9 @@ Reg VectorEmitter::evalVec(const Expr *E) {
   }
   case ExprKind::Compare:
   case ExprKind::LogicalAnd:
-    fatalError("boolean expression used as a vector value");
+    unsupported("comparison " + E->str(F) +
+                " used as a value has no vector form");
+    return indexVec();
   }
   unreachable("unknown expr kind");
 }
@@ -545,8 +510,9 @@ void VectorEmitter::emitAssign(const Stmt *S, RegionCtx &Ctx) {
   }
 
   if (Classes[Id] == ScalarClass::Committed && !Ctx.StraightlineOnly)
-    fatalError("committed scalar '" + F.scalar(Id).Name +
-               "' assigned outside its VPL/exit region");
+    unsupported("conditionally updated scalar '" + F.scalar(Id).Name +
+                "' is also assigned at S" + std::to_string(S->Id) +
+                ", outside its update region");
 
   // Scalar-expanded temporary.
   Reg V = evalVec(S->Value);
@@ -556,8 +522,10 @@ void VectorEmitter::emitAssign(const Stmt *S, RegionCtx &Ctx) {
 
 void VectorEmitter::emitStore(const Stmt *S, RegionCtx &Ctx) {
   if (Ctx.InCondVpl)
-    fatalError("array store inside a conditional-update region is "
-               "unsupported (stores must be delayed past mask validation)");
+    unsupported("store to array '" + F.array(S->ArrayId).Name +
+                "' inside the conditional-update region of '" +
+                F.scalar(Ctx.Vpl->Updates[0].ScalarId).Name +
+                "' (stores must be delayed past mask validation)");
   const ArrayParam &A = F.array(S->ArrayId);
   ElemType Ty = laneType(A.Elem);
   uint8_t Scale = static_cast<uint8_t>(elemSize(A.Elem));
@@ -651,9 +619,12 @@ void VectorEmitter::emitEarlyExitGuard(const Stmt *Guard,
   for (const Stmt *S : ExitRegion) {
     if (S->Kind == StmtKind::Break)
       continue;
-    if (S->Kind == StmtKind::If)
-      fatalError("nested control flow inside an early-exit commit region "
-                 "is unsupported");
+    if (S->Kind == StmtKind::If) {
+      unsupported("'if' S" + std::to_string(S->Id) +
+                  " nested in the break region of early-exit guard S" +
+                  std::to_string(Guard->Id));
+      continue;
+    }
     emitStmt(S, ExitCtx);
   }
   CurMask = Saved;
@@ -673,8 +644,10 @@ void VectorEmitter::emitCondUpdateVpl(const CondUpdateVpl &Vpl) {
   // lane is correct for every update.
   for (size_t U = 1; U < Vpl.Updates.size(); ++U)
     if (Vpl.Updates[U].GuardNode != Vpl.Updates[0].GuardNode)
-      fatalError("conditional updates under distinct guards in one VPL are "
-                 "unsupported");
+      unsupported("conditional updates of '" +
+                  F.scalar(Vpl.Updates[0].ScalarId).Name + "' and '" +
+                  F.scalar(Vpl.Updates[U].ScalarId).Name +
+                  "' under distinct guards share one VPL");
 
   RegionCtx Ctx;
   Ctx.InCondVpl = true;

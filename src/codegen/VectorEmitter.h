@@ -75,6 +75,12 @@ public:
 
   ScalarClass classOf(int ScalarId) const { return Classes[ScalarId]; }
 
+  /// Why the code emitted so far is unusable, or empty: the first
+  /// construct met that has no vector form (or that needed more live
+  /// scratch registers than v16..v31). Emission carries on past it, so the
+  /// driver can dry-run the body to decline such loops in the plan.
+  const std::string &whyUnsupported() const { return Unsupported; }
+
   /// Scalar register acting as the early-exit flag (set when any lane
   /// breaks).
   isa::Reg breakFlag() const { return isa::Reg::scalar(31); }
@@ -143,6 +149,7 @@ private:
   /// Maps a declared element type onto this loop's lane types.
   isa::ElemType laneType(isa::ElemType Declared) const;
 
+  void unsupported(std::string Why);
   isa::Reg acquireVec();
   void releaseVec(isa::Reg R);
   void releaseIfScratch(isa::Reg R);
@@ -206,6 +213,7 @@ private:
 
   std::vector<ScalarClass> Classes;
   std::vector<uint8_t> VecFree; ///< Scratch vector registers v16..v31.
+  std::string Unsupported;
   /// Pre-broadcast constant pool: (lane type, raw bits) -> persistent
   /// register, filled by emitPreheader so loop bodies never re-broadcast
   /// immediates.

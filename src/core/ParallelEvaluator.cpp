@@ -18,24 +18,6 @@
 using namespace flexvec;
 using namespace flexvec::core;
 
-const char *core::variantName(VariantId V) {
-  switch (V) {
-  case VariantId::Scalar:
-    return "scalar";
-  case VariantId::Traditional:
-    return "traditional";
-  case VariantId::Speculative:
-    return "speculative";
-  case VariantId::FlexVec:
-    return "flexvec";
-  case VariantId::Rtm:
-    return "flexvec-rtm";
-  case VariantId::Adaptive:
-    return "flexvec-adaptive";
-  }
-  return "?";
-}
-
 const codegen::CompiledLoop *
 core::selectVariant(const driver::CompileResult &PR, VariantId V) {
   switch (V) {
@@ -47,9 +29,9 @@ core::selectVariant(const driver::CompileResult &PR, VariantId V) {
     return PR.Speculative ? &*PR.Speculative : nullptr;
   case VariantId::FlexVec:
     return PR.FlexVec ? &*PR.FlexVec : nullptr;
-  case VariantId::Rtm:
+  case VariantId::FlexVecRtm:
     return PR.Rtm ? &*PR.Rtm : nullptr;
-  case VariantId::Adaptive:
+  case VariantId::FlexVecAdaptive:
     return PR.Adaptive ? &*PR.Adaptive : nullptr;
   }
   return nullptr;

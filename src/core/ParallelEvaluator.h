@@ -41,17 +41,9 @@ namespace flexvec {
 namespace core {
 
 /// The six code variants of the evaluation matrix, in column order.
-enum class VariantId : uint8_t {
-  Scalar = 0,
-  Traditional,
-  Speculative,
-  FlexVec,
-  Rtm,
-  Adaptive,
-};
-inline constexpr unsigned NumVariants = 6;
-
-const char *variantName(VariantId V);
+using VariantId = codegen::CodeGenKind;
+using codegen::NumVariants;
+using codegen::variantName;
 
 /// The variant's program within \p PR, or nullptr if the generator
 /// declined the loop.

@@ -133,17 +133,8 @@ std::vector<ArrayBound> analyzeArrayBounds(const LoopFunction &F) {
 class AdaptiveStrategy final : public LoweringStrategy {
 public:
   CodeGenKind kind() const override { return CodeGenKind::FlexVecAdaptive; }
-  const char *name() const override { return "flexvec-adaptive"; }
 
   bool prepare(LoweringContext &Ctx) override {
-    if (!Ctx.Plan.Vectorizable) {
-      Ctx.Remarks
-          .missed("lower", "decline.not-vectorizable",
-                  "loop is not vectorizable: " + Ctx.Plan.Reason)
-          .Variant = name();
-      return false;
-    }
-
     // Probe candidate inner strategies on a throwaway context so declined
     // probes leave no remarks or labels behind.
     auto probeOk = [&](CodeGenKind K) {
@@ -163,7 +154,7 @@ public:
           .missed("lower", "decline.no-speculative-variant",
                   "neither flexvec-rtm nor flexvec accepts this loop; "
                   "there is nothing to dispatch between")
-          .Variant = name();
+          .Variant = codegen::variantName(kind());
       return false;
     }
 

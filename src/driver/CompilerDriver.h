@@ -1,7 +1,6 @@
 //===- driver/CompilerDriver.h - The FlexVec compiler driver ----*- C++ -*-===//
 //
-// Public entry point of the compiler: runs one loop through the named pass
-// pipeline
+// Public entry point of the compiler: runs one loop through the six passes
 //
 //   ir-normalize → pdg-build → pattern-analysis → plan-legalize →
 //   lower → program-verify
@@ -18,7 +17,6 @@
 #include "analysis/CostModel.h"
 #include "analysis/Patterns.h"
 #include "codegen/Compiled.h"
-#include "driver/Pass.h"
 #include "driver/Remarks.h"
 
 #include <optional>
@@ -75,11 +73,8 @@ struct CompileResult {
   }
 };
 
-/// Builds the standard six-pass pipeline.
-PassManager buildPipeline();
-
-/// Runs the full pipeline over \p F. The program-verify pass runs when
-/// verificationEnabled() says so (see driver/Verifier.h).
+/// Runs the six passes over \p F. program-verify checks the programs only
+/// when verificationEnabled() says so (see driver/Verifier.h).
 CompileResult compileLoop(const ir::LoopFunction &F,
                           const DriverOptions &Opts = {});
 

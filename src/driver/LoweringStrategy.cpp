@@ -63,11 +63,11 @@ LoweringContext::emitChunkLoop(Reg Bound, ProgramBuilder::Label ExitTo,
 
 namespace {
 
-/// Tags a decline with the refusing strategy so no refusal is silent.
-void declineRemark(LoweringContext &Ctx, const char *Strategy, std::string Id,
+/// Tags a decline with the refusing variant so no refusal is silent.
+void declineRemark(RemarkStream &Remarks, CodeGenKind Kind, std::string Id,
                    std::string Message) {
-  Ctx.Remarks.missed("lower", std::move(Id), std::move(Message)).Variant =
-      Strategy;
+  Remarks.missed("lower", std::move(Id), std::move(Message)).Variant =
+      codegen::variantName(Kind);
 }
 
 /// When lowering under the adaptive dispatcher, entering a scalar fallback
@@ -115,17 +115,6 @@ void scalarReadsOf(const Expr *E, std::vector<int> &Out) {
   }
 }
 
-void assignedIn(const std::vector<Stmt *> &Stmts, std::vector<bool> &Set) {
-  for (const Stmt *S : Stmts) {
-    if (S->Kind == StmtKind::AssignScalar)
-      Set[S->ScalarId] = true;
-    if (S->Kind == StmtKind::If) {
-      assignedIn(S->Then, Set);
-      assignedIn(S->Else, Set);
-    }
-  }
-}
-
 bool containsStmt(const Stmt *Root, int Id) {
   if (Root->Id == Id)
     return true;
@@ -156,17 +145,11 @@ bool hasStoreIn(const std::vector<Stmt *> &Stmts) {
 class TraditionalStrategy final : public LoweringStrategy {
 public:
   CodeGenKind kind() const override { return CodeGenKind::Traditional; }
-  const char *name() const override { return "traditional"; }
 
   bool prepare(LoweringContext &Ctx) override {
-    if (!Ctx.Plan.Vectorizable) {
-      declineRemark(Ctx, name(), "decline.not-vectorizable",
-                    "loop is not vectorizable: " + Ctx.Plan.Reason);
-      return false;
-    }
     if (Ctx.Plan.needsFlexVec()) {
       // Exactly the loops the baseline cannot vectorize.
-      declineRemark(Ctx, name(), "decline.needs-flexvec",
+      declineRemark(Ctx.Remarks, kind(), "decline.needs-flexvec",
                     "loop needs FlexVec mechanisms (early exit, conditional "
                     "update, or memory conflict); a traditional vectorizer "
                     "emits scalar code");
@@ -196,20 +179,14 @@ public:
 class FlexVecStrategy final : public LoweringStrategy {
 public:
   CodeGenKind kind() const override { return CodeGenKind::FlexVec; }
-  const char *name() const override { return "flexvec"; }
 
   bool prepare(LoweringContext &Ctx) override {
-    if (!Ctx.Plan.Vectorizable) {
-      declineRemark(Ctx, name(), "decline.not-vectorizable",
-                    "loop is not vectorizable: " + Ctx.Plan.Reason);
-      return false;
-    }
     HasSpec = !Ctx.Plan.SpeculativeLoadNodes.empty();
     if (HasSpec && !Ctx.Plan.Reductions.empty()) {
       // Declining is recoverable — the pipeline still has the scalar and
       // RTM variants; a process abort here would take the whole driver
       // down.
-      declineRemark(Ctx, name(), "decline.reductions-with-speculative-loads",
+      declineRemark(Ctx.Remarks, kind(), "decline.reductions-with-speculative-loads",
                     "reductions combined with speculative loads are "
                     "unsupported (the scalar fallback cannot undo optimistic "
                     "accumulation)");
@@ -261,15 +238,8 @@ private:
 class RtmStrategy final : public LoweringStrategy {
 public:
   CodeGenKind kind() const override { return CodeGenKind::FlexVecRtm; }
-  const char *name() const override { return "flexvec-rtm"; }
 
   bool prepare(LoweringContext &Ctx) override {
-    if (!Ctx.Plan.Vectorizable) {
-      // Historically a silent nullopt; every refusal is a remark now.
-      declineRemark(Ctx, name(), "decline.not-vectorizable",
-                    "loop is not vectorizable: " + Ctx.Plan.Reason);
-      return false;
-    }
     Outer = Ctx.B.createLabel();
     AbortHandler = Ctx.B.createLabel();
     return true;
@@ -345,17 +315,11 @@ private:
 class SpeculativeStrategy final : public LoweringStrategy {
 public:
   CodeGenKind kind() const override { return CodeGenKind::Speculative; }
-  const char *name() const override { return "speculative"; }
 
   bool prepare(LoweringContext &Ctx) override {
     const VectorizationPlan &Plan = Ctx.Plan;
-    if (!Plan.Vectorizable) {
-      declineRemark(Ctx, name(), "decline.not-vectorizable",
-                    "loop is not vectorizable: " + Plan.Reason);
-      return false;
-    }
     if (!Plan.needsFlexVec()) {
-      declineRemark(Ctx, name(), "decline.nothing-to-speculate",
+      declineRemark(Ctx.Remarks, kind(), "decline.nothing-to-speculate",
                     "loop has no relaxed dependence to speculate on; the "
                     "traditional variant already covers it");
       return false;
@@ -370,7 +334,7 @@ public:
                                  const std::vector<int> &Allowed) {
       std::vector<bool> Later(Ctx.F.scalars().size(), false);
       std::vector<Stmt *> Tail(Body.begin() + FromTop, Body.end());
-      assignedIn(Tail, Later);
+      collectAssignedScalars(Tail, Later);
       std::vector<int> Reads;
       scalarReadsOf(E, Reads);
       for (int S : Reads) {
@@ -391,7 +355,7 @@ public:
         if (containsStmt(Body[I], CU.Updates[0].UpdateNode))
           TopGuard = Body[I];
       if (!TopGuard || TopGuard->Kind != StmtKind::If) {
-        declineRemark(Ctx, name(), "decline.guard-shape",
+        declineRemark(Ctx.Remarks, kind(), "decline.guard-shape",
                       "conditional-update dependence guard is not a "
                       "top-level if; the up-front check cannot be hoisted");
         return false;
@@ -400,7 +364,7 @@ public:
       for (const auto &U : CU.Updates)
         Allowed.push_back(U.ScalarId);
       if (readsDefinedLater(TopGuard->Cond, CU.FirstTop, Allowed)) {
-        declineRemark(Ctx, name(), "decline.guard-reads-later-defs",
+        declineRemark(Ctx.Remarks, kind(), "decline.guard-reads-later-defs",
                       "conditional-update guard reads scalars defined at or "
                       "after its checkpoint");
         return false;
@@ -418,7 +382,7 @@ public:
       for (const Expr *L : MC.LoadIndices)
         Later = Later || readsDefinedLater(L, MC.FirstTop, Allowed);
       if (Later) {
-        declineRemark(Ctx, name(), "decline.check-reads-later-defs",
+        declineRemark(Ctx.Remarks, kind(), "decline.check-reads-later-defs",
                       "conflict-check subscripts read scalars defined at or "
                       "after their checkpoint");
         return false;
@@ -431,7 +395,7 @@ public:
     }
     for (const auto &EE : Plan.EarlyExits) {
       if (EE.BreakInElse) {
-        declineRemark(Ctx, name(), "decline.inverted-exit",
+        declineRemark(Ctx.Remarks, kind(), "decline.inverted-exit",
                       "inverted early-exit checks (break in the else "
                       "region) are unsupported");
         return false;
@@ -441,7 +405,7 @@ public:
         if (Body[I]->Id == EE.GuardNode)
           Top = static_cast<int>(I);
       if (Top < 0) {
-        declineRemark(Ctx, name(), "decline.nested-exit-guard",
+        declineRemark(Ctx.Remarks, kind(), "decline.nested-exit-guard",
                       "early-exit guard is nested below the top level; the "
                       "up-front check cannot be hoisted");
         return false;
@@ -449,7 +413,7 @@ public:
       const Stmt *Guard = Body[Top];
       std::vector<int> Allowed;
       if (readsDefinedLater(Guard->Cond, Top, Allowed)) {
-        declineRemark(Ctx, name(), "decline.guard-reads-later-defs",
+        declineRemark(Ctx.Remarks, kind(), "decline.guard-reads-later-defs",
                       "early-exit guard reads scalars defined at or after "
                       "its checkpoint");
         return false;
@@ -470,7 +434,7 @@ public:
       LastCheck = std::max(LastCheck, C.Top);
     for (int I = 0; I < LastCheck; ++I)
       if (hasStoreIn({Body[static_cast<size_t>(I)]})) {
-        declineRemark(Ctx, name(), "decline.store-before-checkpoint",
+        declineRemark(Ctx.Remarks, kind(), "decline.store-before-checkpoint",
                       "stores before the last dependence checkpoint make "
                       "the scalar fallback non-idempotent");
         return false;
@@ -609,23 +573,32 @@ std::string driver::emitSkeletonBody(LoweringContext &Ctx,
   Ctx.B.bind(Ctx.HaltL);
   Ctx.B.halt();               // 6. done
 
+  // pattern-analysis declines the loops the emitter cannot vectorize.
+  if (!Em.whyUnsupported().empty())
+    fatalError("loop '" + Ctx.F.name() + "': " + Em.whyUnsupported());
   // Notes must be composed while the emitter is still alive.
   return S.notes(Ctx);
 }
 
 std::optional<CompiledLoop>
 driver::lowerLoop(const LoopFunction &F, const VectorizationPlan &Plan,
-                  unsigned RtmTile, LoweringStrategy &S,
-                  RemarkStream &Remarks, isa::VectorConfig Vec,
-                  bool Predicated) {
+                  CodeGenKind Kind, unsigned RtmTile, RemarkStream &Remarks,
+                  isa::VectorConfig Vec, bool Predicated) {
+  if (!Plan.Vectorizable) {
+    declineRemark(Remarks, Kind, "decline.not-vectorizable",
+                  "loop is not vectorizable: " + Plan.Reason);
+    return std::nullopt;
+  }
+  std::unique_ptr<LoweringStrategy> S = createStrategy(Kind);
   LoweringContext Ctx(F, Plan, RtmTile, Remarks, Vec, Predicated);
-  if (!S.prepare(Ctx))
+  if (!S->prepare(Ctx))
     return std::nullopt; // The strategy has already remarked the decline.
 
   CompiledLoop Out;
-  Out.Notes = emitSkeletonBody(Ctx, S);
-  Out.Kind = S.kind();
+  Out.Notes = emitSkeletonBody(Ctx, *S);
+  Out.Kind = Kind;
   Out.Prog = Ctx.B.finalize();
-  Remarks.applied("lower", "vectorized", Out.Notes).Variant = S.name();
+  Remarks.applied("lower", "vectorized", Out.Notes).Variant =
+      codegen::variantName(Kind);
   return Out;
 }

@@ -120,13 +120,11 @@ public:
   virtual ~LoweringStrategy() = default;
 
   virtual codegen::CodeGenKind kind() const = 0;
-  /// Variant name, matching the evaluation matrix columns ("traditional",
-  /// "speculative", "flexvec", "flexvec-rtm").
-  virtual const char *name() const = 0;
 
-  /// Legality check and per-loop setup (labels, checkpoint schedules).
-  /// Runs before the emitter exists. A decline must emit a Missed remark
-  /// tagged with name() and return false — no refusal is ever silent.
+  /// Legality check and per-loop setup (labels, checkpoint schedules) for a
+  /// vectorizable plan. Runs before the emitter exists. A decline must emit
+  /// a Missed remark tagged with variantName(kind()) and return false — no
+  /// refusal is ever silent.
   virtual bool prepare(LoweringContext &Ctx) = 0;
 
   /// Emitter configuration for this strategy.
@@ -161,14 +159,14 @@ std::unique_ptr<LoweringStrategy> createStrategy(codegen::CodeGenKind Kind);
 /// its dispatch guard; \p S must already have prepare()d successfully.
 std::string emitSkeletonBody(LoweringContext &Ctx, LoweringStrategy &S);
 
-/// THE Algorithm-1 driver: runs \p S through the shared skeleton. Returns
-/// nullopt when the strategy declines (after it has emitted a Missed
-/// remark); otherwise emits an Applied remark recording the generation.
+/// THE Algorithm-1 driver: runs the strategy for \p Kind through the
+/// shared skeleton. Returns nullopt when the plan is not vectorizable or
+/// the strategy declines, after a Missed remark says why; otherwise emits
+/// an Applied remark recording the generation.
 std::optional<codegen::CompiledLoop>
 lowerLoop(const ir::LoopFunction &F, const analysis::VectorizationPlan &Plan,
-          unsigned RtmTile, LoweringStrategy &S, RemarkStream &Remarks,
-          isa::VectorConfig Vec = isa::VectorConfig(),
-          bool Predicated = false);
+          codegen::CodeGenKind Kind, unsigned RtmTile, RemarkStream &Remarks,
+          isa::VectorConfig Vec, bool Predicated);
 
 } // namespace driver
 } // namespace flexvec

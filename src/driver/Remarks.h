@@ -44,7 +44,7 @@ struct Remark {
   std::string Pass;    ///< Emitting pass ("pattern-analysis", "lower", ...).
   std::string Id;      ///< Stable machine-readable slug ("early-exit",
                        ///< "decline.reductions-with-speculative-loads", ...).
-  std::string Variant; ///< Lowering strategy name; empty for analysis passes.
+  std::string Variant; ///< codegen::variantName; empty for analysis passes.
   int Node = 0;        ///< Statement id (S1..Sn); 0 means the whole loop.
   std::string Message; ///< Human-readable explanation.
 

@@ -36,6 +36,11 @@ const char *gen::failureClassName(FailureClass C) {
 
 namespace {
 
+/// Shape of checkLoop's conflict-storm pass: the abort probability of
+/// every transactional access, and the invocations one storm run makes.
+constexpr double StormAbortRate = 0.75;
+constexpr size_t InvocationsPerStorm = 10;
+
 CheckResult fail(FailureClass C, std::string Variant, std::string Detail) {
   CheckResult R;
   R.Class = C;
@@ -145,15 +150,16 @@ CheckResult gen::checkLoop(const ir::LoopFunction &F, uint64_t InputSeed,
     mem::Memory M;
     ir::Bindings B;
     buildRoundInputs(F, InputSeed, 0x5702, Opts, M, B); // Independent round.
-    std::vector<ir::Bindings> Invocations(Opts.StormInvocations, B);
+    std::vector<ir::Bindings> Invocations(InvocationsPerStorm, B);
 
-    for (core::VariantId V : {core::VariantId::Rtm, core::VariantId::Adaptive}) {
+    for (core::VariantId V :
+         {core::VariantId::FlexVecRtm, core::VariantId::FlexVecAdaptive}) {
       const codegen::CompiledLoop *CL = core::selectVariant(PR, V);
       if (!CL)
         continue;
       core::FaultPlan FP;
       FP.Tx.Seed = deriveStreamSeed(Opts.StormSeed, static_cast<uint64_t>(V));
-      FP.Tx.AbortProb = Opts.StormAbortProb;
+      FP.Tx.AbortProb = StormAbortRate;
       FP.Tx.Reason = rtm::AbortReason::Conflict;
       core::DiffVerdict Verdict = core::runDifferentialMulti(
           F, PR.Scalar, *CL, M, Invocations, FP);

@@ -51,10 +51,8 @@ struct CheckOptions {
   InputPlan Inputs;        ///< Trip is overwritten per round.
   /// 0 disables the storm pass; otherwise flexvec-rtm and flexvec-adaptive
   /// also run a multi-invocation differential under a seeded conflict
-  /// storm with this abort probability.
+  /// storm.
   uint64_t StormSeed = 0;
-  double StormAbortProb = 0.75;
-  size_t StormInvocations = 10;
 };
 
 struct CheckResult {

@@ -4,6 +4,7 @@
 
 #include "support/Error.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 
@@ -54,6 +55,96 @@ static const char *cmpSymbol(CmpKind K) {
     return ">=";
   }
   unreachable("unknown cmp kind");
+}
+
+namespace {
+
+/// Peak scratch registers held while evaluating \p E; \p Held is set when
+/// the result itself occupies one.
+unsigned scratchNeed(const Expr *E, bool &Held) {
+  Held = E->Kind != ExprKind::ScalarRef && E->Kind != ExprKind::IndexRef;
+  switch (E->Kind) {
+  case ExprKind::ConstInt:
+  case ExprKind::ConstFloat:
+    return 1;
+  case ExprKind::ScalarRef:
+  case ExprKind::IndexRef:
+    return 0;
+  case ExprKind::ArrayRef: {
+    bool IndexHeld;
+    return std::max(scratchNeed(E->Index, IndexHeld), 1u);
+  }
+  case ExprKind::Binary:
+  case ExprKind::Compare:
+  case ExprKind::LogicalAnd: {
+    bool LHeld, RHeld;
+    unsigned L = scratchNeed(E->Lhs, LHeld);
+    unsigned R = scratchNeed(E->Rhs, RHeld) + (LHeld ? 1 : 0);
+    return std::max({L, R, 1u});
+  }
+  }
+  unreachable("unknown expr kind");
+}
+
+} // namespace
+
+bool ir::exprReadsScalar(const Expr *E, int ScalarId) {
+  switch (E->Kind) {
+  case ExprKind::ConstInt:
+  case ExprKind::ConstFloat:
+  case ExprKind::IndexRef:
+    return false;
+  case ExprKind::ScalarRef:
+    return E->ScalarId == ScalarId;
+  case ExprKind::ArrayRef:
+    return exprReadsScalar(E->Index, ScalarId);
+  case ExprKind::Binary:
+  case ExprKind::Compare:
+  case ExprKind::LogicalAnd:
+    return exprReadsScalar(E->Lhs, ScalarId) ||
+           exprReadsScalar(E->Rhs, ScalarId);
+  }
+  unreachable("unknown expr kind");
+}
+
+bool ir::stmtReadsScalar(const Stmt *S, int ScalarId) {
+  switch (S->Kind) {
+  case StmtKind::AssignScalar:
+    return exprReadsScalar(S->Value, ScalarId);
+  case StmtKind::StoreArray:
+    return exprReadsScalar(S->Index, ScalarId) ||
+           exprReadsScalar(S->Value, ScalarId);
+  case StmtKind::If:
+    return exprReadsScalar(S->Cond, ScalarId);
+  case StmtKind::Break:
+    return false;
+  }
+  unreachable("unknown stmt kind");
+}
+
+void ir::collectAssignedScalars(const std::vector<Stmt *> &Stmts,
+                                std::vector<bool> &Assigned) {
+  for (const Stmt *S : Stmts) {
+    if (S->Kind == StmtKind::AssignScalar)
+      Assigned[S->ScalarId] = true;
+    if (S->Kind == StmtKind::If) {
+      collectAssignedScalars(S->Then, Assigned);
+      collectAssignedScalars(S->Else, Assigned);
+    }
+  }
+}
+
+unsigned ir::scalarScratchNeed(const Stmt &S) {
+  // A store holds its subscript while the value is evaluated.
+  unsigned Need = 0, HeldBefore = 0;
+  for (const Expr *E : {S.Index, S.Value, S.Cond}) {
+    if (!E)
+      continue;
+    bool Held;
+    Need = std::max(Need, HeldBefore + scratchNeed(E, Held));
+    HeldBefore += Held ? 1 : 0;
+  }
+  return Need;
 }
 
 std::string Expr::str(const LoopFunction &F) const {

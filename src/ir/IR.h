@@ -38,6 +38,13 @@ inline constexpr unsigned MaxArrayParams = 10;
 /// nesting.
 inline constexpr unsigned MaxIfNesting = 2;
 
+/// Scratch registers of the code generators: the scalar one evaluates
+/// expressions in r25..r31, the vector one in v16..v31. The parser rejects
+/// statements whose scalar evaluation needs more (scalarScratchNeed);
+/// pattern-analysis declines loops whose vector code would.
+inline constexpr unsigned MaxScalarScratchRegs = 7;
+inline constexpr unsigned MaxVectorScratchRegs = 16;
+
 class LoopFunction;
 
 /// Binary operators on same-typed operands.
@@ -116,6 +123,25 @@ struct Stmt {
   /// Source-like rendering of this statement only (no children).
   std::string str(const LoopFunction &F) const;
 };
+
+/// True if \p E reads scalar \p ScalarId anywhere.
+bool exprReadsScalar(const Expr *E, int ScalarId);
+
+/// True if the expressions of \p S itself (not of nested statements) read
+/// scalar \p ScalarId.
+bool stmtReadsScalar(const Stmt *S, int ScalarId);
+
+/// Marks in \p Assigned every scalar that \p Stmts, or statements nested in
+/// them, assign.
+void collectAssignedScalars(const std::vector<Stmt *> &Stmts,
+                            std::vector<bool> &Assigned);
+
+/// Peak number of scalar scratch registers that evaluating the expressions
+/// of \p S itself (not of nested statements) holds at once, under the
+/// scalar code generator's allocation: operands left to right, each result
+/// held until its parent consumes it, an array load reusing its index's
+/// register.
+unsigned scalarScratchNeed(const Stmt &S);
 
 /// A scalar parameter/variable of the loop.
 struct ScalarParam {

@@ -328,6 +328,8 @@ private:
         return nullptr;
       // Shell first so statement ids follow source order.
       Stmt *If = F->makeIfShell(Cond);
+      if (!withinScratchRegs(*If))
+        return nullptr;
       std::vector<Stmt *> Then;
       if (!parseBlock(Then))
         return nullptr;
@@ -357,7 +359,7 @@ private:
         return nullptr;
       }
       Lex.take();
-      const Expr *Index = parseExpr();
+      const Expr *Index = parseSubscript();
       if (!Index || !expectPunct("]") || !expectPunct("="))
         return nullptr;
       const Expr *Value = parseExpr();
@@ -368,8 +370,10 @@ private:
         return nullptr;
       }
       const Expr *ElemProto = F->arrayRef(It->second, F->indexRef());
-      coerce(ElemProto, Value);
-      return F->storeArray(It->second, Index, Value);
+      if (!coerce(ElemProto, Value))
+        return nullptr;
+      Stmt *Store = F->storeArray(It->second, Index, Value);
+      return withinScratchRegs(*Store) ? Store : nullptr;
     }
     auto It = Scalars.find(Name);
     if (It == Scalars.end()) {
@@ -383,8 +387,20 @@ private:
       return nullptr;
     // Literal on the right of a typed scalar adopts the scalar's type.
     const Expr *Target = F->scalarRef(It->second);
-    coerce(Target, Value);
-    return F->assignScalar(It->second, Value);
+    if (!coerce(Target, Value))
+      return nullptr;
+    Stmt *Assign = F->assignScalar(It->second, Value);
+    return withinScratchRegs(*Assign) ? Assign : nullptr;
+  }
+
+  /// Every code generator evaluates \p S; the scalar one has
+  /// MaxScalarScratchRegs registers for it.
+  bool withinScratchRegs(const Stmt &S) {
+    if (scalarScratchNeed(S) <= MaxScalarScratchRegs)
+      return true;
+    return fail("expression needs more than " +
+                std::to_string(MaxScalarScratchRegs) +
+                " scalar scratch registers");
   }
 
   bool failTooDeep() {
@@ -421,8 +437,11 @@ private:
   }
 
   /// Integer literals written in float context become float constants of
-  /// the sibling's type (the IR requires matched operand types).
-  void coerce(const Expr *&L, const Expr *&R) {
+  /// the sibling's type (the IR requires matched operand types). False, after
+  /// an error, when the operands still do not match: the code generators
+  /// have no conversions, so both sides must share a register class and,
+  /// for floats, a width (integers of any width share the 64-bit registers).
+  bool coerce(const Expr *&L, const Expr *&R) {
     if (L->Kind == ExprKind::ConstInt && isFloatType(R->Type))
       L = F->constFloat(R->Type, static_cast<double>(L->IntValue));
     if (R->Kind == ExprKind::ConstInt && isFloatType(L->Type))
@@ -442,6 +461,23 @@ private:
     if (R->Kind == ExprKind::ConstInt && !isFloatType(L->Type) &&
         R->Type != L->Type)
       R = F->constInt(L->Type, R->IntValue);
+    bool FloatL = isFloatType(L->Type), FloatR = isFloatType(R->Type);
+    if (FloatL == FloatR && (!FloatL || L->Type == R->Type))
+      return true;
+    return fail(std::string("operands of types ") +
+                isa::elemTypeName(L->Type) + " and " +
+                isa::elemTypeName(R->Type) + " do not mix");
+  }
+
+  /// An array subscript: an integer, since the code generators have no
+  /// float-to-integer conversion.
+  const Expr *parseSubscript() {
+    const Expr *Index = parseExpr();
+    if (Index && isFloatType(Index->Type)) {
+      fail("array subscript is not an integer");
+      return nullptr;
+    }
+    return Index;
   }
 
   const Expr *parseAnd() {
@@ -479,7 +515,8 @@ private:
         const Expr *R = parseAdd();
         if (!R)
           return nullptr;
-        coerce(L, R);
+        if (!coerce(L, R))
+          return nullptr;
         return nest(F->compare(It->second, L, R), L, R);
       }
     }
@@ -503,7 +540,12 @@ private:
                 : Op == "&" ? BinOp::And
                 : Op == "|" ? BinOp::Or
                             : BinOp::Xor;
-      coerce(L, R);
+      if (!coerce(L, R))
+        return nullptr;
+      if (K != BinOp::Add && K != BinOp::Sub && isFloatType(L->Type)) {
+        fail("bitwise '" + Op + "' on float operands");
+        return nullptr;
+      }
       L = nest(F->binary(K, L, R), L, R);
       if (!L)
         return nullptr;
@@ -521,7 +563,8 @@ private:
       const Expr *R = parsePrimary();
       if (!R)
         return nullptr;
-      coerce(L, R);
+      if (!coerce(L, R))
+        return nullptr;
       L = nest(F->binary(Op == "*" ? BinOp::Mul : BinOp::Div, L, R), L, R);
       if (!L)
         return nullptr;
@@ -564,7 +607,8 @@ private:
       const Expr *B = parseExpr();
       if (!B || !expectPunct(")"))
         return nullptr;
-      coerce(A, B);
+      if (!coerce(A, B))
+        return nullptr;
       return nest(F->binary(Name == "min" ? BinOp::Min : BinOp::Max, A, B), A,
                   B);
     }
@@ -575,7 +619,7 @@ private:
         return nullptr;
       }
       Lex.take();
-      const Expr *Index = parseExpr();
+      const Expr *Index = parseSubscript();
       if (!Index || !expectPunct("]"))
         return nullptr;
       return nest(F->arrayRef(It->second, Index), Index, Index);

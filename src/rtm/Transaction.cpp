@@ -120,8 +120,8 @@ bool TransactionManager::trackFootprint(uint64_t Addr, uint64_t Size,
     else
       ReadSetLines.insert(L);
   }
-  return WriteSetLines.size() <= Limits.MaxWriteSetLines &&
-         ReadSetLines.size() <= Limits.MaxReadSetLines;
+  return WriteSetLines.size() <= MaxWriteSetLines &&
+         ReadSetLines.size() <= MaxReadSetLines;
 }
 
 bool TransactionManager::read(uint64_t Addr, void *Out, uint64_t Size,

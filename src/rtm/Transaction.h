@@ -59,13 +59,11 @@ public:
   virtual AbortReason injectAbort(bool AtCommit) = 0;
 };
 
-/// Hardware capacity limits. Defaults approximate Haswell RTM: the write
-/// set is bounded by the L1D (32 KiB) and the read set by the L2 footprint
-/// available for tracking.
-struct TxLimits {
-  unsigned MaxWriteSetLines = 512;  ///< 512 * 64B = 32 KiB.
-  unsigned MaxReadSetLines = 4096;  ///< 4096 * 64B = 256 KiB.
-};
+/// Hardware capacity limits, approximating Haswell RTM: the write set is
+/// bounded by the L1D (512 * 64 B = 32 KiB) and the read set by the L2
+/// footprint available for tracking (4096 * 64 B = 256 KiB).
+inline constexpr unsigned MaxWriteSetLines = 512;
+inline constexpr unsigned MaxReadSetLines = 4096;
 
 /// Aggregate statistics across a TransactionManager's lifetime.
 struct TxStats {
@@ -85,8 +83,7 @@ struct TxStats {
 /// Manages (non-nested) transactions over one Memory instance.
 class TransactionManager {
 public:
-  explicit TransactionManager(mem::Memory &M, TxLimits Limits = TxLimits())
-      : M(M), Limits(Limits) {}
+  explicit TransactionManager(mem::Memory &M) : M(M) {}
 
   bool isActive() const { return Active; }
   const TxStats &stats() const { return Stats; }
@@ -130,7 +127,6 @@ private:
   bool trackFootprint(uint64_t Addr, uint64_t Size, bool IsWrite);
 
   mem::Memory &M;
-  TxLimits Limits;
   bool Active = false;
   std::vector<UndoRecord> UndoLog;
   std::unordered_set<uint64_t> ReadSetLines;

@@ -3,6 +3,8 @@
 #ifndef FLEXVEC_SIM_BRANCHPREDICTOR_H
 #define FLEXVEC_SIM_BRANCHPREDICTOR_H
 
+#include "sim/Config.h"
+
 #include <cstdint>
 #include <vector>
 
@@ -12,10 +14,7 @@ namespace sim {
 /// Gshare: global-history-xor-PC indexed table of 2-bit counters.
 class BranchPredictor {
 public:
-  explicit BranchPredictor(unsigned TableBits = 14, unsigned HistoryBits = 12)
-      : Table(1u << TableBits, 2 /*weakly taken*/),
-        IndexMask((1u << TableBits) - 1),
-        HistoryMask((1u << HistoryBits) - 1) {}
+  BranchPredictor() : Table(1u << BpTableBits, 2 /*weakly taken*/) {}
 
   /// Predicts the direction for static instruction \p Pc, then updates the
   /// predictor with the real \p Taken outcome. Returns true when the
@@ -40,9 +39,10 @@ public:
   uint64_t mispredicts() const { return Wrong; }
 
 private:
+  static constexpr uint32_t IndexMask = (1u << BpTableBits) - 1;
+  static constexpr uint32_t HistoryMask = (1u << BpHistoryBits) - 1;
+
   std::vector<uint8_t> Table;
-  uint32_t IndexMask;
-  uint32_t HistoryMask;
   uint32_t History = 0;
   uint64_t Correct = 0;
   uint64_t Wrong = 0;

@@ -51,8 +51,8 @@ void CacheLevel::install(uint64_t Addr) {
   Set[0] = Line;
 }
 
-MemoryHierarchy::MemoryHierarchy(const CoreConfig &Cfg)
-    : Cfg(Cfg), L1(Cfg.L1D), L2(Cfg.L2), L3(Cfg.L3), Streams(NumStreams) {}
+MemoryHierarchy::MemoryHierarchy()
+    : L1(sim::L1D), L2(sim::L2), L3(sim::L3), Streams(NumStreams) {}
 
 void MemoryHierarchy::installAll(uint64_t Addr) {
   L1.install(Addr);
@@ -61,8 +61,6 @@ void MemoryHierarchy::installAll(uint64_t Addr) {
 }
 
 void MemoryHierarchy::prefetch(uint64_t Addr) {
-  if (!Cfg.EnablePrefetcher)
-    return;
   uint64_t Page = Addr / mem::PageSize;
   uint64_t Line = Addr / mem::LineBytes;
 
@@ -90,7 +88,7 @@ void MemoryHierarchy::prefetch(uint64_t Addr) {
   if (E->Confidence < 2)
     return;
   // Prefetch ahead, never crossing the page boundary (Section 5).
-  for (unsigned D = 1; D <= Cfg.PrefetchDegree; ++D) {
+  for (unsigned D = 1; D <= PrefetchDegree; ++D) {
     uint64_t Target = Line + static_cast<uint64_t>(Dir) * D;
     uint64_t TargetAddr = Target * mem::LineBytes;
     if (TargetAddr / mem::PageSize != Page)
@@ -146,7 +144,7 @@ unsigned MemoryHierarchy::accessLatencySlow(uint64_t Addr, uint32_t,
   prefetch(Addr);
   if (LevelOut)
     *LevelOut = Level::Dram;
-  return Cfg.MemoryLatency;
+  return MemoryLatency;
 }
 
 // --- Metrics export ------------------------------------------------------===//

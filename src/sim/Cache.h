@@ -72,7 +72,7 @@ void recordMetrics(const MemStats &S, obs::Registry &R);
 /// an access and performs all fills.
 class MemoryHierarchy {
 public:
-  explicit MemoryHierarchy(const CoreConfig &Cfg);
+  MemoryHierarchy();
 
   /// Hierarchy levels for bandwidth accounting.
   enum class Level : uint8_t { L1, L2, L3, Dram };
@@ -112,7 +112,6 @@ private:
   void prefetch(uint64_t Addr);
   void installAll(uint64_t Addr);
 
-  CoreConfig Cfg;
   CacheLevel L1, L2, L3;
   MemStats Stats;
 

@@ -1,7 +1,7 @@
 //===- sim/Config.h - Simulated machine configuration ----------*- C++ -*-===//
 //
-// Table 1 of the paper: an aggressive out-of-order core. Defaults
-// reproduce the published configuration:
+// Table 1 of the paper: an aggressive out-of-order core. The model
+// simulates this one machine, so its parameters are constants:
 //
 //   Fetch/Commit                  5/5 wide
 //   RS 97, ROB 224, LQ/SQ 80/56
@@ -29,36 +29,38 @@ struct CacheLevelConfig {
   unsigned LatencyCycles;
 };
 
-struct CoreConfig {
-  unsigned FetchWidth = 5;
-  unsigned CommitWidth = 5;
+inline constexpr unsigned FetchWidth = 5;
+inline constexpr unsigned CommitWidth = 5;
 
-  unsigned RsEntries = 97;
-  unsigned RobEntries = 224;
-  unsigned LoadQueueEntries = 80;
-  unsigned StoreQueueEntries = 56;
+inline constexpr unsigned RsEntries = 97;
+inline constexpr unsigned RobEntries = 224;
+inline constexpr unsigned LoadQueueEntries = 80;
+inline constexpr unsigned StoreQueueEntries = 56;
 
-  unsigned AluUnits = 4;  ///< Scalar integer (also resolves branches).
-  unsigned MulUnits = 1;
-  unsigned VecUnits = 2;  ///< Vector/FP/mask execution.
-  unsigned LoadPorts = 2; ///< Table 1.
-  unsigned StorePorts = 1;
+inline constexpr unsigned AluUnits = 4; ///< Scalar integer (also branches).
+inline constexpr unsigned MulUnits = 1;
+inline constexpr unsigned VecUnits = 2; ///< Vector/FP/mask execution.
+inline constexpr unsigned LoadPorts = 2;
+inline constexpr unsigned StorePorts = 1;
 
-  unsigned MispredictPenalty = 14; ///< Redirect + front-end refill.
+/// Redirect + front-end refill after a mispredicted branch.
+inline constexpr unsigned MispredictPenalty = 14;
 
-  CacheLevelConfig L1D{32 * 1024, 8, 4};
-  CacheLevelConfig L2{256 * 1024, 8, 12};
-  CacheLevelConfig L3{8 * 1024 * 1024, 32, 25};
-  unsigned MemoryLatency = 200;
+inline constexpr CacheLevelConfig L1D{32 * 1024, 8, 4};
+inline constexpr CacheLevelConfig L2{256 * 1024, 8, 12};
+inline constexpr CacheLevelConfig L3{8 * 1024 * 1024, 32, 25};
+inline constexpr unsigned MemoryLatency = 200;
 
-  /// Store-to-load forwarding latency when a load hits an in-flight store.
-  unsigned ForwardLatency = 5;
+/// Store-to-load forwarding latency when a load hits an in-flight store.
+inline constexpr unsigned ForwardLatency = 5;
 
-  /// Stride prefetcher: degree of lines fetched ahead; never crosses a
-  /// 4 KiB page (the behaviour the paper calls out in Section 5).
-  unsigned PrefetchDegree = 2;
-  bool EnablePrefetcher = true;
-};
+/// Stream prefetcher: lines fetched ahead; never crosses a 4 KiB page (the
+/// behaviour the paper calls out in Section 5).
+inline constexpr unsigned PrefetchDegree = 2;
+
+/// Gshare branch predictor: 2^14 two-bit counters, 12 bits of history.
+inline constexpr unsigned BpTableBits = 14;
+inline constexpr unsigned BpHistoryBits = 12;
 
 } // namespace sim
 } // namespace flexvec

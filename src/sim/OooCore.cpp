@@ -13,13 +13,12 @@ using namespace flexvec;
 using namespace flexvec::sim;
 using namespace flexvec::isa;
 
-OooCore::OooCore(const CoreConfig &Cfg)
-    : Cfg(Cfg), Mem(Cfg), RobRing(Cfg.RobEntries, 0), RsRing(Cfg.RsEntries, 0),
-      LqRing(Cfg.LoadQueueEntries, 0), SqRing(Cfg.StoreQueueEntries, 0),
-      AluRing(Cfg.AluUnits), MulRing(Cfg.MulUnits), VecRing(Cfg.VecUnits),
-      LoadRing(Cfg.LoadPorts), StoreRing(Cfg.StorePorts), L3BwRing(1),
-      DramBwRing(1) {
-  StoreBuf.resize(Cfg.StoreQueueEntries, PendingStore{~0ULL, 0});
+OooCore::OooCore()
+    : RobRing(RobEntries, 0), RsRing(RsEntries, 0), LqRing(LoadQueueEntries, 0),
+      SqRing(StoreQueueEntries, 0), AluRing(AluUnits), MulRing(MulUnits),
+      VecRing(VecUnits), LoadRing(LoadPorts), StoreRing(StorePorts),
+      L3BwRing(1), DramBwRing(1) {
+  StoreBuf.resize(StoreQueueEntries, PendingStore{~0ULL, 0});
 }
 
 unsigned OooCore::regId(Reg R) {
@@ -73,7 +72,7 @@ uint64_t OooCore::issueUop(const UopDesc &U, uint64_t SrcReady, uint32_t Pc) {
       for (size_t I = 0; I < StoreBuf.size(); ++I) {
         const PendingStore &PS = StoreBuf[I];
         if (PS.Granule == Granule) {
-          Complete = std::max(Issue, PS.Ready) + Cfg.ForwardLatency;
+          Complete = std::max(Issue, PS.Ready) + ForwardLatency;
           Forwarded = true;
           break;
         }
@@ -248,8 +247,8 @@ void OooCore::step(const emu::DynInstr &DI) {
           Extra = std::max(Extra, Mem.accessLatency(Line * mem::LineBytes,
                                                     DI.InstrIdx));
         Extra = std::max(Extra, Mem.accessLatency(Last, DI.InstrIdx));
-        if (Extra > Cfg.L1D.LatencyCycles)
-          Complete += Extra - Cfg.L1D.LatencyCycles;
+        if (Extra > L1D.LatencyCycles)
+          Complete += Extra - L1D.LatencyCycles;
       }
     } else {
       UopDesc MemU{PortKind::Store, D.Latency, First, 0};
@@ -285,8 +284,8 @@ void OooCore::step(const emu::DynInstr &DI) {
     if (!Correct) {
       ++Stats.Mispredicts;
       uint64_t Redirect =
-          Complete + (Cfg.MispredictPenalty > FrontEndDepth
-                          ? Cfg.MispredictPenalty - FrontEndDepth
+          Complete + (MispredictPenalty > FrontEndDepth
+                          ? MispredictPenalty - FrontEndDepth
                           : 1);
       if (Redirect > FetchCycle) {
         FetchCycle = Redirect;

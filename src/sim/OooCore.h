@@ -66,7 +66,7 @@ struct SimStats {
 /// The timing model; attach as the emulator's trace sink.
 class OooCore : public emu::TraceSink {
 public:
-  explicit OooCore(const CoreConfig &Cfg = CoreConfig());
+  OooCore();
 
   /// Batched delivery from the emulator; processes the records in order
   /// with the hierarchy's same-line memo armed (see Cache.h).
@@ -152,7 +152,7 @@ private:
 
   /// Consumes one fetch slot; returns the fetch cycle.
   uint64_t fetchSlot() {
-    if (FetchedThisCycle >= Cfg.FetchWidth) {
+    if (FetchedThisCycle >= FetchWidth) {
       ++FetchCycle;
       FetchedThisCycle = 0;
     }
@@ -166,7 +166,7 @@ private:
       CommitCycle = Earliest;
       CommittedThisCycle = 0;
     }
-    if (CommittedThisCycle >= Cfg.CommitWidth) {
+    if (CommittedThisCycle >= CommitWidth) {
       ++CommitCycle;
       CommittedThisCycle = 0;
     }
@@ -174,7 +174,6 @@ private:
     return CommitCycle;
   }
 
-  CoreConfig Cfg;
   MemoryHierarchy Mem;
   BranchPredictor Bp;
 

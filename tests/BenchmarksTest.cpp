@@ -102,12 +102,16 @@ TEST_P(BenchmarkSuite, CostModelAcceptsProfiledLoop) {
   analysis::LoopProfile Summary = Prof.summarize(B.Coverage);
   // The paper's selection heuristics must accept each of its own
   // benchmarks: trip >= 16, effective VL >= 6, coverage >= 5%... except
-  // that 403.gcc sits at 4.1% coverage in Table 2; the paper still lists
-  // it, so compare with a slightly relaxed floor.
-  analysis::CostModelParams Params;
-  Params.MinCoverage = 0.04;
+  // 403.gcc, which Table 2 lists at 4.1% coverage, below the paper's own
+  // floor. That row must fail on coverage alone.
   analysis::CostDecision Dec =
-      analysis::shouldVectorize(PR.Plan, PR.Shape, Summary, Params);
+      analysis::shouldVectorize(PR.Plan, PR.Shape, Summary);
+  if (B.Name == "403.gcc") {
+    EXPECT_FALSE(Dec.Vectorize);
+    EXPECT_EQ(Dec.Reason, "coverage below threshold");
+    Summary.Coverage = analysis::MinCoverage;
+    Dec = analysis::shouldVectorize(PR.Plan, PR.Shape, Summary);
+  }
   EXPECT_TRUE(Dec.Vectorize) << B.Name << ": " << Dec.Reason
                              << " (trip=" << Summary.AvgTripCount
                              << ", effVL=" << Summary.EffectiveVL << ")";

@@ -156,10 +156,17 @@ TEST(CliSmoke, UnsupportedLoopsAreParseErrors) {
       Src += "} ";
     return Src + "}";
   };
+  // Eight scratch registers for the scalar code generator.
+  const std::string Deep = Head + "a = a + (x[i] + (x[i] + (x[i] + (x[i] + "
+                                  "(x[i] + (x[i] + (x[i] + x[i])))))));}";
+  const std::string FloatAnd = "loop t(i64 n trip, f32 a liveout, "
+                               "f32 x[] readonly) { a = a + (x[i] & x[i]); }";
+  const std::string Mixed = "loop t(i64 n trip, f64 a liveout, "
+                            "f32 x[] readonly) { a = a + x[i]; }";
   const std::string Path = "cli_smoke_unsupported.fv";
   for (const std::string &Src :
        {Scalars, Arrays, Break, Parens, Chain, nestedIfs(3),
-        nestedIfs(30000)}) {
+        nestedIfs(30000), Deep, FloatAnd, Mixed}) {
     FILE *F = std::fopen(Path.c_str(), "w");
     ASSERT_NE(F, nullptr);
     std::fputs(Src.c_str(), F);
@@ -170,6 +177,41 @@ TEST(CliSmoke, UnsupportedLoopsAreParseErrors) {
       EXPECT_NE(R.Output.find("parse error"), std::string::npos)
           << Src << Mode << "\n" << R.Output;
     }
+  }
+  std::remove(Path.c_str());
+}
+
+TEST(CliSmoke, VectorOnlyShapesRunScalarOnly) {
+  const std::string Head = "loop t(i64 n trip, ";
+  const std::string Shapes[] = {
+      Head + "i32 v liveout, i32 key[] readonly) { v = key[i]; }",
+      Head + "i32 a liveout, i32 x[] readonly) { a = a + (x[i] / 3); }",
+      Head + "f64 a liveout, f32 x[] readonly) "
+             "{ if (x[i] > 0.0) { a = a + 1.0; } }",
+      Head + "i32 best liveout, i32 x[] readonly, i32 y[]) "
+             "{ if (x[i] < best) { best = x[i]; y[i] = 1; } }",
+  };
+  const std::string Path = "cli_smoke_vector_only.fv";
+  for (const std::string &Src : Shapes) {
+    FILE *F = std::fopen(Path.c_str(), "w");
+    ASSERT_NE(F, nullptr);
+    std::fputs(Src.c_str(), F);
+    std::fclose(F);
+    CmdResult Json = run(Cli + " " + Path + " --remarks=json");
+    EXPECT_EQ(Json.Exit, 0) << Src << "\n" << Json.Output;
+    CmdResult R = run(Cli + " " + Path + " --remarks --run --trip=100");
+    EXPECT_EQ(R.Exit, 0) << Src << "\n" << R.Output;
+    EXPECT_NE(R.Output.find("[missed] pattern-analysis:"), std::string::npos)
+        << Src << "\n" << R.Output;
+    size_t Declines = 0;
+    for (size_t At = R.Output.find("(decline.not-vectorizable)");
+         At != std::string::npos;
+         At = R.Output.find("(decline.not-vectorizable)", At + 1))
+      ++Declines;
+    EXPECT_EQ(Declines, 5u) << Src << "\n" << R.Output;
+    EXPECT_NE(R.Output.find("scalar   "), std::string::npos) << R.Output;
+    EXPECT_EQ(R.Output.find(" NO"), std::string::npos) << Src << "\n"
+                                                       << R.Output;
   }
   std::remove(Path.c_str());
 }

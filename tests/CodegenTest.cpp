@@ -9,6 +9,7 @@
 
 #include "core/Evaluator.h"
 #include "driver/CompilerDriver.h"
+#include "ir/Parser.h"
 #include "workloads/PaperLoops.h"
 
 #include <gtest/gtest.h>
@@ -202,6 +203,82 @@ TEST(Codegen, SpeculativeGeneratorDeclinesUnsupportedShapes) {
   auto F = workloads::buildConflictLoop();
   driver::CompileResult PR = driver::compileLoop(*F);
   EXPECT_TRUE(PR.Speculative.has_value());
+}
+
+// Loops whose dependences allow vector execution but which use a construct
+// the vector emitter cannot emit: pattern-analysis declines them, naming
+// the construct, every vector variant says so, and the scalar variant
+// alone is built.
+TEST(Codegen, PatternAnalysisDeclinesConstructsWithoutAVectorForm) {
+  // D nested gathers hold D scratch vector registers: each gather holds its
+  // result register while its subscript is gathered.
+  auto nestedGathers = [](int Depth) {
+    std::string Src = "loop t(i64 n trip, i32 a liveout, i32 x[] readonly) "
+                      "{ a = a + ";
+    for (int D = 0; D < Depth; ++D)
+      Src += "x[";
+    return Src + "i" + std::string(static_cast<size_t>(Depth), ']') + "; }";
+  };
+  struct Case {
+    std::string Src;
+    const char *Reason;
+  } Cases[] = {
+      {"loop t(i64 n trip, i32 v liveout, i32 key[] readonly) "
+       "{ v = key[i]; }",
+       "live-out scalar 'v' keeps its last value"},
+      {"loop t(i64 n trip, i32 a liveout, i32 x[] readonly) "
+       "{ a = a + (x[i] / 3); }",
+       "integer '/' in (x[i] / 3) has no vector instruction"},
+      {"loop t(i64 n trip, f64 a liveout, f32 x[] readonly) "
+       "{ if (x[i] > 0.0) { a = a + 1.0; } }",
+       "float scalar 'a' is f64 but the loop's vector lanes are 4 bytes"},
+      {"loop t(i64 n trip, i32 best liveout, i32 x[] readonly, i32 y[]) "
+       "{ if (x[i] < best) { best = x[i]; y[i] = 1; } }",
+       "store to array 'y' inside the conditional-update region of 'best'"},
+      {"loop t(i64 n trip, i32 a liveout, i32 x[] readonly, "
+       "i64 y[] readonly) { a = a + x[i]; }",
+       "arrays mix 4- and 8-byte elements"},
+      {"loop t(i64 n trip, i32 a liveout, i32 x[] readonly) "
+       "{ a = a + (x[i] < 3); }",
+       "comparison (x[i] < 3) used as a value"},
+      {"loop t(i64 n trip, i32 a liveout, i32 x[] readonly) "
+       "{ if (x[i] > 5) { if (x[i] > 7) { a = x[i]; } break; } }",
+       "'if' S2 nested in the break region of early-exit guard S1"},
+      {"loop t(i64 n trip, i32 a liveout, i32 b liveout, i32 c liveout, "
+       "i32 x[] readonly) { if (x[i] < a + c) { a = x[i]; } "
+       "if (x[i] < b) { b = x[i]; c = x[i]; } }",
+       "under distinct guards share one VPL"},
+      {"loop t(i64 n trip, i32 a liveout, i32 x[] readonly) "
+       "{ if (x[i] > 5) { a = x[i]; break; } a = 3; }",
+       "conditionally updated scalar 'a' is also assigned at S4"},
+      {nestedGathers(17),
+       "vector code needs more than 16 live scratch vector registers"},
+  };
+  for (const Case &C : Cases) {
+    ParseResult R = parseLoop(C.Src);
+    ASSERT_TRUE(R) << C.Src << ": " << R.Error;
+    driver::CompileResult PR = driver::compileLoop(*R.F);
+    EXPECT_FALSE(PR.Plan.Vectorizable) << C.Src;
+    EXPECT_NE(PR.Plan.Reason.find(C.Reason), std::string::npos)
+        << C.Src << ": " << PR.Plan.Reason;
+    size_t Declines = 0;
+    for (const driver::Remark &Rk : PR.Remarks.remarks()) {
+      if (Rk.Kind != driver::RemarkKind::Missed)
+        continue;
+      if (Rk.Pass == "pattern-analysis")
+        EXPECT_EQ(Rk.Message, PR.Plan.Reason);
+      else
+        Declines += Rk.Id == "decline.not-vectorizable";
+    }
+    EXPECT_EQ(Declines, 5u) << C.Src;
+    EXPECT_FALSE(PR.Traditional || PR.Speculative || PR.FlexVec || PR.Rtm ||
+                 PR.Adaptive);
+  }
+  // One gather fewer fits v16..v31.
+  ParseResult Fits = parseLoop(nestedGathers(16));
+  ASSERT_TRUE(Fits) << Fits.Error;
+  driver::CompileResult PR = driver::compileLoop(*Fits.F);
+  EXPECT_TRUE(PR.Traditional && PR.FlexVec && PR.Rtm && PR.Adaptive);
 }
 
 TEST(Codegen, NotesDescribeTheBuild) {

@@ -134,35 +134,35 @@ TEST_F(RtmTest, FaultInsideTransactionAbortsAndRollsBack) {
 }
 
 TEST_F(RtmTest, WriteSetCapacityOverflowAborts) {
-  TxLimits Limits;
-  Limits.MaxWriteSetLines = 4;
-  TransactionManager Tx(M, Limits);
+  // One line past the write-set capacity, in a region of its own.
+  const uint64_t Base = 0x100000;
+  M.map(Base, (MaxWriteSetLines + 1) * LineBytes);
+  TransactionManager Tx(M);
   Tx.begin();
   AbortReason Reason = AbortReason::None;
   int32_t V = 1;
-  bool Ok = true;
-  for (int Line = 0; Line < 8 && Ok; ++Line)
-    Ok = Tx.write(0x1000 + static_cast<uint64_t>(Line) * 64, &V, 4, Reason);
-  EXPECT_FALSE(Ok);
+  for (unsigned Line = 0; Line < MaxWriteSetLines; ++Line)
+    ASSERT_TRUE(Tx.write(Base + Line * LineBytes, &V, 4, Reason)) << Line;
+  EXPECT_FALSE(Tx.write(Base + MaxWriteSetLines * LineBytes, &V, 4, Reason));
   EXPECT_EQ(Reason, AbortReason::Capacity);
   EXPECT_EQ(Tx.stats().AbortsByCapacity, 1u);
   // Every tentative write rolled back.
-  for (int Line = 0; Line < 4; ++Line)
-    EXPECT_EQ(M.get<int32_t>(0x1000 + static_cast<uint64_t>(Line) * 64), 0);
+  for (unsigned Line = 0; Line <= MaxWriteSetLines; ++Line)
+    EXPECT_EQ(M.get<int32_t>(Base + Line * LineBytes), 0) << Line;
 }
 
 TEST_F(RtmTest, ReadSetCapacityOverflowAborts) {
-  TxLimits Limits;
-  Limits.MaxReadSetLines = 4;
-  TransactionManager Tx(M, Limits);
+  const uint64_t Base = 0x100000;
+  M.map(Base, (MaxReadSetLines + 1) * LineBytes);
+  TransactionManager Tx(M);
   Tx.begin();
   AbortReason Reason = AbortReason::None;
   int32_t V;
-  bool Ok = true;
-  for (int Line = 0; Line < 8 && Ok; ++Line)
-    Ok = Tx.read(0x1000 + static_cast<uint64_t>(Line) * 64, &V, 4, Reason);
-  EXPECT_FALSE(Ok);
+  for (unsigned Line = 0; Line < MaxReadSetLines; ++Line)
+    ASSERT_TRUE(Tx.read(Base + Line * LineBytes, &V, 4, Reason)) << Line;
+  EXPECT_FALSE(Tx.read(Base + MaxReadSetLines * LineBytes, &V, 4, Reason));
   EXPECT_EQ(Reason, AbortReason::Capacity);
+  EXPECT_EQ(Tx.stats().AbortsByCapacity, 1u);
 }
 
 TEST_F(RtmTest, NonTransactionalPathPassesThrough) {

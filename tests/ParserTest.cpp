@@ -267,6 +267,65 @@ TEST(Parser, RejectsIfsNestedDeeperThanTheMaskStack) {
   }
 }
 
+namespace {
+
+/// `a = a + (x[i] + (x[i] + ... (x[i] + x[i])...))`, \p Depth parentheses
+/// deep: the scalar code generator holds Depth + 1 scratch registers.
+std::string loopWithRightNestedSum(unsigned Depth) {
+  std::string Src = "loop t(i64 n trip, i32 a liveout, i32 x[] readonly) "
+                    "{ a = a + ";
+  for (unsigned D = 0; D < Depth; ++D)
+    Src += "(x[i] + ";
+  Src += "x[i]";
+  return Src + std::string(Depth, ')') + "; }";
+}
+
+} // namespace
+
+TEST(Parser, RejectsStatementsNeedingMoreScalarScratchRegisters) {
+  EXPECT_TRUE(parseLoop(loopWithRightNestedSum(MaxScalarScratchRegs - 1)));
+  ParseResult R = parseLoop(loopWithRightNestedSum(MaxScalarScratchRegs));
+  ASSERT_FALSE(R);
+  EXPECT_NE(R.Error.find("needs more than 7 scalar scratch registers"),
+            std::string::npos)
+      << R.Error;
+  // A store holds its subscript while the value is evaluated; an array
+  // load reuses its subscript's register.
+  R = parseLoop("loop t(i64 n trip, i32 x[] readonly, i32 y[]) { "
+                "y[x[x[x[x[x[x[x[x[i]]]]]]]]] = "
+                "x[i] + (x[i] + (x[i] + (x[i] + (x[i] + (x[i] + x[i]))))); }");
+  ASSERT_FALSE(R);
+  EXPECT_NE(R.Error.find("scratch registers"), std::string::npos) << R.Error;
+}
+
+TEST(Parser, RejectsOperandsNoCodeGeneratorComputes) {
+  struct Case {
+    const char *Src;
+    const char *Error;
+  } Cases[] = {
+      {"loop t(i64 n trip, f32 a liveout, f32 x[] readonly) "
+       "{ a = a + (x[i] & x[i]); }",
+       "bitwise '&' on float operands"},
+      {"loop t(i64 n trip, f64 a liveout, f32 x[] readonly) "
+       "{ a = a + x[i]; }",
+       "operands of types f64 and f32 do not mix"},
+      {"loop t(i64 n trip, f32 a liveout, i32 x[] readonly) "
+       "{ a = a + (x[i] * 2.5); }",
+       "operands of types i32 and f32 do not mix"},
+      {"loop t(i64 n trip, f64 a liveout, f32 x[] readonly) "
+       "{ a = x[i]; }",
+       "operands of types f64 and f32 do not mix"},
+      {"loop t(i64 n trip, i32 a liveout, f32 w[] readonly, "
+       "i32 x[] readonly) { a = a + x[w[i]]; }",
+       "array subscript is not an integer"},
+  };
+  for (const Case &C : Cases) {
+    ParseResult R = parseLoop(C.Src);
+    ASSERT_FALSE(R) << C.Src;
+    EXPECT_NE(R.Error.find(C.Error), std::string::npos) << R.Error;
+  }
+}
+
 TEST(Parser, CommentsAreIgnored) {
   ParseResult R = parseLoop(R"(
 // header comment

@@ -119,7 +119,7 @@ void expectAllMatch(const Built &L, unsigned RtmTile = 64) {
     core::RunOutcome Out = core::runProgramMulti(*L.F, *CL, L.Image, {L.B});
     ASSERT_TRUE(Out.Ok) << Out.Error;
     EXPECT_TRUE(core::outcomesMatch(*L.F, Ref, Out))
-        << codegen::codeGenKindName(CL->Kind);
+        << codegen::variantName(CL->Kind);
   }
 }
 

@@ -254,15 +254,4 @@ TEST(Remarks, DispatchRemarkIdsArePinned) {
   }
 }
 
-// Remarks name their pass, so the pipeline's pass names and order are API
-// too (docs/COMPILER.md catalogs them).
-TEST(Remarks, PipelineIsTheSixDocumentedPasses) {
-  const char *Names[] = {"ir-normalize", "pdg-build", "pattern-analysis",
-                         "plan-legalize", "lower",    "program-verify"};
-  driver::PassManager PM = driver::buildPipeline();
-  ASSERT_EQ(PM.size(), 6u);
-  for (size_t I = 0; I < PM.size(); ++I)
-    EXPECT_STREQ(PM.pass(I).name(), Names[I]);
-}
-
 } // namespace
