@@ -47,11 +47,7 @@ void collectWrites(const Instruction &I, std::vector<Reg> &Out) {
 }
 
 /// Instructions that must never be moved or removed.
-bool hasSideEffects(const Instruction &I) {
-  return I.isStore() || I.isBranch() || I.Op == Opcode::Halt ||
-         I.Op == Opcode::XBegin || I.Op == Opcode::XEnd ||
-         I.Op == Opcode::XAbort;
-}
+bool hasSideEffects(const Instruction &I) { return I.has(opflag::Fx); }
 
 unsigned regKey(Reg R) {
   switch (R.Class) {

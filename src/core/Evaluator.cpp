@@ -142,6 +142,12 @@ RunOutcome core::runReferenceMulti(const LoopFunction &F,
                   std::to_string(R.FaultAddr);
       break;
     }
+    if (R.DivideError) {
+      Out.Ok = false;
+      Out.Error = "reference integer divide error (zero divisor or "
+                  "INT64_MIN / -1)";
+      break;
+    }
     Out.LiveOuts = Work.ScalarValues;
     Out.LiveOutHash = foldLiveOuts(F, Out.LiveOutHash, Out.LiveOuts);
   }

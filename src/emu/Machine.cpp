@@ -25,6 +25,8 @@ const char *emu::stopReasonName(StopReason R) {
     return "fault";
   case StopReason::BudgetExceeded:
     return "budget-exceeded";
+  case StopReason::DivideError:
+    return "divide-error";
   }
   unreachable("unknown stop reason");
 }

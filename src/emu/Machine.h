@@ -90,6 +90,7 @@ enum class StopReason : uint8_t {
   Halted,         ///< Halt executed (normal completion).
   Fault,          ///< Unhandled (non-speculative) memory fault.
   BudgetExceeded, ///< Instruction-budget watchdog fired (runaway loop).
+  DivideError,    ///< Integer Div by zero or INT64_MIN / -1 (not retired).
 };
 
 const char *stopReasonName(StopReason R);

@@ -40,11 +40,6 @@ void FaultInjector::disarm() {
   ArmedTx = nullptr;
 }
 
-void FaultInjector::reset() {
-  Stats = InjectorStats();
-  HealedLines.clear();
-}
-
 bool FaultInjector::lineIsFaulty(const RangeFault &R, uint64_t Line) const {
   if (R.Prob >= 1.0)
     return true;
@@ -59,10 +54,7 @@ bool FaultInjector::shouldFault(uint64_t Addr, uint64_t Size, bool IsWrite,
   ++Stats.MemAccessesSeen;
 
   if (Mem.FailNthAccess != 0) {
-    bool Hit = Mem.RepeatNth
-                   ? Stats.MemAccessesSeen % Mem.FailNthAccess == 0
-                   : Stats.MemAccessesSeen == Mem.FailNthAccess;
-    if (Hit) {
+    if (Stats.MemAccessesSeen == Mem.FailNthAccess) {
       ++Stats.MemFaultsInjected;
       FaultAddr = Addr;
       return true;
@@ -101,8 +93,7 @@ rtm::AbortReason FaultInjector::injectAbort(bool AtCommit) {
 
   bool Hit = false;
   if (Tx.AbortNthOp != 0)
-    Hit = Tx.RepeatNth ? Stats.TxOpsSeen % Tx.AbortNthOp == 0
-                       : Stats.TxOpsSeen == Tx.AbortNthOp;
+    Hit = Stats.TxOpsSeen == Tx.AbortNthOp;
   if (!Hit && Tx.AbortProb > 0.0)
     Hit = hashToUnit(Tx.Seed, Stats.TxOpsSeen) < Tx.AbortProb;
   if (!Hit)
@@ -114,16 +105,14 @@ rtm::AbortReason FaultInjector::injectAbort(bool AtCommit) {
 std::string FaultInjector::describe() const {
   std::string S = "faults{seed=" + std::to_string(Mem.Seed);
   if (Mem.FailNthAccess != 0)
-    S += ", mem.nth=" + std::to_string(Mem.FailNthAccess) +
-         (Mem.RepeatNth ? " (repeat)" : "");
+    S += ", mem.nth=" + std::to_string(Mem.FailNthAccess);
   for (const RangeFault &R : Mem.Ranges)
     S += ", mem.range=[" + std::to_string(R.Lo) + "," +
          std::to_string(R.Hi) + ")@" + std::to_string(R.Prob) +
          (R.Duration == FaultDuration::Transient ? " transient"
                                                  : " persistent");
   if (Tx.AbortNthOp != 0)
-    S += ", tx.nth=" + std::to_string(Tx.AbortNthOp) +
-         (Tx.RepeatNth ? " (repeat)" : "");
+    S += ", tx.nth=" + std::to_string(Tx.AbortNthOp);
   if (Tx.AbortProb > 0.0)
     S += ", tx.prob=" + std::to_string(Tx.AbortProb);
   if (Tx.enabled())

@@ -58,8 +58,6 @@ struct MemFaultPlan {
   uint64_t Seed = 1;
   /// 1-based index of the architectural access to fail (0 = disabled).
   uint64_t FailNthAccess = 0;
-  /// When true, every FailNthAccess-th access fails, not just the first.
-  bool RepeatNth = false;
   std::vector<RangeFault> Ranges;
 
   bool enabled() const { return FailNthAccess != 0 || !Ranges.empty(); }
@@ -70,8 +68,6 @@ struct TxFaultPlan {
   uint64_t Seed = 1;
   /// 1-based index of the transactional operation to abort (0 = disabled).
   uint64_t AbortNthOp = 0;
-  /// When true, every AbortNthOp-th operation aborts, not just the first.
-  bool RepeatNth = false;
   /// Per-operation abort probability (0 = disabled).
   double AbortProb = 0.0;
   /// Reason reported for injected aborts.
@@ -102,10 +98,6 @@ public:
   /// must outlive the armed objects or be disarmed first.
   void arm(mem::Memory &M, rtm::TransactionManager *T = nullptr);
   void disarm();
-
-  /// Resets counters and healed/transient state (not the plans), so one
-  /// injector config can be replayed against a second execution.
-  void reset();
 
   const InjectorStats &stats() const { return Stats; }
   const MemFaultPlan &memPlan() const { return Mem; }

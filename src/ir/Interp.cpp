@@ -49,7 +49,7 @@ struct Interpreter::Frame {
 };
 
 int64_t Interpreter::loadElem(uint64_t Addr, uint64_t Size) {
-  if (Faulted)
+  if (Faulted || DivideError)
     return 0;
   uint64_t Raw = 0;
   // The debug path (no fault-hook consultation): the reference run is
@@ -65,7 +65,7 @@ int64_t Interpreter::loadElem(uint64_t Addr, uint64_t Size) {
 }
 
 void Interpreter::storeElem(uint64_t Addr, int64_t Raw, uint64_t Size) {
-  if (Faulted)
+  if (Faulted || DivideError)
     return;
   mem::AccessResult R = M.poke(Addr, &Raw, Size);
   if (!R.Ok) {
@@ -120,8 +120,14 @@ int64_t Interpreter::evalInt(const Frame &Fr, const Expr *E) {
                                static_cast<uint64_t>(R));
       break;
     case BinOp::Div:
-      assert(R != 0 && "division by zero in reference interpreter");
-      V = L / R;
+      // A zero divisor or INT64_MIN / -1 has no result (x86 raises #DE):
+      // latch a divide error and unwind like a memory fault.
+      if (R == 0 || (L == INT64_MIN && R == -1)) {
+        DivideError = true;
+        V = 0;
+      } else {
+        V = L / R;
+      }
       break;
     case BinOp::And:
       V = L & R;
@@ -274,7 +280,7 @@ bool Interpreter::execStmts(Frame &Fr, const std::vector<Stmt *> &Stmts) {
         Fr.Obs->onBreak(S, Fr.Iter);
       return false;
     }
-    if (Faulted)
+    if (Faulted || DivideError)
       return false; // Stop at the faulting statement boundary.
   }
   return true;
@@ -287,6 +293,7 @@ InterpResult Interpreter::run(const LoopFunction &F, Bindings &B,
   InterpResult Result;
   Faulted = false;
   FaultAddr = 0;
+  DivideError = false;
   Frame Fr{&F, &B, Obs, 0, this};
   for (int64_t I = 0; I < Trip; ++I) {
     Fr.Iter = I;
@@ -294,11 +301,12 @@ InterpResult Interpreter::run(const LoopFunction &F, Bindings &B,
       Obs->onIterationStart(I);
     ++Result.IterationsExecuted;
     if (!execStmts(Fr, F.body())) {
-      Result.BrokeEarly = !Faulted;
+      Result.BrokeEarly = !Faulted && !DivideError;
       break;
     }
   }
   Result.Faulted = Faulted;
   Result.FaultAddr = FaultAddr;
+  Result.DivideError = DivideError;
   return Result;
 }

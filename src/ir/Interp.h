@@ -78,6 +78,9 @@ struct InterpResult {
   /// that, not abort the process.
   bool Faulted = false;
   uint64_t FaultAddr = 0;
+  /// An integer division had a zero divisor or was INT64_MIN / -1;
+  /// execution stopped at that statement, as for a memory fault.
+  bool DivideError = false;
 };
 
 /// The interpreter. Integer arithmetic wraps at the expression's element
@@ -98,8 +101,9 @@ private:
   int64_t evalRaw(const Frame &Fr, const Expr *E);
 
   /// Checked element access: on an unmapped address, latches the fault and
-  /// returns 0 (loads) or drops the store. Evaluation unwinds at the next
-  /// statement boundary.
+  /// returns 0 (loads) or drops the store, as every access does once a fault
+  /// or divide error has latched. Evaluation unwinds at the next statement
+  /// boundary.
   int64_t loadElem(uint64_t Addr, uint64_t Size);
   void storeElem(uint64_t Addr, int64_t Raw, uint64_t Size);
 
@@ -110,6 +114,7 @@ private:
   mem::Memory &M;
   bool Faulted = false;
   uint64_t FaultAddr = 0;
+  bool DivideError = false;
 };
 
 } // namespace ir

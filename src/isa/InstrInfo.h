@@ -2,8 +2,8 @@
 //
 // Static description of each opcode used by the out-of-order timing model:
 // execution latency, reciprocal throughput, issue port class, and micro-op
-// expansion. The FlexVec instruction entries reproduce Table 1 (bottom) of
-// the paper:
+// expansion, read from the timing columns of isa/Opcodes.def. The FlexVec
+// instruction rows reproduce Table 1 (bottom) of the paper:
 //
 //   KFTM.INC/KFTM.EXC   latency 2, throughput 1
 //   VPSLCTLAST          latency 3, throughput 1
@@ -24,36 +24,25 @@
 namespace flexvec {
 namespace isa {
 
-/// Functional unit classes used for issue-port arbitration in the simulator.
-enum class PortKind : uint8_t {
-  ALU,    ///< Scalar integer ALU (also resolves branches).
-  Mul,    ///< Scalar multiply/divide pipe (shares an ALU port).
-  FP,     ///< Scalar floating point (executes on a vector port).
-  Vec,    ///< Vector integer/fp/mask execution.
-  Load,   ///< Load ports (2 units per Table 1).
-  Store,  ///< Store port (1 unit per Table 1).
-  Branch, ///< Direct jumps.
-  None,   ///< Consumes no execution port (nop, halt).
-};
-
-/// Static per-opcode timing description.
-struct InstrTiming {
-  unsigned Latency = 1;      ///< Result latency in cycles.
-  double RecipThroughput = 1; ///< Min cycles between issues of this opcode.
-  PortKind Port = PortKind::ALU;
-  unsigned FixedUops = 1; ///< Uops, before per-lane memory expansion.
-  /// For gathers/scatters: number of lanes serviced per memory uop (the
-  /// paper's first-faulting gather sustains 2 loads per cycle on 2 ports,
-  /// i.e. one lane per uop, one uop per load port per cycle).
-  unsigned LanesPerMemUop = 0;
-};
-
 /// Returns the timing record for \p Op.
-const InstrTiming &instrTiming(Opcode Op);
+inline const InstrTiming &instrTiming(Opcode Op) {
+  return opcodeInfo(Op).Timing;
+}
 
 /// Total micro-op count for \p I (memory lane expansion included),
 /// given \p ActiveLanes lanes enabled by the write mask.
-unsigned uopCount(const Instruction &I, unsigned ActiveLanes);
+inline unsigned uopCount(const Instruction &I, unsigned ActiveLanes) {
+  const InstrTiming &T = instrTiming(I.Op);
+  if (T.LanesPerMemUop == 0)
+    return T.FixedUops;
+  // Gather/scatter-style expansion: address-generation uop(s) plus one
+  // memory uop per LanesPerMemUop active lanes (at least one).
+  unsigned MemUops =
+      (ActiveLanes + T.LanesPerMemUop - 1) / T.LanesPerMemUop;
+  if (MemUops == 0)
+    MemUops = 1;
+  return T.FixedUops + MemUops;
+}
 
 } // namespace isa
 } // namespace flexvec

@@ -39,68 +39,13 @@ std::string Reg::str() const {
   return "<bad>";
 }
 
-bool Instruction::isVector() const {
-  switch (Op) {
-  case Opcode::VBroadcast:
-  case Opcode::VBroadcastImm:
-  case Opcode::VIndex:
-  case Opcode::VAdd:
-  case Opcode::VSub:
-  case Opcode::VMul:
-  case Opcode::VAnd:
-  case Opcode::VOr:
-  case Opcode::VXor:
-  case Opcode::VMin:
-  case Opcode::VMax:
-  case Opcode::VAddImm:
-  case Opcode::VMulImm:
-  case Opcode::VShlImm:
-  case Opcode::VFAdd:
-  case Opcode::VFSub:
-  case Opcode::VFMul:
-  case Opcode::VFDiv:
-  case Opcode::VFMin:
-  case Opcode::VFMax:
-  case Opcode::VCmp:
-  case Opcode::VCmpImm:
-  case Opcode::VBlend:
-  case Opcode::VExtractLast:
-  case Opcode::VReduceAdd:
-  case Opcode::VReduceMin:
-  case Opcode::VReduceMax:
-  case Opcode::VLoad:
-  case Opcode::VStore:
-  case Opcode::VGather:
-  case Opcode::VScatter:
-  case Opcode::VMovFF:
-  case Opcode::VGatherFF:
-  case Opcode::VSlctLast:
-  case Opcode::VConflictM:
-  case Opcode::KFtmExc:
-  case Opcode::KFtmInc:
-  case Opcode::KWhileLT:
-    return true;
-  default:
-    return false;
-  }
-}
-
 std::string Instruction::str() const {
   std::string Out = opcodeName(Op);
-  switch (Op) {
-  case Opcode::Cmp:
-  case Opcode::CmpImm:
-  case Opcode::FCmp:
-  case Opcode::VCmp:
-  case Opcode::VCmpImm:
+  if (has(opflag::Cc)) {
     Out += '.';
     Out += cmpKindName(Cond);
-    break;
-  default:
-    break;
   }
-  if (isVector() || Op == Opcode::Load || Op == Opcode::Store ||
-      Op == Opcode::FMovImm) {
+  if (has(opflag::Ty)) {
     Out += '.';
     Out += elemTypeName(Type);
   }
@@ -145,28 +90,10 @@ std::string Instruction::str() const {
       appendOperand(Src3.str());
   }
 
-  switch (Op) {
-  case Opcode::MovImm:
-  case Opcode::FMovImm:
-  case Opcode::AddImm:
-  case Opcode::MulImm:
-  case Opcode::AndImm:
-  case Opcode::ShlImm:
-  case Opcode::ShrImm:
-  case Opcode::CmpImm:
-  case Opcode::VBroadcastImm:
-  case Opcode::VAddImm:
-  case Opcode::VMulImm:
-  case Opcode::VShlImm:
-  case Opcode::VCmpImm:
-  case Opcode::KSet: {
+  if (has(opflag::Imm)) {
     char Buf[32];
     std::snprintf(Buf, sizeof(Buf), "%lld", static_cast<long long>(Imm));
     appendOperand(Buf);
-    break;
-  }
-  default:
-    break;
   }
 
   if (Target != NoTarget) {

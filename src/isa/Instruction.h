@@ -46,30 +46,38 @@ struct Instruction {
   /// ("S7: d_arr[coord] = s").
   std::string Comment;
 
-  bool isBranch() const {
-    return Op == Opcode::Jmp || Op == Opcode::BrZero ||
-           Op == Opcode::BrNonZero;
-  }
-  bool isConditionalBranch() const {
-    return Op == Opcode::BrZero || Op == Opcode::BrNonZero;
-  }
-  bool isLoad() const {
-    return Op == Opcode::Load || Op == Opcode::VLoad || Op == Opcode::VGather ||
-           Op == Opcode::VMovFF || Op == Opcode::VGatherFF;
-  }
-  bool isStore() const {
-    return Op == Opcode::Store || Op == Opcode::VStore ||
-           Op == Opcode::VScatter;
-  }
-  bool isMemory() const { return isLoad() || isStore(); }
-  bool isFirstFaulting() const {
-    return Op == Opcode::VMovFF || Op == Opcode::VGatherFF;
-  }
-  bool isVector() const;
+  /// True when the opcode's table row has any of the opflag bits \p Flags.
+  bool has(uint16_t Flags) const { return opcodeInfo(Op).Flags & Flags; }
+  bool isBranch() const { return has(opflag::Br); }
+  bool isConditionalBranch() const { return has(opflag::CBr); }
+  bool isLoad() const { return has(opflag::Ld); }
+  bool isStore() const { return has(opflag::St); }
+  bool isMemory() const { return has(opflag::Ld | opflag::St); }
+  bool isFirstFaulting() const { return has(opflag::FF); }
+  bool isVector() const { return has(opflag::Vec); }
 
   /// Renders the instruction as assembly text.
   std::string str() const;
 };
+
+/// True when \p R satisfies operand class \p W.
+inline bool operandClassMatches(OperandClass W, const Reg &R) {
+  switch (W) {
+  case OperandClass::No:
+    return !R.isValid();
+  case OperandClass::S:
+    return R.isScalar();
+  case OperandClass::V:
+    return R.isVector();
+  case OperandClass::K:
+    return R.isMask();
+  case OperandClass::OptS:
+    return !R.isValid() || R.isScalar();
+  case OperandClass::OptK:
+    return !R.isValid() || R.isMask();
+  }
+  return false;
+}
 
 } // namespace isa
 } // namespace flexvec

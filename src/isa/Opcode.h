@@ -1,7 +1,10 @@
-//===- isa/Opcode.h - Opcode and condition enumerations ---------*- C++ -*-===//
+//===- isa/Opcode.h - Opcodes, the opcode table, compare kinds --*- C++ -*-===//
 //
 // The instruction set: an AVX-512-like predicated vector ISA plus the
-// FlexVec extensions from the paper (Section 3):
+// FlexVec extensions from the paper (Section 3). Every opcode is one row of
+// isa/Opcodes.def, expanded here into the Opcode enum and the OpcodeTable
+// (mnemonic, class flags, operand contract, Table 1 timing). The
+// extensions:
 //
 //   KFtmExc / KFtmInc  - partial mask generation (KFTM.EXC / KFTM.INC)
 //   VSlctLast          - select-last broadcast (VPSLCTLAST)
@@ -17,128 +20,111 @@
 #define FLEXVEC_ISA_OPCODE_H
 
 #include <cstdint>
+#include <iterator>
 
 namespace flexvec {
 namespace isa {
 
+/// The opcodes, in isa/Opcodes.def row order.
 enum class Opcode : uint8_t {
-  // --- Control ---
-  Halt,      ///< Stop execution.
-  Nop,       ///< No operation.
-  Jmp,       ///< Unconditional branch to Target.
-  BrZero,    ///< Branch to Target if scalar Src1 == 0.
-  BrNonZero, ///< Branch to Target if scalar Src1 != 0.
-
-  // --- Scalar integer ---
-  MovImm, ///< Dst = Imm.
-  Mov,    ///< Dst = Src1.
-  Add,    ///< Dst = Src1 + Src2.
-  Sub,    ///< Dst = Src1 - Src2.
-  Mul,    ///< Dst = Src1 * Src2.
-  Div,    ///< Dst = Src1 / Src2 (signed; Src2 != 0).
-  And,    ///< Dst = Src1 & Src2.
-  Or,     ///< Dst = Src1 | Src2.
-  Xor,    ///< Dst = Src1 ^ Src2.
-  Shl,    ///< Dst = Src1 << (Src2 & 63).
-  Shr,    ///< Dst = (uint64)Src1 >> (Src2 & 63).
-  AddImm, ///< Dst = Src1 + Imm.
-  MulImm, ///< Dst = Src1 * Imm.
-  AndImm, ///< Dst = Src1 & Imm.
-  ShlImm, ///< Dst = Src1 << Imm.
-  ShrImm, ///< Dst = (uint64)Src1 >> Imm.
-  Min,    ///< Dst = min(Src1, Src2) signed.
-  Max,    ///< Dst = max(Src1, Src2) signed.
-  Cmp,    ///< Dst = Src1 <Cond> Src2 ? 1 : 0 (signed).
-  CmpImm, ///< Dst = Src1 <Cond> Imm ? 1 : 0 (signed).
-  Select, ///< Dst = Src1 != 0 ? Src2 : Src3 (CMOV-like).
-
-  // --- Scalar floating point (values held in scalar registers) ---
-  FMovImm, ///< Dst = bit pattern Imm interpreted per Type.
-  FAdd,    ///< Dst = Src1 + Src2.
-  FSub,    ///< Dst = Src1 - Src2.
-  FMul,    ///< Dst = Src1 * Src2.
-  FDiv,    ///< Dst = Src1 / Src2.
-  FMin,    ///< Dst = min(Src1, Src2).
-  FMax,    ///< Dst = max(Src1, Src2).
-  FCmp,    ///< Dst = Src1 <Cond> Src2 ? 1 : 0.
-
-  // --- Scalar memory (address = Src1(base) + Src2(index)*Scale + Disp) ---
-  Load,  ///< Dst = mem[addr], element width from Type.
-  Store, ///< mem[addr] = Src3, element width from Type.
-
-  // --- Vector (all writes predicated by MaskReg; k0 = all lanes) ---
-  VBroadcast,    ///< Dst[l] = scalar Src1 for all l.
-  VBroadcastImm, ///< Dst[l] = Imm for all l.
-  VIndex,        ///< Dst[l] = scalar Src1 + l (iota).
-  VAdd,          ///< Dst[l] = Src1[l] + Src2[l].
-  VSub,          ///< Dst[l] = Src1[l] - Src2[l].
-  VMul,          ///< Dst[l] = Src1[l] * Src2[l].
-  VAnd,          ///< Dst[l] = Src1[l] & Src2[l].
-  VOr,           ///< Dst[l] = Src1[l] | Src2[l].
-  VXor,          ///< Dst[l] = Src1[l] ^ Src2[l].
-  VMin,          ///< Dst[l] = min(Src1[l], Src2[l]) signed.
-  VMax,          ///< Dst[l] = max(Src1[l], Src2[l]) signed.
-  VAddImm,       ///< Dst[l] = Src1[l] + Imm.
-  VMulImm,       ///< Dst[l] = Src1[l] * Imm.
-  VShlImm,       ///< Dst[l] = Src1[l] << Imm.
-  VFAdd,         ///< Dst[l] = Src1[l] + Src2[l] (fp).
-  VFSub,         ///< Dst[l] = Src1[l] - Src2[l] (fp).
-  VFMul,         ///< Dst[l] = Src1[l] * Src2[l] (fp).
-  VFDiv,         ///< Dst[l] = Src1[l] / Src2[l] (fp).
-  VFMin,         ///< Dst[l] = min(Src1[l], Src2[l]) (fp).
-  VFMax,         ///< Dst[l] = max(Src1[l], Src2[l]) (fp).
-  VCmp,          ///< Dst(kreg)[l] = MaskReg[l] && (Src1[l] <Cond> Src2[l]).
-  VCmpImm,       ///< Dst(kreg)[l] = MaskReg[l] && (Src1[l] <Cond> Imm).
-  VBlend,        ///< Dst[l] = MaskReg[l] ? Src1[l] : Src2[l].
-  VExtractLast,  ///< Dst(scalar) = last MaskReg-enabled lane of Src1
-                 ///< (last lane when MaskReg is empty).
-  VReduceAdd,    ///< Dst(scalar) = sum of MaskReg-enabled lanes of Src1.
-  VReduceMin,    ///< Dst(scalar) = Src2 (identity) min enabled lanes of Src1.
-  VReduceMax,    ///< Dst(scalar) = Src2 (identity) max enabled lanes of Src1.
-
-  // --- Vector memory ---
-  VLoad,  ///< Dst[l] = mem[addr + l*esize] for MaskReg-enabled l.
-  VStore, ///< mem[addr + l*esize] = Src3[l] for MaskReg-enabled l.
-  VGather, ///< Dst[l] = mem[Src1(base) + Src2[l]*Scale + Disp] for enabled l.
-  VScatter, ///< mem[Src1 + Src2[l]*Scale + Disp] = Src3[l] for enabled l.
-
-  // --- FlexVec extensions (Section 3) ---
-  VMovFF,    ///< First-faulting unaligned vector load; MaskReg in/out.
-  VGatherFF, ///< First-faulting gather; MaskReg in/out.
-  VSlctLast, ///< Dst[*] = broadcast of last MaskReg-enabled lane of Src1.
-  VConflictM, ///< Dst(kreg) = conflict stop-points of Src1 against preceding
-              ///< MaskReg-enabled lanes of Src2 (VPCONFLICTM.D/Q).
-  KFtmExc, ///< Dst = MaskReg-enabled lanes strictly before first enabled
-           ///< set bit of Src1 (KFTM.EXC).
-  KFtmInc, ///< Same, including the first enabled set bit lane (KFTM.INC).
-
-  // --- Mask manipulation ---
-  KMov,    ///< Dst = Src1 (mask copy).
-  KSet,    ///< Dst = Imm (mask immediate).
-  KAnd,    ///< Dst = Src1 & Src2.
-  KOr,     ///< Dst = Src1 | Src2.
-  KXor,    ///< Dst = Src1 ^ Src2.
-  KAndN,   ///< Dst = ~Src1 & Src2.
-  KNot,    ///< Dst = ~Src1 (within lane width of Type).
-  KTest,   ///< Dst(scalar) = (Src1 != 0) ? 1 : 0.
-  KPopcnt, ///< Dst(scalar) = popcount(Src1).
-  KWhileLT, ///< Dst[l] = (Src1 + l < Src2) for l < lanes(Type); the
-            ///< SVE-style whilelt loop-control predicate generator.
-
-  // --- Restricted transactional memory (Section 3.3.2) ---
-  XBegin, ///< Begin transaction; on abort, control transfers to Target
-          ///< with all register and memory effects rolled back.
-  XEnd,   ///< Commit transaction.
-  XAbort, ///< Explicitly abort the enclosing transaction.
+#define OPCODE(Name, ...) Name,
+#include "isa/Opcodes.def"
+#undef OPCODE
 };
 
-inline constexpr unsigned NumOpcodes = static_cast<unsigned>(Opcode::XAbort) + 1;
+/// Functional unit classes used for issue-port arbitration in the simulator.
+enum class PortKind : uint8_t {
+  ALU,    ///< Scalar integer ALU (also resolves branches).
+  Mul,    ///< Scalar multiply/divide pipe (shares an ALU port).
+  FP,     ///< Scalar floating point (executes on a vector port).
+  Vec,    ///< Vector integer/fp/mask execution.
+  Load,   ///< Load ports (2 units per Table 1).
+  Store,  ///< Store port (1 unit per Table 1).
+  Branch, ///< Direct jumps.
+  None,   ///< Consumes no execution port (nop, halt).
+};
+
+/// Static per-opcode timing description (see isa/InstrInfo.h).
+struct InstrTiming {
+  unsigned Latency = 1;      ///< Result latency in cycles.
+  double RecipThroughput = 1; ///< Min cycles between issues of this opcode.
+  PortKind Port = PortKind::ALU;
+  unsigned FixedUops = 1; ///< Uops, before per-lane memory expansion.
+  /// For gathers/scatters: number of lanes serviced per memory uop (the
+  /// paper's first-faulting gather sustains 2 loads per cycle on 2 ports,
+  /// i.e. one lane per uop, one uop per load port per cycle).
+  unsigned LanesPerMemUop = 0;
+};
+
+/// The register class an operand slot wants. The Opt classes also accept
+/// Reg::none(); an absent write mask reads as k0 (all lanes).
+enum class OperandClass : uint8_t {
+  No,   ///< Must be absent.
+  S,    ///< Scalar register.
+  V,    ///< Vector register.
+  K,    ///< Mask register.
+  OptS, ///< Scalar register or absent.
+  OptK, ///< Mask register or absent.
+};
+
+/// Operand contract of one opcode: the wanted class of each slot.
+struct OperandContract {
+  OperandClass Dst, Src1, Src2, Src3, Mask;
+};
+
+/// Class flags of an opcode (OpcodeInfo::Flags); Opcodes.def has the legend.
+namespace opflag {
+enum : uint16_t {
+  Vec = 1 << 0,  ///< Vector-unit instruction.
+  Ld = 1 << 1,   ///< Reads memory.
+  St = 1 << 2,   ///< Writes memory.
+  Br = 1 << 3,   ///< Branch.
+  CBr = 1 << 4,  ///< Conditional branch.
+  FF = 1 << 5,   ///< First-faulting; the write mask is in/out.
+  Cc = 1 << 6,   ///< Prints its compare kind.
+  Imm = 1 << 7,  ///< Prints its immediate.
+  Ty = 1 << 8,   ///< Prints its element type.
+  Tgt = 1 << 9,  ///< Carries a branch target.
+  Fx = 1 << 10,  ///< Side effect: never moved or removed by the peephole.
+  Ser = 1 << 11, ///< Waits for every older uop to retire.
+};
+} // namespace opflag
+
+/// One row of the opcode table.
+struct OpcodeInfo {
+  const char *Mnemonic; ///< "vpgatherff", "kftm.exc", ...
+  uint16_t Flags;       ///< opflag bits.
+  OperandContract Operands;
+  InstrTiming Timing;
+};
+
+namespace detail {
+using namespace opflag;
+inline constexpr OpcodeInfo OpcodeTable[] = {
+#define OPCODE(Name, Mnemonic, Flags, Dst, Src1, Src2, Src3, Mask, Lat,      \
+               Tput, Port, Uops, Lanes)                                       \
+  {Mnemonic,                                                                  \
+   static_cast<uint16_t>(Flags),                                              \
+   {OperandClass::Dst, OperandClass::Src1, OperandClass::Src2,                \
+    OperandClass::Src3, OperandClass::Mask},                                  \
+   {Lat, Tput, PortKind::Port, Uops, Lanes}},
+#include "isa/Opcodes.def"
+#undef OPCODE
+};
+} // namespace detail
+
+inline constexpr unsigned NumOpcodes = std::size(detail::OpcodeTable);
+
+/// The table row for \p Op.
+constexpr const OpcodeInfo &opcodeInfo(Opcode Op) {
+  return detail::OpcodeTable[static_cast<unsigned>(Op)];
+}
 
 /// Comparison predicates (shared by scalar and vector compares).
 enum class CmpKind : uint8_t { EQ, NE, LT, LE, GT, GE };
 
 /// Mnemonic for an opcode ("vpgatherff", "kftm.exc", ...).
-const char *opcodeName(Opcode Op);
+inline const char *opcodeName(Opcode Op) { return opcodeInfo(Op).Mnemonic; }
 
 /// Textual form of a predicate ("lt", "ge", ...).
 const char *cmpKindName(CmpKind K);

@@ -34,7 +34,20 @@ void ProgramBuilder::bind(Label L) {
   LabelOffsets[L] = static_cast<int32_t>(Instrs.size());
 }
 
+/// True when every operand slot of \p I holds the register class its opcode's
+/// row in isa/Opcodes.def wants, and a first-faulting mask is writable.
+[[maybe_unused]] static bool satisfiesContract(const Instruction &I) {
+  const OperandContract &W = opcodeInfo(I.Op).Operands;
+  return operandClassMatches(W.Dst, I.Dst) &&
+         operandClassMatches(W.Src1, I.Src1) &&
+         operandClassMatches(W.Src2, I.Src2) &&
+         operandClassMatches(W.Src3, I.Src3) &&
+         operandClassMatches(W.Mask, I.MaskReg) &&
+         !(I.isFirstFaulting() && I.MaskReg.Index == 0);
+}
+
 Instruction &ProgramBuilder::emit(Instruction I) {
+  assert(satisfiesContract(I) && "operands break the opcode's contract");
   Instrs.push_back(std::move(I));
   return Instrs.back();
 }
@@ -77,7 +90,6 @@ Instruction &ProgramBuilder::jmp(Label L) {
 }
 
 Instruction &ProgramBuilder::brZero(Reg Cond, Label L) {
-  assert(Cond.isScalar() && "branch condition must be scalar");
   Instruction I;
   I.Op = Opcode::BrZero;
   I.Src1 = Cond;
@@ -86,7 +98,6 @@ Instruction &ProgramBuilder::brZero(Reg Cond, Label L) {
 }
 
 Instruction &ProgramBuilder::brNonZero(Reg Cond, Label L) {
-  assert(Cond.isScalar() && "branch condition must be scalar");
   Instruction I;
   I.Op = Opcode::BrNonZero;
   I.Src1 = Cond;
@@ -97,7 +108,6 @@ Instruction &ProgramBuilder::brNonZero(Reg Cond, Label L) {
 // --- Scalar ------------------------------------------------------------===//
 
 Instruction &ProgramBuilder::movImm(Reg D, int64_t V) {
-  assert(D.isScalar());
   Instruction I;
   I.Op = Opcode::MovImm;
   I.Dst = D;
@@ -106,7 +116,6 @@ Instruction &ProgramBuilder::movImm(Reg D, int64_t V) {
 }
 
 Instruction &ProgramBuilder::mov(Reg D, Reg S) {
-  assert(D.isScalar() && S.isScalar());
   Instruction I;
   I.Op = Opcode::Mov;
   I.Dst = D;
@@ -115,7 +124,6 @@ Instruction &ProgramBuilder::mov(Reg D, Reg S) {
 }
 
 Instruction &ProgramBuilder::binOp(Opcode Op, Reg D, Reg A, Reg B) {
-  assert(D.isScalar() && A.isScalar() && B.isScalar());
   Instruction I;
   I.Op = Op;
   I.Dst = D;
@@ -125,7 +133,6 @@ Instruction &ProgramBuilder::binOp(Opcode Op, Reg D, Reg A, Reg B) {
 }
 
 Instruction &ProgramBuilder::binOpImm(Opcode Op, Reg D, Reg A, int64_t Imm) {
-  assert(D.isScalar() && A.isScalar());
   Instruction I;
   I.Op = Op;
   I.Dst = D;
@@ -164,7 +171,7 @@ Instruction &ProgramBuilder::fbinOp(Opcode Op, ElemType Ty, Reg D, Reg A,
 }
 
 Instruction &ProgramBuilder::fmovImm(Reg D, ElemType Ty, double V) {
-  assert(D.isScalar() && isFloatType(Ty));
+  assert(isFloatType(Ty) && "fmovimm requires a float type");
   Instruction I;
   I.Op = Opcode::FMovImm;
   I.Dst = D;
@@ -183,8 +190,6 @@ Instruction &ProgramBuilder::fmovImm(Reg D, ElemType Ty, double V) {
 }
 
 Instruction &ProgramBuilder::select(Reg D, Reg Cond, Reg IfTrue, Reg IfFalse) {
-  assert(D.isScalar() && Cond.isScalar() && IfTrue.isScalar() &&
-         IfFalse.isScalar());
   Instruction I;
   I.Op = Opcode::Select;
   I.Dst = D;
@@ -196,8 +201,6 @@ Instruction &ProgramBuilder::select(Reg D, Reg Cond, Reg IfTrue, Reg IfFalse) {
 
 Instruction &ProgramBuilder::load(Reg D, ElemType Ty, Reg Base, Reg Index,
                                   uint8_t Scale, int64_t Disp) {
-  assert(D.isScalar() && Base.isScalar());
-  assert(!Index.isValid() || Index.isScalar());
   Instruction I;
   I.Op = Opcode::Load;
   I.Type = Ty;
@@ -211,8 +214,6 @@ Instruction &ProgramBuilder::load(Reg D, ElemType Ty, Reg Base, Reg Index,
 
 Instruction &ProgramBuilder::store(ElemType Ty, Reg Base, Reg Index,
                                    uint8_t Scale, int64_t Disp, Reg Value) {
-  assert(Base.isScalar() && Value.isScalar());
-  assert(!Index.isValid() || Index.isScalar());
   Instruction I;
   I.Op = Opcode::Store;
   I.Type = Ty;
@@ -227,7 +228,6 @@ Instruction &ProgramBuilder::store(ElemType Ty, Reg Base, Reg Index,
 // --- Vector ------------------------------------------------------------===//
 
 Instruction &ProgramBuilder::vbroadcast(Reg D, ElemType Ty, Reg S, Reg Mask) {
-  assert(D.isVector() && S.isScalar());
   Instruction I;
   I.Op = Opcode::VBroadcast;
   I.Type = Ty;
@@ -239,7 +239,6 @@ Instruction &ProgramBuilder::vbroadcast(Reg D, ElemType Ty, Reg S, Reg Mask) {
 
 Instruction &ProgramBuilder::vbroadcastImm(Reg D, ElemType Ty, int64_t Imm,
                                            Reg Mask) {
-  assert(D.isVector());
   Instruction I;
   I.Op = Opcode::VBroadcastImm;
   I.Type = Ty;
@@ -250,7 +249,6 @@ Instruction &ProgramBuilder::vbroadcastImm(Reg D, ElemType Ty, int64_t Imm,
 }
 
 Instruction &ProgramBuilder::vindex(Reg D, ElemType Ty, Reg Base) {
-  assert(D.isVector() && Base.isScalar());
   Instruction I;
   I.Op = Opcode::VIndex;
   I.Type = Ty;
@@ -261,7 +259,6 @@ Instruction &ProgramBuilder::vindex(Reg D, ElemType Ty, Reg Base) {
 
 Instruction &ProgramBuilder::vbinOp(Opcode Op, ElemType Ty, Reg D, Reg A,
                                     Reg B, Reg Mask) {
-  assert(D.isVector() && A.isVector() && B.isVector());
   Instruction I;
   I.Op = Op;
   I.Type = Ty;
@@ -274,7 +271,6 @@ Instruction &ProgramBuilder::vbinOp(Opcode Op, ElemType Ty, Reg D, Reg A,
 
 Instruction &ProgramBuilder::vbinOpImm(Opcode Op, ElemType Ty, Reg D, Reg A,
                                        int64_t Imm, Reg Mask) {
-  assert(D.isVector() && A.isVector());
   Instruction I;
   I.Op = Op;
   I.Type = Ty;
@@ -287,7 +283,6 @@ Instruction &ProgramBuilder::vbinOpImm(Opcode Op, ElemType Ty, Reg D, Reg A,
 
 Instruction &ProgramBuilder::vcmp(Reg KD, CmpKind K, ElemType Ty, Reg A,
                                   Reg B, Reg Mask) {
-  assert(KD.isMask() && A.isVector() && B.isVector());
   Instruction I;
   I.Op = Opcode::VCmp;
   I.Cond = K;
@@ -301,7 +296,6 @@ Instruction &ProgramBuilder::vcmp(Reg KD, CmpKind K, ElemType Ty, Reg A,
 
 Instruction &ProgramBuilder::vcmpImm(Reg KD, CmpKind K, ElemType Ty, Reg A,
                                      int64_t Imm, Reg Mask) {
-  assert(KD.isMask() && A.isVector());
   Instruction I;
   I.Op = Opcode::VCmpImm;
   I.Cond = K;
@@ -315,8 +309,6 @@ Instruction &ProgramBuilder::vcmpImm(Reg KD, CmpKind K, ElemType Ty, Reg A,
 
 Instruction &ProgramBuilder::vblend(Reg D, ElemType Ty, Reg Mask, Reg IfTrue,
                                     Reg IfFalse) {
-  assert(D.isVector() && Mask.isMask() && IfTrue.isVector() &&
-         IfFalse.isVector());
   Instruction I;
   I.Op = Opcode::VBlend;
   I.Type = Ty;
@@ -329,7 +321,6 @@ Instruction &ProgramBuilder::vblend(Reg D, ElemType Ty, Reg Mask, Reg IfTrue,
 
 Instruction &ProgramBuilder::vextractLast(Reg D, ElemType Ty, Reg Mask,
                                           Reg S) {
-  assert(D.isScalar() && S.isVector());
   Instruction I;
   I.Op = Opcode::VExtractLast;
   I.Type = Ty;
@@ -341,10 +332,6 @@ Instruction &ProgramBuilder::vextractLast(Reg D, ElemType Ty, Reg Mask,
 
 Instruction &ProgramBuilder::vreduce(Opcode Op, ElemType Ty, Reg D, Reg Mask,
                                      Reg S, Reg Identity) {
-  assert((Op == Opcode::VReduceAdd || Op == Opcode::VReduceMin ||
-          Op == Opcode::VReduceMax) &&
-         "not a reduction opcode");
-  assert(D.isScalar() && S.isVector() && Identity.isScalar());
   Instruction I;
   I.Op = Op;
   I.Type = Ty;
@@ -357,7 +344,6 @@ Instruction &ProgramBuilder::vreduce(Opcode Op, ElemType Ty, Reg D, Reg Mask,
 
 Instruction &ProgramBuilder::vload(Reg D, ElemType Ty, Reg Mask, Reg Base,
                                    Reg Index, uint8_t Scale, int64_t Disp) {
-  assert(D.isVector() && Base.isScalar());
   Instruction I;
   I.Op = Opcode::VLoad;
   I.Type = Ty;
@@ -373,7 +359,6 @@ Instruction &ProgramBuilder::vload(Reg D, ElemType Ty, Reg Mask, Reg Base,
 Instruction &ProgramBuilder::vstore(ElemType Ty, Reg Mask, Reg Base,
                                     Reg Index, uint8_t Scale, int64_t Disp,
                                     Reg Value) {
-  assert(Base.isScalar() && Value.isVector());
   Instruction I;
   I.Op = Opcode::VStore;
   I.Type = Ty;
@@ -388,7 +373,6 @@ Instruction &ProgramBuilder::vstore(ElemType Ty, Reg Mask, Reg Base,
 
 Instruction &ProgramBuilder::vgather(Reg D, ElemType Ty, Reg Mask, Reg Base,
                                      Reg VIndex, uint8_t Scale, int64_t Disp) {
-  assert(D.isVector() && Base.isScalar() && VIndex.isVector());
   Instruction I;
   I.Op = Opcode::VGather;
   I.Type = Ty;
@@ -404,7 +388,6 @@ Instruction &ProgramBuilder::vgather(Reg D, ElemType Ty, Reg Mask, Reg Base,
 Instruction &ProgramBuilder::vscatter(ElemType Ty, Reg Mask, Reg Base,
                                       Reg VIndex, uint8_t Scale, int64_t Disp,
                                       Reg Value) {
-  assert(Base.isScalar() && VIndex.isVector() && Value.isVector());
   Instruction I;
   I.Op = Opcode::VScatter;
   I.Type = Ty;
@@ -422,8 +405,6 @@ Instruction &ProgramBuilder::vscatter(ElemType Ty, Reg Mask, Reg Base,
 Instruction &ProgramBuilder::vmovff(Reg D, ElemType Ty, Reg MaskInOut,
                                     Reg Base, Reg Index, uint8_t Scale,
                                     int64_t Disp) {
-  assert(D.isVector() && MaskInOut.isMask() && Base.isScalar());
-  assert(MaskInOut.Index != 0 && "first-faulting mask must be writable");
   Instruction I;
   I.Op = Opcode::VMovFF;
   I.Type = Ty;
@@ -439,9 +420,6 @@ Instruction &ProgramBuilder::vmovff(Reg D, ElemType Ty, Reg MaskInOut,
 Instruction &ProgramBuilder::vgatherff(Reg D, ElemType Ty, Reg MaskInOut,
                                        Reg Base, Reg VIndex, uint8_t Scale,
                                        int64_t Disp) {
-  assert(D.isVector() && MaskInOut.isMask() && Base.isScalar() &&
-         VIndex.isVector());
-  assert(MaskInOut.Index != 0 && "first-faulting mask must be writable");
   Instruction I;
   I.Op = Opcode::VGatherFF;
   I.Type = Ty;
@@ -455,7 +433,6 @@ Instruction &ProgramBuilder::vgatherff(Reg D, ElemType Ty, Reg MaskInOut,
 }
 
 Instruction &ProgramBuilder::vslctlast(Reg D, ElemType Ty, Reg Mask, Reg S) {
-  assert(D.isVector() && Mask.isMask() && S.isVector());
   Instruction I;
   I.Op = Opcode::VSlctLast;
   I.Type = Ty;
@@ -467,7 +444,6 @@ Instruction &ProgramBuilder::vslctlast(Reg D, ElemType Ty, Reg Mask, Reg S) {
 
 Instruction &ProgramBuilder::vconflictm(Reg KD, ElemType Ty, Reg WriteEnable,
                                         Reg V1, Reg V2) {
-  assert(KD.isMask() && V1.isVector() && V2.isVector());
   Instruction I;
   I.Op = Opcode::VConflictM;
   I.Type = Ty;
@@ -480,7 +456,6 @@ Instruction &ProgramBuilder::vconflictm(Reg KD, ElemType Ty, Reg WriteEnable,
 
 Instruction &ProgramBuilder::kftmExc(Reg KD, ElemType Ty, Reg WriteEnable,
                                      Reg KStop) {
-  assert(KD.isMask() && KStop.isMask());
   Instruction I;
   I.Op = Opcode::KFtmExc;
   I.Type = Ty;
@@ -492,7 +467,6 @@ Instruction &ProgramBuilder::kftmExc(Reg KD, ElemType Ty, Reg WriteEnable,
 
 Instruction &ProgramBuilder::kftmInc(Reg KD, ElemType Ty, Reg WriteEnable,
                                      Reg KStop) {
-  assert(KD.isMask() && KStop.isMask());
   Instruction I;
   I.Op = Opcode::KFtmInc;
   I.Type = Ty;
@@ -503,7 +477,6 @@ Instruction &ProgramBuilder::kftmInc(Reg KD, ElemType Ty, Reg WriteEnable,
 }
 
 Instruction &ProgramBuilder::kwhilelt(Reg KD, ElemType Ty, Reg I_, Reg Bound) {
-  assert(KD.isMask() && I_.isScalar() && Bound.isScalar());
   Instruction I;
   I.Op = Opcode::KWhileLT;
   I.Type = Ty;
@@ -516,7 +489,6 @@ Instruction &ProgramBuilder::kwhilelt(Reg KD, ElemType Ty, Reg I_, Reg Bound) {
 // --- Masks --------------------------------------------------------------===//
 
 Instruction &ProgramBuilder::kmov(Reg D, Reg S) {
-  assert(D.isMask() && S.isMask());
   Instruction I;
   I.Op = Opcode::KMov;
   I.Dst = D;
@@ -525,7 +497,6 @@ Instruction &ProgramBuilder::kmov(Reg D, Reg S) {
 }
 
 Instruction &ProgramBuilder::kset(Reg D, uint64_t Imm) {
-  assert(D.isMask());
   Instruction I;
   I.Op = Opcode::KSet;
   I.Dst = D;
@@ -534,7 +505,6 @@ Instruction &ProgramBuilder::kset(Reg D, uint64_t Imm) {
 }
 
 Instruction &ProgramBuilder::kbinOp(Opcode Op, Reg D, Reg A, Reg B) {
-  assert(D.isMask() && A.isMask() && B.isMask());
   Instruction I;
   I.Op = Op;
   I.Dst = D;
@@ -544,7 +514,6 @@ Instruction &ProgramBuilder::kbinOp(Opcode Op, Reg D, Reg A, Reg B) {
 }
 
 Instruction &ProgramBuilder::knot(Reg D, ElemType Ty, Reg S) {
-  assert(D.isMask() && S.isMask());
   Instruction I;
   I.Op = Opcode::KNot;
   I.Type = Ty;
@@ -554,7 +523,6 @@ Instruction &ProgramBuilder::knot(Reg D, ElemType Ty, Reg S) {
 }
 
 Instruction &ProgramBuilder::ktest(Reg D, Reg K) {
-  assert(D.isScalar() && K.isMask());
   Instruction I;
   I.Op = Opcode::KTest;
   I.Dst = D;
@@ -563,7 +531,6 @@ Instruction &ProgramBuilder::ktest(Reg D, Reg K) {
 }
 
 Instruction &ProgramBuilder::kpopcnt(Reg D, Reg K) {
-  assert(D.isScalar() && K.isMask());
   Instruction I;
   I.Op = Opcode::KPopcnt;
   I.Dst = D;

@@ -152,7 +152,7 @@ const OooCore::DecodedSim &OooCore::decoded(const emu::DynInstr &DI) {
   // Transaction boundaries drain the pipeline: XBEGIN/XEND cannot execute
   // until every older uop has retired (store-buffer drain), though the
   // front end keeps fetching.
-  D.SerializesRetire = I.Op == Opcode::XBegin || I.Op == Opcode::XEnd;
+  D.SerializesRetire = I.has(opflag::Ser);
   D.IsXAbort = I.Op == Opcode::XAbort;
   D.IsCondBranch = I.isConditionalBranch();
   D.IsLoad = I.isLoad();

@@ -216,6 +216,42 @@ TEST(CliSmoke, VectorOnlyShapesRunScalarOnly) {
   std::remove(Path.c_str());
 }
 
+TEST(CliSmoke, FailedReferenceRunIsReportedNotACrash) {
+  // The reference interpreter stops on an out-of-bounds a0 index in the
+  // first loop and on a division by i == 0 in the second; the CLI prints
+  // its error and exits 1 rather than reading the missing live-outs
+  // (SIGSEGV) or trapping on the division (SIGFPE).
+  const struct {
+    const char *Src;
+    const char *Args;
+    const char *Error;
+  } Cases[] = {
+      {"loop t(i64 n trip, i32 s0 liveout, i64 a0[], i64 a1[] readonly) "
+       "{ s0 = (((9 * i) * a0[i]) + s0); "
+       "s0 = min((a0[i] + 9), a1[(a0[i] + s0)]); "
+       "a0[(s0 + a0[i])] = a1[i]; }",
+       " --run --trip=40 --arraysize=64",
+       "error: reference memory fault at address "},
+      {"loop t(i64 n trip, i32 s0, i64 s1, i32 s2, i64 a0[], i64 a1[]) "
+       "{ s1 = ((s0 * i) + (a1[a1[i]] / i)); }",
+       " --run", "error: reference integer divide error"},
+  };
+  const std::string Path = "cli_smoke_failed_reference.fv";
+  for (const auto &C : Cases) {
+    FILE *F = std::fopen(Path.c_str(), "w");
+    ASSERT_NE(F, nullptr);
+    std::fputs(C.Src, F);
+    std::fclose(F);
+    CmdResult R = run(Cli + " " + Path + C.Args);
+    EXPECT_EQ(R.Exit, 1) << C.Src << "\n" << R.Output;
+    EXPECT_NE(R.Output.find(C.Error), std::string::npos)
+        << C.Src << "\n" << R.Output;
+    EXPECT_EQ(R.Output.find("reference live-outs"), std::string::npos)
+        << R.Output;
+  }
+  std::remove(Path.c_str());
+}
+
 TEST(CliSmoke, FaultDiffCleanRunIsEquivalent) {
   CmdResult R = run(Cli + " " + FindFirst + " --fault-diff");
   EXPECT_EQ(R.Exit, 0) << R.Output;

@@ -105,6 +105,38 @@ TEST_F(EmuTest, UnhandledFaultStopsExecution) {
   EXPECT_EQ(R.FaultAddr, 0x50000u);
 }
 
+TEST_F(EmuTest, IntegerDivideErrorStopsExecution) {
+  // Signed division truncates toward zero; a zero divisor and
+  // INT64_MIN / -1 have no result and stop the run at the Div unretired.
+  struct Case {
+    int64_t A, B;
+    bool Ok;
+    int64_t Q;
+  } Cases[] = {{7, -2, true, -3},
+               {-7, 2, true, -3},
+               {7, 0, false, 0},
+               {INT64_MIN, -1, false, 0},
+               {INT64_MIN, 1, true, INT64_MIN}};
+  for (const Case &C : Cases) {
+    ProgramBuilder B;
+    B.movImm(Reg::scalar(1), C.A);
+    B.movImm(Reg::scalar(2), C.B);
+    B.binOp(Opcode::Div, Reg::scalar(3), Reg::scalar(1), Reg::scalar(2));
+    B.halt();
+    ExecResult R = run(B);
+    if (C.Ok) {
+      ASSERT_EQ(R.Reason, StopReason::Halted) << R.describe();
+      EXPECT_EQ(Mach.getScalar(3), C.Q);
+      continue;
+    }
+    EXPECT_EQ(R.Reason, StopReason::DivideError);
+    EXPECT_EQ(R.FaultPC, 2u);
+    EXPECT_EQ(R.FaultOp, Opcode::Div);
+    EXPECT_EQ(R.Stats.Instructions, 2u) << "the Div does not retire";
+    EXPECT_EQ(R.describe(), "divide-error at pc=2 (div)");
+  }
+}
+
 TEST_F(EmuTest, BudgetWatchdogStopsRunawayLoops) {
   ProgramBuilder B;
   auto L = B.createLabel();

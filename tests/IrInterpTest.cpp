@@ -131,6 +131,47 @@ TEST(Interp, Int32ArithmeticWrapsAtLaneWidth) {
   EXPECT_EQ(B.getInt(L.S), 0);
 }
 
+TEST(Interp, IntegerDivideErrorStopsTheRun) {
+  // A zero divisor and INT64_MIN / -1 have no result: the run stops at
+  // that statement with DivideError set, like a memory fault, instead of
+  // trapping the process. Ordinary division truncates toward zero.
+  LoopFunction F("div");
+  int N = F.addScalar("n", ElemType::I64);
+  int S = F.addScalar("s", ElemType::I64, /*IsLiveOut=*/true);
+  int A = F.addArray("a", ElemType::I64, true);
+  F.setTripCountScalar(N);
+  F.setBody({F.assignScalar(
+      S, F.binary(BinOp::Div, F.scalarRef(S), F.arrayRef(A, F.indexRef())))});
+
+  struct Case {
+    int64_t Start;
+    std::vector<int64_t> Divisors;
+    bool DivideError;
+    int64_t Iterations;
+    int64_t Result;
+  } Cases[] = {{-100, {3, -2}, false, 2, 16},
+               {100, {5, 0, 7}, true, 2, 0},
+               {INT64_MIN, {-1}, true, 1, 0},
+               {INT64_MIN, {1}, false, 1, INT64_MIN}};
+  for (const Case &C : Cases) {
+    mem::Memory M;
+    mem::BumpAllocator Alloc(M);
+    Bindings B = Bindings::forFunction(F);
+    B.ArrayBases[A] = Alloc.allocArray(C.Divisors);
+    B.setInt(N, static_cast<int64_t>(C.Divisors.size()));
+    B.setInt(S, C.Start);
+    Interpreter I(M);
+    InterpResult R = I.run(F, B);
+    EXPECT_EQ(R.DivideError, C.DivideError) << C.Start;
+    EXPECT_FALSE(R.Faulted);
+    EXPECT_FALSE(R.BrokeEarly);
+    EXPECT_EQ(R.IterationsExecuted, C.Iterations) << C.Start;
+    if (!C.DivideError) {
+      EXPECT_EQ(B.getInt(S), C.Result);
+    }
+  }
+}
+
 TEST(Interp, F32RoundsToSinglePrecision) {
   LoopFunction F("f32");
   int N = F.addScalar("n", ElemType::I64);

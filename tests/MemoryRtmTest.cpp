@@ -227,22 +227,6 @@ TEST(FaultInjector, FailNthAccessFaultsExactlyOnce) {
   EXPECT_EQ(Inj.stats().MemAccessesSeen, 4u);
 }
 
-TEST(FaultInjector, RepeatNthFaultsPeriodically) {
-  Memory M;
-  M.map(0x1000, PageSize);
-  faults::MemFaultPlan Plan;
-  Plan.FailNthAccess = 2;
-  Plan.RepeatNth = true;
-  faults::FaultInjector Inj(Plan);
-  Inj.arm(M);
-  int32_t V;
-  for (int I = 0; I < 3; ++I) {
-    EXPECT_TRUE(M.readValue(0x1000, V).Ok);
-    EXPECT_FALSE(M.readValue(0x1000, V).Ok);
-  }
-  EXPECT_EQ(Inj.stats().MemFaultsInjected, 3u);
-}
-
 TEST(FaultInjector, RangeFaultsAreAddressDeterministic) {
   // A line's faultiness depends only on (seed, line), never on access
   // order or count — the property the differential harness relies on.
@@ -312,9 +296,6 @@ TEST(FaultInjector, TransientFaultHealsAfterFiring) {
   EXPECT_TRUE(M.readValue(0x1000, V).Ok) << "the line has healed";
   EXPECT_EQ(V, 31);
   EXPECT_EQ(Inj.stats().MemFaultsInjected, 1u);
-  // reset() re-arms the transient state for a replay.
-  Inj.reset();
-  EXPECT_FALSE(M.readValue(0x1000, V).Ok);
 }
 
 TEST(FaultInjector, DebugPeekPokeBypassInjection) {

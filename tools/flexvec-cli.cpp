@@ -292,6 +292,10 @@ int runLoop(const ir::LoopFunction &F, const driver::CompileResult &PR,
   std::printf("== Run (trip=%lld, seed=%llu) ==\n",
               static_cast<long long>(Opts.Trip),
               static_cast<unsigned long long>(Opts.Seed));
+  if (!Ref.Ok) {
+    std::fprintf(stderr, "error: %s\n", Ref.Error.c_str());
+    return 1;
+  }
   std::printf("reference live-outs:");
   for (size_t S = 0; S < F.scalars().size(); ++S)
     if (F.scalar(static_cast<int>(S)).IsLiveOut)
