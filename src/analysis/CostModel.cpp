@@ -2,60 +2,26 @@
 
 #include "analysis/CostModel.h"
 
-#include "support/Error.h"
-
 using namespace flexvec;
 using namespace flexvec::analysis;
 using namespace flexvec::ir;
 
-namespace {
-
-void countExpr(const Expr *E, LoopShape &Shape) {
-  switch (E->Kind) {
-  case ExprKind::ConstInt:
-  case ExprKind::ConstFloat:
-  case ExprKind::ScalarRef:
-  case ExprKind::IndexRef:
-    return;
-  case ExprKind::ArrayRef:
-    ++Shape.VectorMemoryOps;
-    if (!pdg::matchAffine(E->Index))
-      ++Shape.GatherScatterOps;
-    countExpr(E->Index, Shape);
-    return;
-  case ExprKind::Binary:
-  case ExprKind::Compare:
-  case ExprKind::LogicalAnd:
-    ++Shape.ComputeOps;
-    countExpr(E->Lhs, Shape);
-    countExpr(E->Rhs, Shape);
-    return;
-  }
-  unreachable("unknown expr kind");
-}
-
-} // namespace
-
 LoopShape analysis::computeLoopShape(const LoopFunction &F) {
   LoopShape Shape;
-  F.forEachStmt([&Shape](const Stmt *S) {
-    switch (S->Kind) {
-    case StmtKind::AssignScalar:
-      countExpr(S->Value, Shape);
-      break;
-    case StmtKind::StoreArray:
-      ++Shape.VectorMemoryOps;
-      if (!pdg::matchAffine(S->Index))
-        ++Shape.GatherScatterOps;
-      countExpr(S->Index, Shape);
-      countExpr(S->Value, Shape);
-      break;
-    case StmtKind::If:
-      countExpr(S->Cond, Shape);
-      break;
-    case StmtKind::Break:
-      break;
-    }
+  auto countAccess = [&Shape](const Expr *Index) {
+    ++Shape.VectorMemoryOps;
+    if (!pdg::matchAffine(Index))
+      ++Shape.GatherScatterOps;
+  };
+  forEachStmt(F, [&](const Stmt *S) {
+    if (S->Kind == StmtKind::StoreArray)
+      countAccess(S->Index);
+    forEachExpr(*S, [&](const Expr *E) {
+      if (E->Kind == ExprKind::ArrayRef)
+        countAccess(E->Index);
+      else if (E->Lhs) // Binary, Compare, LogicalAnd.
+        ++Shape.ComputeOps;
+    });
   });
   return Shape;
 }

@@ -2,8 +2,6 @@
 
 #include "analysis/Patterns.h"
 
-#include "support/Error.h"
-
 #include <algorithm>
 #include <cassert>
 
@@ -13,39 +11,6 @@ using namespace flexvec::ir;
 using namespace flexvec::pdg;
 
 namespace {
-
-/// True if \p E contains any array read.
-bool exprHasArrayRead(const Expr *E) {
-  switch (E->Kind) {
-  case ExprKind::ConstInt:
-  case ExprKind::ConstFloat:
-  case ExprKind::IndexRef:
-  case ExprKind::ScalarRef:
-    return false;
-  case ExprKind::ArrayRef:
-    return true;
-  case ExprKind::Binary:
-  case ExprKind::Compare:
-  case ExprKind::LogicalAnd:
-    return exprHasArrayRead(E->Lhs) || exprHasArrayRead(E->Rhs);
-  }
-  unreachable("unknown expr kind");
-}
-
-/// True if statement node \p N contains an array read.
-bool stmtHasArrayRead(const Stmt *S) {
-  switch (S->Kind) {
-  case StmtKind::AssignScalar:
-    return exprHasArrayRead(S->Value);
-  case StmtKind::StoreArray:
-    return exprHasArrayRead(S->Index) || exprHasArrayRead(S->Value);
-  case StmtKind::If:
-    return exprHasArrayRead(S->Cond);
-  case StmtKind::Break:
-    return false;
-  }
-  unreachable("unknown stmt kind");
-}
 
 /// Maps a node to its top-level ancestor's index in F.body(); -1 on error.
 int topLevelIndexOf(const Pdg &P, int Node) {
@@ -487,14 +452,14 @@ VectorizationPlan analysis::analyzeLoop(const Pdg &P) {
     // condition of later lanes is known (Section 4.1).
     for (int N = 1; N < P.numNodes(); ++N)
       if (P.lexicalPos(N) <= P.lexicalPos(EE.GuardNode) &&
-          stmtHasArrayRead(P.stmtOf(N)))
+          !P.loads(N).empty())
         markSpeculative(N);
   }
   for (const auto &V : Plan.CondUpdateVpls) {
     // Loads under a guard whose condition reads a relaxed scalar read stale
     // control state and must be first-faulting (Section 4.2).
     for (int N = 1; N < P.numNodes(); ++N) {
-      if (!stmtHasArrayRead(P.stmtOf(N)))
+      if (P.loads(N).empty())
         continue;
       int Top = topLevelIndexOf(P, N);
       if (Top < V.FirstTop || Top > V.LastTop)

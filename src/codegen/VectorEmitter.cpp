@@ -60,7 +60,7 @@ VectorEmitter::VectorEmitter(ProgramBuilder &B, const LoopFunction &F,
     // Scalars assigned in the break-side region commit at the first exiting
     // lane; the continue-side region is ordinary if-converted code.
     std::vector<bool> InGuard(NumScalars, false);
-    F.forEachStmt([&](const Stmt *S) {
+    forEachStmt(F, [&](const Stmt *S) {
       if (S->Id == EE.GuardNode)
         collectAssignedScalars(EE.BreakInElse ? S->Else : S->Then, InGuard);
     });
@@ -75,7 +75,7 @@ VectorEmitter::VectorEmitter(ProgramBuilder &B, const LoopFunction &F,
                   "' keeps its last value but is neither a reduction nor "
                   "a conditional update");
     bool Read = false;
-    F.forEachStmt([&](const Stmt *St) {
+    forEachStmt(F, [&](const Stmt *St) {
       Read |= stmtReadsScalar(St, static_cast<int>(S));
     });
     if ((Read || Assigned[S]) && isFloatType(F.scalar(S).Type) &&
@@ -98,53 +98,23 @@ VectorEmitter::VectorEmitter(ProgramBuilder &B, const LoopFunction &F,
   // Collect the distinct immediates the body will need as vectors, so the
   // preheader can broadcast each exactly once (re-materializing them per
   // chunk would put a VBROADCASTI on every loop iteration's trace).
-  std::function<void(const Expr *)> ScanExpr = [&](const Expr *E) {
-    switch (E->Kind) {
-    case ExprKind::ConstInt:
-      noteConstant(IntTy, E->IntValue);
-      return;
-    case ExprKind::ConstFloat: {
-      int64_t Bits;
-      if (FloatTy == ElemType::F32) {
-        float V = static_cast<float>(E->FloatValue);
-        uint32_t B32;
-        std::memcpy(&B32, &V, 4);
-        Bits = B32;
-      } else {
-        std::memcpy(&Bits, &E->FloatValue, 8);
+  forEachStmt(F, [&](const Stmt *S) {
+    forEachExpr(*S, [&](const Expr *E) {
+      if (E->Kind == ExprKind::ConstInt) {
+        noteConstant(IntTy, E->IntValue);
+      } else if (E->Kind == ExprKind::ConstFloat) {
+        int64_t Bits;
+        if (FloatTy == ElemType::F32) {
+          float V = static_cast<float>(E->FloatValue);
+          uint32_t B32;
+          std::memcpy(&B32, &V, 4);
+          Bits = B32;
+        } else {
+          std::memcpy(&Bits, &E->FloatValue, 8);
+        }
+        noteConstant(FloatTy, Bits);
       }
-      noteConstant(FloatTy, Bits);
-      return;
-    }
-    case ExprKind::ScalarRef:
-    case ExprKind::IndexRef:
-      return;
-    case ExprKind::ArrayRef:
-      ScanExpr(E->Index);
-      return;
-    case ExprKind::Binary:
-    case ExprKind::Compare:
-    case ExprKind::LogicalAnd:
-      ScanExpr(E->Lhs);
-      ScanExpr(E->Rhs);
-      return;
-    }
-  };
-  F.forEachStmt([&](const Stmt *S) {
-    switch (S->Kind) {
-    case StmtKind::AssignScalar:
-      ScanExpr(S->Value);
-      break;
-    case StmtKind::StoreArray:
-      ScanExpr(S->Index);
-      ScanExpr(S->Value);
-      break;
-    case StmtKind::If:
-      ScanExpr(S->Cond);
-      break;
-    case StmtKind::Break:
-      break;
-    }
+    });
   });
 }
 
@@ -493,8 +463,8 @@ void VectorEmitter::emitAssign(const Stmt *S, RegionCtx &Ctx) {
   if (Ctx.InExitRegion) {
     Reg V = evalVec(S->Value);
     bool UsedInLoop = false;
-    F.forEachStmt(
-        [&](const Stmt *T) { UsedInLoop |= stmtReadsScalar(T, Id); });
+    forEachStmt(F,
+                [&](const Stmt *T) { UsedInLoop |= stmtReadsScalar(T, Id); });
     if (!UsedInLoop) {
       B.vslctlast(scalarVecReg(Id), Ty, CurMask, V).Comment =
           S->str(F) + " (broadcast at exit lane)";
@@ -774,7 +744,7 @@ void VectorEmitter::emitPreheader() {
     case ScalarClass::Invariant: {
       // Broadcast only scalars the body actually reads.
       bool Used = false;
-      F.forEachStmt([&](const Stmt *St) {
+      forEachStmt(F, [&](const Stmt *St) {
         Used |= stmtReadsScalar(St, static_cast<int>(S));
       });
       if (Used)

@@ -2,6 +2,7 @@
 
 #include "core/CompileCache.h"
 
+#include "ir/Parser.h"
 #include "support/Hash.h"
 
 #include <chrono>
@@ -12,18 +13,21 @@ using namespace flexvec::core;
 /// Bump when a pipeline change should invalidate previously hashed keys
 /// (persisted keys may outlive one process in the future).
 static constexpr uint64_t PipelineVersion =
-    5; // width-generic pipeline: VL + predication join the key
+    6; // keys hash the exact DSL text, not the 6-digit display form
 
 uint64_t CompileCache::keyFor(const ir::LoopFunction &F, unsigned RtmTile,
                               isa::VectorConfig Vec, bool Predicated) {
-  // F.print() renders the full structure — parameters with types and
-  // attributes, statements in lexical order — prefixed by the loop name on
-  // its first line. Strip the name so structurally identical loops share a
-  // key: the name occurs exactly once, between "loop " and " (".
-  std::string Text = F.print();
-  size_t Open = Text.find(" (");
-  if (Text.rfind("loop ", 0) == 0 && Open != std::string::npos)
-    Text.erase(5, Open - 5);
+  // printLoopDsl renders the full structure (parameters with types and
+  // attributes, statements in lexical order) and prints float constants
+  // with %.17g, so two loops share its text only if they compute the same
+  // thing. Strip the name, which occurs once between "loop " and "(", so
+  // structurally identical loops share a key. The statement ids follow,
+  // because the compiled program's comments and remarks name them.
+  std::string Text = ir::printLoopDsl(F);
+  Text.erase(5, Text.find('(') - 5);
+  ir::forEachStmt(F, [&Text](const ir::Stmt *S) {
+    Text += ' ' + std::to_string(S->Id);
+  });
   uint64_t H = fnv1a64(Text);
   H = hashCombine(H, RtmTile);
   H = hashCombine(H, Vec.Bytes);

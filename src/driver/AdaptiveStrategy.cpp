@@ -87,43 +87,15 @@ void noteSubscript(std::vector<ArrayBound> &Bounds, int ArrayId,
     B.Boundable = false;
 }
 
-void collectFromExpr(std::vector<ArrayBound> &Bounds, const Expr *E) {
-  if (!E)
-    return;
-  switch (E->Kind) {
-  case ExprKind::ArrayRef:
-    noteSubscript(Bounds, E->ArrayId, E->Index, /*IsWrite=*/false);
-    collectFromExpr(Bounds, E->Index);
-    return;
-  case ExprKind::Binary:
-  case ExprKind::Compare:
-  case ExprKind::LogicalAnd:
-    collectFromExpr(Bounds, E->Lhs);
-    collectFromExpr(Bounds, E->Rhs);
-    return;
-  default:
-    return;
-  }
-}
-
 std::vector<ArrayBound> analyzeArrayBounds(const LoopFunction &F) {
   std::vector<ArrayBound> Bounds(F.arrays().size());
-  F.forEachStmt([&](const Stmt *S) {
-    switch (S->Kind) {
-    case StmtKind::AssignScalar:
-      collectFromExpr(Bounds, S->Value);
-      break;
-    case StmtKind::StoreArray:
+  forEachStmt(F, [&](const Stmt *S) {
+    if (S->Kind == StmtKind::StoreArray)
       noteSubscript(Bounds, S->ArrayId, S->Index, /*IsWrite=*/true);
-      collectFromExpr(Bounds, S->Index);
-      collectFromExpr(Bounds, S->Value);
-      break;
-    case StmtKind::If:
-      collectFromExpr(Bounds, S->Cond);
-      break;
-    case StmtKind::Break:
-      break;
-    }
+    forEachExpr(*S, [&](const Expr *E) {
+      if (E->Kind == ExprKind::ArrayRef)
+        noteSubscript(Bounds, E->ArrayId, E->Index, /*IsWrite=*/false);
+    });
   });
   return Bounds;
 }

@@ -91,55 +91,6 @@ void bumpAbortEvents(LoweringContext &Ctx) {
   B.store(ElemType::I64, Cell, Zero, 1, dispatch::AbortEventsOff, Val);
 }
 
-// --- IR walking helpers shared by the speculative legality checks ---------===//
-
-/// Scalars read by \p E.
-void scalarReadsOf(const Expr *E, std::vector<int> &Out) {
-  switch (E->Kind) {
-  case ExprKind::ConstInt:
-  case ExprKind::ConstFloat:
-  case ExprKind::IndexRef:
-    return;
-  case ExprKind::ScalarRef:
-    Out.push_back(E->ScalarId);
-    return;
-  case ExprKind::ArrayRef:
-    scalarReadsOf(E->Index, Out);
-    return;
-  case ExprKind::Binary:
-  case ExprKind::Compare:
-  case ExprKind::LogicalAnd:
-    scalarReadsOf(E->Lhs, Out);
-    scalarReadsOf(E->Rhs, Out);
-    return;
-  }
-}
-
-bool containsStmt(const Stmt *Root, int Id) {
-  if (Root->Id == Id)
-    return true;
-  if (Root->Kind != StmtKind::If)
-    return false;
-  for (const Stmt *C : Root->Then)
-    if (containsStmt(C, Id))
-      return true;
-  for (const Stmt *C : Root->Else)
-    if (containsStmt(C, Id))
-      return true;
-  return false;
-}
-
-bool hasStoreIn(const std::vector<Stmt *> &Stmts) {
-  for (const Stmt *S : Stmts) {
-    if (S->Kind == StmtKind::StoreArray)
-      return true;
-    if (S->Kind == StmtKind::If &&
-        (hasStoreIn(S->Then) || hasStoreIn(S->Else)))
-      return true;
-  }
-  return false;
-}
-
 // --- Traditional ----------------------------------------------------------===//
 
 class TraditionalStrategy final : public LoweringStrategy {
@@ -335,16 +286,13 @@ public:
       std::vector<bool> Later(Ctx.F.scalars().size(), false);
       std::vector<Stmt *> Tail(Body.begin() + FromTop, Body.end());
       collectAssignedScalars(Tail, Later);
-      std::vector<int> Reads;
-      scalarReadsOf(E, Reads);
-      for (int S : Reads) {
-        bool IsAllowed = false;
-        for (int A : Allowed)
-          IsAllowed |= A == S;
-        if (Later[S] && !IsAllowed)
-          return true;
-      }
-      return false;
+      bool Reads = false;
+      forEachExpr(E, [&](const Expr *R) {
+        Reads |= R->Kind == ExprKind::ScalarRef && Later[R->ScalarId] &&
+                 std::find(Allowed.begin(), Allowed.end(), R->ScalarId) ==
+                     Allowed.end();
+      });
+      return Reads;
     };
 
     for (const auto &CU : Plan.CondUpdateVpls) {
@@ -352,8 +300,10 @@ public:
       // update.
       const Stmt *TopGuard = nullptr;
       for (int I = CU.FirstTop; I <= CU.LastTop; ++I)
-        if (containsStmt(Body[I], CU.Updates[0].UpdateNode))
-          TopGuard = Body[I];
+        forEachStmt({Body[I]}, [&](const Stmt *S) {
+          if (S->Id == CU.Updates[0].UpdateNode)
+            TopGuard = Body[I];
+        });
       if (!TopGuard || TopGuard->Kind != StmtKind::If) {
         declineRemark(Ctx.Remarks, kind(), "decline.guard-shape",
                       "conditional-update dependence guard is not a "
@@ -432,13 +382,17 @@ public:
     int LastCheck = 0;
     for (const Check &C : Checks)
       LastCheck = std::max(LastCheck, C.Top);
-    for (int I = 0; I < LastCheck; ++I)
-      if (hasStoreIn({Body[static_cast<size_t>(I)]})) {
-        declineRemark(Ctx.Remarks, kind(), "decline.store-before-checkpoint",
-                      "stores before the last dependence checkpoint make "
-                      "the scalar fallback non-idempotent");
-        return false;
-      }
+    bool StoreBeforeCheck = false;
+    forEachStmt(std::vector<Stmt *>(Body.begin(), Body.begin() + LastCheck),
+                [&](const Stmt *S) {
+                  StoreBeforeCheck |= S->Kind == StmtKind::StoreArray;
+                });
+    if (StoreBeforeCheck) {
+      declineRemark(Ctx.Remarks, kind(), "decline.store-before-checkpoint",
+                    "stores before the last dependence checkpoint make "
+                    "the scalar fallback non-idempotent");
+      return false;
+    }
 
     std::sort(Checks.begin(), Checks.end(),
               [](const Check &A, const Check &B2) { return A.Top < B2.Top; });

@@ -11,10 +11,9 @@ using namespace flexvec::ir;
 namespace {
 
 /// One structural reduction. Expr targets are identified by their ordinal
-/// in a fixed pre-order walk (statements in lexical order; within a
-/// statement: If condition, then-region, else-region; store index before
-/// value), so enumeration and application agree on addressing without the
-/// two sharing any pointers.
+/// in the IR walk order (ir::forEachStmt, then ir::forEachExpr), which the
+/// Rebuilder's copy follows too, so enumeration and application agree on
+/// addressing without the two sharing any pointers.
 struct Mutation {
   enum class Kind {
     None,        ///< Plain clone.
@@ -74,33 +73,24 @@ public:
   bool applied() const { return Applied; }
 
 private:
-  void collectUsesExpr(const Expr *E, std::vector<bool> &Scalars,
-                       std::vector<bool> &Arrays) {
-    if (!E)
-      return;
-    if (E->Kind == ExprKind::ScalarRef)
-      Scalars[E->ScalarId] = true;
-    if (E->Kind == ExprKind::ArrayRef) {
-      Arrays[E->ArrayId] = true;
-      collectUsesExpr(E->Index, Scalars, Arrays);
-    }
-    collectUsesExpr(E->Lhs, Scalars, Arrays);
-    collectUsesExpr(E->Rhs, Scalars, Arrays);
-  }
-
   void collectUses(std::vector<bool> &Scalars, std::vector<bool> &Arrays) {
-    Old.forEachStmt([&](const Stmt *S) {
+    forEachStmt(Old, [&](const Stmt *S) {
       if (S->Kind == StmtKind::AssignScalar)
         Scalars[S->ScalarId] = true;
-      if (S->Kind == StmtKind::StoreArray) {
+      if (S->Kind == StmtKind::StoreArray)
         Arrays[S->ArrayId] = true;
-        collectUsesExpr(S->Index, Scalars, Arrays);
-      }
-      collectUsesExpr(S->Value, Scalars, Arrays);
-      collectUsesExpr(S->Cond, Scalars, Arrays);
+      forEachExpr(*S, [&](const Expr *E) {
+        if (E->Kind == ExprKind::ScalarRef)
+          Scalars[E->ScalarId] = true;
+        if (E->Kind == ExprKind::ArrayRef)
+          Arrays[E->ArrayId] = true;
+      });
     });
   }
 
+  // Operands are copied into locals, Lhs before Rhs and subscript before
+  // value, so the ordinals follow the walk order whatever order the
+  // compiler evaluates call arguments in.
   const Expr *copyExpr(const Expr *E) {
     int Ord = ExprOrd++;
     bool Target = Ord == M.ExprOrd && !Applied;
@@ -120,27 +110,22 @@ private:
       }
       return Out->arrayRef(ArrayMap[E->ArrayId], copyExpr(E->Index));
     case ExprKind::Binary:
-      if (Target && M.K == Mutation::Kind::TakeLhs) {
-        Applied = true;
-        return copyExpr(E->Lhs);
-      }
-      if (Target && M.K == Mutation::Kind::TakeRhs) {
-        Applied = true;
-        return copyExpr(E->Rhs);
-      }
-      return Out->binary(E->Op, copyExpr(E->Lhs), copyExpr(E->Rhs));
     case ExprKind::Compare:
-      return Out->compare(E->Cmp, copyExpr(E->Lhs), copyExpr(E->Rhs));
-    case ExprKind::LogicalAnd:
-      if (Target && M.K == Mutation::Kind::TakeLhs) {
+    case ExprKind::LogicalAnd: {
+      bool Take = M.K == Mutation::Kind::TakeLhs ||
+                  M.K == Mutation::Kind::TakeRhs;
+      if (Target && Take && E->Kind != ExprKind::Compare) {
         Applied = true;
-        return copyExpr(E->Lhs);
+        return copyExpr(M.K == Mutation::Kind::TakeLhs ? E->Lhs : E->Rhs);
       }
-      if (Target && M.K == Mutation::Kind::TakeRhs) {
-        Applied = true;
-        return copyExpr(E->Rhs);
-      }
-      return Out->logicalAnd(copyExpr(E->Lhs), copyExpr(E->Rhs));
+      const Expr *L = copyExpr(E->Lhs);
+      const Expr *R = copyExpr(E->Rhs);
+      if (E->Kind == ExprKind::Binary)
+        return Out->binary(E->Op, L, R);
+      if (E->Kind == ExprKind::Compare)
+        return Out->compare(E->Cmp, L, R);
+      return Out->logicalAnd(L, R);
+    }
     }
     return nullptr;
   }
@@ -169,11 +154,12 @@ private:
       List.push_back(
           Out->assignScalar(ScalarMap[S->ScalarId], copyExpr(S->Value)));
       return;
-    case StmtKind::StoreArray:
-      List.push_back(Out->storeArray(ArrayMap[S->ArrayId],
-                                     copyExpr(S->Index),
-                                     copyExpr(S->Value)));
+    case StmtKind::StoreArray: {
+      const Expr *Index = copyExpr(S->Index);
+      const Expr *Value = copyExpr(S->Value);
+      List.push_back(Out->storeArray(ArrayMap[S->ArrayId], Index, Value));
       return;
+    }
     case StmtKind::If: {
       Stmt *If = Out->makeIfShell(copyExpr(S->Cond));
       for (Stmt *C : copyStmtList(S->Then))
@@ -225,7 +211,7 @@ std::unique_ptr<LoopFunction> applyMutation(const LoopFunction &F,
 /// then expression simplifications.
 std::vector<Mutation> enumerateMutations(const LoopFunction &F) {
   std::vector<Mutation> Ms;
-  F.forEachStmt([&](const Stmt *S) {
+  forEachStmt(F, [&](const Stmt *S) {
     Ms.push_back({Mutation::Kind::DeleteStmt, S->Id, -1});
     if (S->Kind == StmtKind::If) {
       if (!S->Then.empty())
@@ -238,51 +224,17 @@ std::vector<Mutation> enumerateMutations(const LoopFunction &F) {
 
   // Expression ordinals in the exact order copyExpr visits them.
   int Ord = 0;
-  std::function<void(const Expr *)> Walk = [&](const Expr *E) {
-    int MyOrd = Ord++;
-    switch (E->Kind) {
-    case ExprKind::Binary:
-    case ExprKind::LogicalAnd:
-      Ms.push_back({Mutation::Kind::TakeLhs, -1, MyOrd});
-      Ms.push_back({Mutation::Kind::TakeRhs, -1, MyOrd});
-      Walk(E->Lhs);
-      Walk(E->Rhs);
-      return;
-    case ExprKind::Compare:
-      Walk(E->Lhs);
-      Walk(E->Rhs);
-      return;
-    case ExprKind::ArrayRef:
-      Ms.push_back({Mutation::Kind::FlattenLoad, -1, MyOrd});
-      Walk(E->Index);
-      return;
-    default:
-      return;
-    }
-  };
-  // Statement-lexical expr walk, mirroring Rebuilder::copyStmt.
-  std::function<void(const std::vector<Stmt *> &)> WalkStmts =
-      [&](const std::vector<Stmt *> &Stmts) {
-        for (const Stmt *S : Stmts) {
-          switch (S->Kind) {
-          case StmtKind::AssignScalar:
-            Walk(S->Value);
-            break;
-          case StmtKind::StoreArray:
-            Walk(S->Index);
-            Walk(S->Value);
-            break;
-          case StmtKind::If:
-            Walk(S->Cond);
-            WalkStmts(S->Then);
-            WalkStmts(S->Else);
-            break;
-          case StmtKind::Break:
-            break;
-          }
-        }
-      };
-  WalkStmts(F.body());
+  forEachStmt(F, [&](const Stmt *S) {
+    forEachExpr(*S, [&](const Expr *E) {
+      int MyOrd = Ord++;
+      if (E->Kind == ExprKind::Binary || E->Kind == ExprKind::LogicalAnd) {
+        Ms.push_back({Mutation::Kind::TakeLhs, -1, MyOrd});
+        Ms.push_back({Mutation::Kind::TakeRhs, -1, MyOrd});
+      } else if (E->Kind == ExprKind::ArrayRef) {
+        Ms.push_back({Mutation::Kind::FlattenLoad, -1, MyOrd});
+      }
+    });
+  });
   return Ms;
 }
 

@@ -39,7 +39,7 @@ const char *ir::binOpName(BinOp Op) {
   unreachable("unknown binop");
 }
 
-static const char *cmpSymbol(CmpKind K) {
+const char *ir::cmpSymbol(CmpKind K) {
   switch (K) {
   case CmpKind::EQ:
     return "==";
@@ -86,52 +86,30 @@ unsigned scratchNeed(const Expr *E, bool &Held) {
   unreachable("unknown expr kind");
 }
 
+template <typename Node> bool readsScalar(const Node &N, int ScalarId) {
+  bool Reads = false;
+  forEachExpr(N, [&](const Expr *E) {
+    Reads |= E->Kind == ExprKind::ScalarRef && E->ScalarId == ScalarId;
+  });
+  return Reads;
+}
+
 } // namespace
 
 bool ir::exprReadsScalar(const Expr *E, int ScalarId) {
-  switch (E->Kind) {
-  case ExprKind::ConstInt:
-  case ExprKind::ConstFloat:
-  case ExprKind::IndexRef:
-    return false;
-  case ExprKind::ScalarRef:
-    return E->ScalarId == ScalarId;
-  case ExprKind::ArrayRef:
-    return exprReadsScalar(E->Index, ScalarId);
-  case ExprKind::Binary:
-  case ExprKind::Compare:
-  case ExprKind::LogicalAnd:
-    return exprReadsScalar(E->Lhs, ScalarId) ||
-           exprReadsScalar(E->Rhs, ScalarId);
-  }
-  unreachable("unknown expr kind");
+  return readsScalar(E, ScalarId);
 }
 
 bool ir::stmtReadsScalar(const Stmt *S, int ScalarId) {
-  switch (S->Kind) {
-  case StmtKind::AssignScalar:
-    return exprReadsScalar(S->Value, ScalarId);
-  case StmtKind::StoreArray:
-    return exprReadsScalar(S->Index, ScalarId) ||
-           exprReadsScalar(S->Value, ScalarId);
-  case StmtKind::If:
-    return exprReadsScalar(S->Cond, ScalarId);
-  case StmtKind::Break:
-    return false;
-  }
-  unreachable("unknown stmt kind");
+  return readsScalar(*S, ScalarId);
 }
 
 void ir::collectAssignedScalars(const std::vector<Stmt *> &Stmts,
                                 std::vector<bool> &Assigned) {
-  for (const Stmt *S : Stmts) {
+  forEachStmt(Stmts, [&](const Stmt *S) {
     if (S->Kind == StmtKind::AssignScalar)
       Assigned[S->ScalarId] = true;
-    if (S->Kind == StmtKind::If) {
-      collectAssignedScalars(S->Then, Assigned);
-      collectAssignedScalars(S->Else, Assigned);
-    }
-  }
+  });
 }
 
 unsigned ir::scalarScratchNeed(const Stmt &S) {
@@ -350,23 +328,6 @@ Stmt *LoopFunction::makeBreak() {
   S->Id = NextStmtId++;
   StmtArena.push_back(std::move(S));
   return StmtArena.back().get();
-}
-
-void LoopFunction::forEachStmtIn(
-    const std::vector<Stmt *> &Stmts,
-    const std::function<void(const Stmt *)> &Fn) {
-  for (const Stmt *S : Stmts) {
-    Fn(S);
-    if (S->Kind == StmtKind::If) {
-      forEachStmtIn(S->Then, Fn);
-      forEachStmtIn(S->Else, Fn);
-    }
-  }
-}
-
-void LoopFunction::forEachStmt(
-    const std::function<void(const Stmt *)> &Fn) const {
-  forEachStmtIn(Body, Fn);
 }
 
 static void printStmts(const LoopFunction &F, const std::vector<Stmt *> &Stmts,

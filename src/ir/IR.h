@@ -16,7 +16,6 @@
 #include "isa/Opcode.h"
 #include "isa/Reg.h"
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -63,6 +62,9 @@ enum class BinOp : uint8_t {
 };
 
 const char *binOpName(BinOp Op);
+
+/// Source spelling of a comparison ("<=").
+const char *cmpSymbol(CmpKind K);
 
 /// Expression kinds.
 enum class ExprKind : uint8_t {
@@ -123,6 +125,45 @@ struct Stmt {
   /// Source-like rendering of this statement only (no children).
   std::string str(const LoopFunction &F) const;
 };
+
+/// The one walk over the IR. Every pass that reads the expression trees
+/// visits them in this order: statements in lexical pre-order (an if before
+/// its then-region, then its else-region); within a statement its store
+/// subscript, then its value, then its if condition; each expression before
+/// its operands (an array read's subscript, or Lhs before Rhs). The vector
+/// emitter's constant pool, the PDG's edge order and the shrinker's
+/// expression ordinals all depend on it.
+
+/// Visits \p E and then, in pre-order, every expression below it.
+template <typename Fn> void forEachExpr(const Expr *E, Fn &&Visit) {
+  Visit(E);
+  if (E->Kind == ExprKind::ArrayRef) {
+    forEachExpr(E->Index, Visit);
+  } else if (E->Lhs) {
+    forEachExpr(E->Lhs, Visit);
+    forEachExpr(E->Rhs, Visit);
+  }
+}
+
+/// Visits the expressions of \p S itself (not of nested statements):
+/// Index, then Value, then Cond, each in pre-order.
+template <typename Fn> void forEachExpr(const Stmt &S, Fn &&Visit) {
+  for (const Expr *E : {S.Index, S.Value, S.Cond})
+    if (E)
+      forEachExpr(E, Visit);
+}
+
+/// Visits \p Stmts and the statements nested in them in lexical pre-order.
+template <typename Fn>
+void forEachStmt(const std::vector<Stmt *> &Stmts, Fn &&Visit) {
+  for (const Stmt *S : Stmts) {
+    Visit(S);
+    if (S->Kind == StmtKind::If) {
+      forEachStmt(S->Then, Visit);
+      forEachStmt(S->Else, Visit);
+    }
+  }
+}
 
 /// True if \p E reads scalar \p ScalarId anywhere.
 bool exprReadsScalar(const Expr *E, int ScalarId);
@@ -213,16 +254,10 @@ public:
   /// Total number of statements created (ids are 1..numStmts()).
   int numStmts() const { return NextStmtId - 1; }
 
-  /// Visits every statement in lexical order (pre-order over if-regions).
-  void forEachStmt(const std::function<void(const Stmt *)> &Fn) const;
-
   /// Source-like rendering of the whole loop.
   std::string print() const;
 
 private:
-  static void forEachStmtIn(const std::vector<Stmt *> &Stmts,
-                            const std::function<void(const Stmt *)> &Fn);
-
   std::string Name;
   std::vector<ScalarParam> Scalars;
   std::vector<ArrayParam> Arrays;
@@ -232,6 +267,11 @@ private:
   std::vector<std::unique_ptr<Stmt>> StmtArena;
   int NextStmtId = 1;
 };
+
+/// Visits every statement of \p F in lexical pre-order.
+template <typename Fn> void forEachStmt(const LoopFunction &F, Fn &&Visit) {
+  forEachStmt(F.body(), Visit);
+}
 
 } // namespace ir
 } // namespace flexvec

@@ -687,19 +687,9 @@ std::string renderExpr(const LoopFunction &F, const Expr *E) {
              ", " + renderExpr(F, E->Rhs) + ")";
     return "(" + renderExpr(F, E->Lhs) + " " + binOpName(E->Op) + " " +
            renderExpr(F, E->Rhs) + ")";
-  case ExprKind::Compare: {
-    const char *Sym = "==";
-    switch (E->Cmp) {
-    case CmpKind::EQ: Sym = "=="; break;
-    case CmpKind::NE: Sym = "!="; break;
-    case CmpKind::LT: Sym = "<"; break;
-    case CmpKind::LE: Sym = "<="; break;
-    case CmpKind::GT: Sym = ">"; break;
-    case CmpKind::GE: Sym = ">="; break;
-    }
-    return "(" + renderExpr(F, E->Lhs) + " " + Sym + " " +
+  case ExprKind::Compare:
+    return "(" + renderExpr(F, E->Lhs) + " " + cmpSymbol(E->Cmp) + " " +
            renderExpr(F, E->Rhs) + ")";
-  }
   case ExprKind::LogicalAnd:
     return "(" + renderExpr(F, E->Lhs) + " && " + renderExpr(F, E->Rhs) +
            ")";

@@ -51,35 +51,6 @@ std::optional<AffineSubscript> pdg::matchAffine(const Expr *E) {
   return std::nullopt;
 }
 
-namespace {
-
-/// Collects scalar reads and array reads from an expression tree.
-void collectExprUses(const Expr *E, std::vector<int> &ScalarIds,
-                     std::vector<const Expr *> &ArrayReads) {
-  switch (E->Kind) {
-  case ExprKind::ConstInt:
-  case ExprKind::ConstFloat:
-  case ExprKind::IndexRef:
-    return;
-  case ExprKind::ScalarRef:
-    ScalarIds.push_back(E->ScalarId);
-    return;
-  case ExprKind::ArrayRef:
-    ArrayReads.push_back(E);
-    collectExprUses(E->Index, ScalarIds, ArrayReads);
-    return;
-  case ExprKind::Binary:
-  case ExprKind::Compare:
-  case ExprKind::LogicalAnd:
-    collectExprUses(E->Lhs, ScalarIds, ArrayReads);
-    collectExprUses(E->Rhs, ScalarIds, ArrayReads);
-    return;
-  }
-  unreachable("unknown expr kind");
-}
-
-} // namespace
-
 Pdg::Pdg(const LoopFunction &Fn) : F(Fn) {
   NumNodes = F.numStmts() + 1;
   Stmts.assign(NumNodes, nullptr);
@@ -87,49 +58,35 @@ Pdg::Pdg(const LoopFunction &Fn) : F(Fn) {
   CtrlParent.assign(NumNodes, HeaderNode);
   InElse.assign(NumNodes, false);
   Uses.assign(NumNodes, {});
+  Loads.assign(NumNodes, {});
 
-  // Pre-order walk establishing lexical positions and control parents.
+  // One pre-order walk: lexical positions, control parents, and each
+  // node's scalar uses and array reads.
   int NextPos = 1;
-  std::function<void(const std::vector<Stmt *> &, int, bool)> Walk =
-      [&](const std::vector<Stmt *> &Body, int Parent, bool IsElse) {
-        for (const Stmt *S : Body) {
-          assert(S->Id > 0 && S->Id < NumNodes && "bad statement id");
-          Stmts[S->Id] = S;
-          LexPos[S->Id] = NextPos++;
-          CtrlParent[S->Id] = Parent;
-          InElse[S->Id] = IsElse;
-          if (S->Kind == StmtKind::If) {
-            Walk(S->Then, S->Id, false);
-            Walk(S->Else, S->Id, true);
-          }
-        }
-      };
-  Walk(F.body(), HeaderNode, false);
-
-  // Per-node scalar uses.
-  for (int N = 1; N < NumNodes; ++N) {
-    const Stmt *S = Stmts[N];
-    if (!S)
-      fatalError("statement " + std::to_string(N) +
-                 " was created but never placed in the loop body");
-    std::vector<const Expr *> Reads;
-    switch (S->Kind) {
-    case StmtKind::AssignScalar:
-      collectExprUses(S->Value, Uses[N], Reads);
-      break;
-    case StmtKind::StoreArray:
-      collectExprUses(S->Index, Uses[N], Reads);
-      collectExprUses(S->Value, Uses[N], Reads);
-      break;
-    case StmtKind::If:
-      collectExprUses(S->Cond, Uses[N], Reads);
-      break;
-    case StmtKind::Break:
-      break;
+  forEachStmt(F, [&](const Stmt *S) {
+    int N = S->Id;
+    assert(N > 0 && N < NumNodes && "bad statement id");
+    Stmts[N] = S;
+    LexPos[N] = NextPos++;
+    for (const Stmt *C : S->Then)
+      CtrlParent[C->Id] = N;
+    for (const Stmt *C : S->Else) {
+      CtrlParent[C->Id] = N;
+      InElse[C->Id] = true;
     }
+    forEachExpr(*S, [&](const Expr *E) {
+      if (E->Kind == ExprKind::ScalarRef)
+        Uses[N].push_back(E->ScalarId);
+      else if (E->Kind == ExprKind::ArrayRef)
+        Loads[N].push_back(E);
+    });
     std::sort(Uses[N].begin(), Uses[N].end());
     Uses[N].erase(std::unique(Uses[N].begin(), Uses[N].end()), Uses[N].end());
-  }
+  });
+  for (int N = 1; N < NumNodes; ++N)
+    if (!Stmts[N])
+      fatalError("statement " + std::to_string(N) +
+                 " was created but never placed in the loop body");
 
   buildControl();
   buildScalar();
@@ -222,34 +179,13 @@ void Pdg::buildScalar() {
 }
 
 void Pdg::buildMemory() {
-  // Gather loads per node.
-  std::vector<std::vector<const Expr *>> LoadsPerNode(NumNodes);
-  for (int N = 1; N < NumNodes; ++N) {
-    const Stmt *S = Stmts[N];
-    std::vector<int> Dummy;
-    switch (S->Kind) {
-    case StmtKind::AssignScalar:
-      collectExprUses(S->Value, Dummy, LoadsPerNode[N]);
-      break;
-    case StmtKind::StoreArray:
-      collectExprUses(S->Index, Dummy, LoadsPerNode[N]);
-      collectExprUses(S->Value, Dummy, LoadsPerNode[N]);
-      break;
-    case StmtKind::If:
-      collectExprUses(S->Cond, Dummy, LoadsPerNode[N]);
-      break;
-    case StmtKind::Break:
-      break;
-    }
-  }
-
   for (int SN = 1; SN < NumNodes; ++SN) {
     const Stmt *Store = Stmts[SN];
     if (Store->Kind != StmtKind::StoreArray)
       continue;
     std::optional<AffineSubscript> StoreAff = matchAffine(Store->Index);
     for (int LN = 1; LN < NumNodes; ++LN) {
-      for (const Expr *Load : LoadsPerNode[LN]) {
+      for (const Expr *Load : Loads[LN]) {
         if (Load->ArrayId != Store->ArrayId)
           continue;
         std::optional<AffineSubscript> LoadAff = matchAffine(Load->Index);

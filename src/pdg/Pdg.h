@@ -104,6 +104,11 @@ public:
   /// Scalar ids read (transitively through expressions) by each node.
   const std::vector<int> &scalarUses(int Node) const { return Uses[Node]; }
 
+  /// Array reads in the expressions of each node, in walk order.
+  const std::vector<const ir::Expr *> &loads(int Node) const {
+    return Loads[Node];
+  }
+
   /// Strongly connected components over all edges, in topological order of
   /// the condensation. Components are lists of node ids.
   std::vector<std::vector<int>> stronglyConnectedComponents() const;
@@ -137,6 +142,7 @@ private:
   std::vector<int> CtrlParent;
   std::vector<bool> InElse;
   std::vector<std::vector<int>> Uses;
+  std::vector<std::vector<const ir::Expr *>> Loads;
   std::vector<DepEdge> Edges;
 };
 

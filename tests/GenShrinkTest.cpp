@@ -112,6 +112,37 @@ TEST(Shrink, GreedyShrinkKeepsPredicateAndIsDeterministic) {
   EXPECT_EQ(ir::printLoopDsl(*P.F), Dsl);
 }
 
+// The rebuild numbers expressions in the walk order the enumerator uses
+// (Lhs before Rhs), whatever order the compiler evaluates call arguments
+// in, so TakeLhs on the inner sum lands on it and y can then be dropped.
+TEST(Shrink, ExpressionMutationsHitTheEnumeratedNode) {
+  ir::ParseResult P = ir::parseLoop(
+      "loop t(i64 n trip, i64 s liveout, i64 x[] readonly, "
+      "i64 y[] readonly) {\n  s = ((x[i] + y[i]) + 5);\n}\n");
+  ASSERT_TRUE(P) << P.Error;
+  auto LhsReadsXRhsConst = [](const ir::LoopFunction &F) {
+    if (F.body().empty() || F.body()[0]->Kind != ir::StmtKind::AssignScalar)
+      return false;
+    const ir::Expr *V = F.body()[0]->Value;
+    if (V->Kind != ir::ExprKind::Binary ||
+        V->Rhs->Kind != ir::ExprKind::ConstInt)
+      return false;
+    bool ReadsX = false;
+    ir::forEachExpr(V->Lhs, [&](const ir::Expr *E) {
+      ReadsX |= E->Kind == ir::ExprKind::ArrayRef &&
+                F.array(E->ArrayId).Name == "x";
+    });
+    return ReadsX;
+  };
+  ASSERT_TRUE(LhsReadsXRhsConst(*P.F));
+
+  gen::ShrinkResult R = gen::shrinkLoop(*P.F, LhsReadsXRhsConst);
+  EXPECT_EQ(ir::printLoopDsl(*R.F),
+            "loop t(i64 n trip, i64 s liveout, i64 x[] readonly) {\n"
+            "  s = (x[i] + 5);\n}\n");
+  EXPECT_EQ(R.Accepted, 2);
+}
+
 TEST(Shrink, BudgetStopsTheSearch) {
   uint64_t Seed = seedWithConflict();
   gen::GeneratedLoop G = gen::generateLoop(Seed, gen::Envelope::widened());

@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <set>
 #include <stdexcept>
 
@@ -167,6 +168,37 @@ TEST(CompileCache, KeyIgnoresLoopName) {
   EXPECT_FALSE(Hit);
   Cache.getOrCompile(*B.F, 64, &Hit);
   EXPECT_TRUE(Hit) << "renamed copy of the same loop must be a cache hit";
+}
+
+// The key hashes the exact DSL text: a float constant that differs only
+// past the sixth significant digit must not be served another loop's
+// program (the 6-digit display form used to collide).
+TEST(CompileCache, KeyDistinguishesFloatConstantsPastSixDigits) {
+  ir::ParseResult A = ir::parseLoop(
+      "loop a(i64 n trip, f64 s liveout, f64 x[] readonly) {\n"
+      "  s = s + x[i] * 1.0;\n}\n");
+  ir::ParseResult B = ir::parseLoop(
+      "loop a(i64 n trip, f64 s liveout, f64 x[] readonly) {\n"
+      "  s = s + x[i] * 1.0000001;\n}\n");
+  ASSERT_TRUE(A) << A.Error;
+  ASSERT_TRUE(B) << B.Error;
+  EXPECT_NE(core::CompileCache::keyFor(*A.F, 64),
+            core::CompileCache::keyFor(*B.F, 64));
+
+  core::CompileCache Cache;
+  bool Hit = true;
+  Cache.getOrCompile(*A.F, 64, &Hit);
+  EXPECT_FALSE(Hit);
+  auto R = Cache.getOrCompile(*B.F, 64, &Hit);
+  EXPECT_FALSE(Hit) << "a different constant must compile separately";
+
+  double C = 1.0000001;
+  int64_t Bits;
+  std::memcpy(&Bits, &C, sizeof(Bits));
+  bool HasConstant = false;
+  for (const isa::Instruction &I : R->Scalar.Prog.instructions())
+    HasConstant |= I.Op == isa::Opcode::FMovImm && I.Imm == Bits;
+  EXPECT_TRUE(HasConstant) << "scalar program must load 1.0000001 exactly";
 }
 
 TEST(CompileCache, KeyDependsOnRtmTile) {

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 using namespace flexvec;
 using namespace flexvec::ir;
@@ -158,6 +159,56 @@ TEST(Parser, StatementIdsFollowSourceOrder) {
   EXPECT_EQ(Outer->Then[0]->Id, 2);
   EXPECT_EQ(Outer->Then[3]->Id, 5);
   EXPECT_EQ(Outer->Then[3]->Then[0]->Id, 6);
+}
+
+// The walk every pass shares: statements in lexical pre-order, a
+// statement's subscript before its value before its condition, each
+// expression before its operands, Lhs before Rhs.
+TEST(Parser, IrWalkVisitsInPreOrder) {
+  ParseResult R = parseLoop(R"(
+loop w(i64 n trip, f64 s, f64 a[], f64 b[] readonly, i64 c[] readonly) {
+  if (s < b[i]) {
+    a[(i + 1)] = (b[c[i]] + 2.5);
+  } else {
+    s = b[i];
+  }
+  s = (s + 1.0);
+}
+)");
+  ASSERT_TRUE(R) << R.Error;
+  auto ExprName = [](const Expr *E) {
+    switch (E->Kind) {
+    case ExprKind::ConstInt:
+      return "int";
+    case ExprKind::ConstFloat:
+      return "float";
+    case ExprKind::ScalarRef:
+      return "scalar";
+    case ExprKind::IndexRef:
+      return "i";
+    case ExprKind::ArrayRef:
+      return "load";
+    case ExprKind::Binary:
+      return "binary";
+    case ExprKind::Compare:
+      return "compare";
+    case ExprKind::LogicalAnd:
+      return "and";
+    }
+    return "?";
+  };
+  std::vector<std::string> Seen;
+  forEachStmt(*R.F, [&](const Stmt *S) {
+    Seen.push_back("S" + std::to_string(S->Id));
+    forEachExpr(*S, [&](const Expr *E) { Seen.push_back(ExprName(E)); });
+  });
+  const std::vector<std::string> Expected = {
+      "S1", "compare", "scalar", "load", "i",                 // if (s < b[i])
+      "S2", "binary", "i", "int",                             // a[(i + 1)] =
+      "binary", "load", "load", "i", "float",                 // (b[c[i]] + 2.5)
+      "S3", "load", "i",                                      // s = b[i]
+      "S4", "binary", "scalar", "float"};                     // s = (s + 1.0)
+  EXPECT_EQ(Seen, Expected);
 }
 
 TEST(Parser, DiagnosticsCarryLineNumbers) {
