@@ -67,6 +67,21 @@ void BM_EmulatorFlexVec(benchmark::State &State) {
       static_cast<double>(Instrs), benchmark::Counter::kIsRate);
 }
 
+// The RTM-tiled variant of the same loop, sinkless: transactional
+// footprint tracking, the undo log and the transactional block path.
+void BM_EmulatorRtm(benchmark::State &State) {
+  Fixture &Fx = fixture();
+  uint64_t Instrs = 0;
+  for (auto _ : State) {
+    core::RunOutcome Out = core::runProgramMulti(*Fx.F, *Fx.PR.Rtm,
+                                                 Fx.In.Image, Fx.Invocations);
+    Instrs += Out.Exec.Stats.Instructions;
+    benchmark::DoNotOptimize(Out.MemFingerprint);
+  }
+  State.counters["instrs/s"] = benchmark::Counter(
+      static_cast<double>(Instrs), benchmark::Counter::kIsRate);
+}
+
 void BM_EmulatorPlusTimingModel(benchmark::State &State) {
   Fixture &Fx = fixture();
   uint64_t Instrs = 0;
@@ -538,6 +553,7 @@ const int SimdBenchesRegistered = registerSimdBenches();
 
 BENCHMARK(BM_EmulatorScalar)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EmulatorFlexVec)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EmulatorRtm)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EmulatorPlusTimingModel)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ReferenceInterpreter)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CompilePipeline)->Unit(benchmark::kMicrosecond);

@@ -119,14 +119,15 @@ CellResult evalCell(const SweepWorkload &W, VariantId V,
   const WorkloadInstance &In = SI.In;
   const RunOutcome &Ref = SI.Ref;
 
-  sim::OooCore Core;
   RunOutcome Out;
+  sim::SimStats Stats;
   {
     obs::ScopedTimer T(Cell.Times.SimulateMs);
     if (Opts.FaultSeed) {
       // Chaos mode: a seeded RTM conflict storm rides through the fault
-      // harness (no trace sink — the timing model stays cold; the cell
-      // carries correctness and emu/rtm/dispatch counters only).
+      // harness (no trace sink, so no timing model is built and the sim.*
+      // counters stay zero; the cell carries correctness and
+      // emu/rtm/dispatch counters only).
       FaultPlan Plan;
       Plan.Tx.Seed = deriveStreamSeed(Opts.FaultSeed, fnv1a64(W.Name));
       Plan.Tx.AbortProb = 0.5;
@@ -135,12 +136,13 @@ CellResult evalCell(const SweepWorkload &W, VariantId V,
                                       Plan)
                 .Outcome;
     } else {
+      sim::OooCore Core;
       Out = runProgramMulti(*W.F, *CL, In.Image, In.Invocations, &Core);
+      Stats = Core.stats();
     }
   }
 
   Cell.Correct = outcomesMatch(*W.F, Ref, Out);
-  sim::SimStats Stats = Core.stats();
   Cell.Cycles = Stats.Cycles;
   Cell.Instructions = Stats.Instructions;
   Cell.Uops = Stats.Uops;

@@ -105,7 +105,7 @@ const uint8_t *Memory::spanForRead(uint64_t Addr, uint64_t Size,
 }
 
 uint8_t *Memory::spanForWrite(uint64_t Addr, uint64_t Size,
-                              uint64_t Accesses) {
+                              uint64_t Accesses, uint8_t Perms) {
   if (Hook || Size == 0)
     return nullptr;
   const uint64_t Off = Addr & PageMask;
@@ -126,7 +126,7 @@ uint8_t *Memory::spanForWrite(uint64_t Addr, uint64_t Size,
   }
   // Perm check before any booking or COW, mirroring write(): a faulting
   // write never copies a page.
-  if (!((*S)->Perms & PermWrite))
+  if (((*S)->Perms & Perms) != Perms)
     return nullptr;
   if (Missed) {
     ++Stats.TlbMisses;

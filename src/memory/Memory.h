@@ -136,9 +136,13 @@ public:
   /// nothing and caches nothing: the caller's fallback loop re-runs the
   /// reference access sequence, which produces the legacy counts and the
   /// legacy fault. The pointer is valid until the next map/unmap/clone.
+  /// The write flavour requires the page to grant every bit of \p Perms
+  /// (the RTM block path asks for PermReadWrite: its per-lane reference
+  /// reads each element's undo bytes before writing it).
   const uint8_t *spanForRead(uint64_t Addr, uint64_t Size,
                              uint64_t Accesses) const;
-  uint8_t *spanForWrite(uint64_t Addr, uint64_t Size, uint64_t Accesses);
+  uint8_t *spanForWrite(uint64_t Addr, uint64_t Size, uint64_t Accesses,
+                        uint8_t Perms = PermWrite);
 
   /// Debug accessors: identical to read()/write() except that they never
   /// consult the fault hook. Used by test harnesses, image construction,

@@ -9,6 +9,11 @@
 // Register rollback is the executing machine's responsibility (it snapshots
 // the register file at XBEGIN); this class owns only the memory side.
 //
+// The hot path is flat and allocation-free once warm (docs/PERFORMANCE.md):
+// the footprint is one open-addressed line table whose slots are tagged
+// with a transaction epoch, so begin/commit/abort empty it in O(1), and the
+// undo log is one byte arena plus (addr, offset, size) records.
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef FLEXVEC_RTM_TRANSACTION_H
@@ -17,7 +22,6 @@
 #include "memory/Memory.h"
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 namespace flexvec {
@@ -118,19 +122,69 @@ public:
   bool write(uint64_t Addr, const void *Data, uint64_t Size,
              AbortReason &Reason);
 
+  /// Block fast path for a contiguous access of \p Size bytes standing for
+  /// Size / \p ElemBytes same-sized element accesses (a full-mask vector
+  /// load or store inside an active transaction). Returns the page bytes
+  /// backing [Addr, Addr+Size) with everything the per-element read()s or
+  /// write()s would have done already booked: the footprint lines, and for
+  /// the write flavour one undo record of the current bytes plus
+  /// bytes_logged. The write flavour's caller then copies the new bytes in.
+  ///
+  /// Returns nullptr, booking nothing, unless the block is provably
+  /// equivalent to the per-element sequence: no abort hook is armed (it
+  /// draws once per access), Memory::spanForRead/spanForWrite accept the
+  /// span, and the span's lines cannot push the read (write) set past its
+  /// capacity even if all of them are new (so no element could have
+  /// aborted partway). The caller then runs the per-element path.
+  const uint8_t *spanForRead(uint64_t Addr, uint64_t Size, uint64_t ElemBytes);
+  uint8_t *spanForWrite(uint64_t Addr, uint64_t Size, uint64_t ElemBytes);
+
 private:
+  /// Old bytes of [Addr, Addr+Size) live at UndoBytes[Offset, Offset+Size).
+  /// Rollback pokes them back in Grain-byte pieces, last piece first, so a
+  /// block record replays exactly like the per-element records it stands
+  /// for (same order, same TLB bookings).
   struct UndoRecord {
     uint64_t Addr;
-    std::vector<uint8_t> OldBytes;
+    uint64_t Offset;
+    uint32_t Size;
+    uint32_t Grain;
   };
 
+  /// One slot of the footprint table; live only while Epoch matches the
+  /// manager's. Epoch 0 never matches, so zeroed slots are free.
+  struct LineSlot {
+    uint64_t Line = 0;
+    uint32_t Epoch = 0;
+    uint8_t Sets = 0; ///< InReadSet | InWriteSet.
+  };
+  static constexpr uint8_t InReadSet = 1;
+  static constexpr uint8_t InWriteSet = 2;
+
+  /// Empties the footprint in O(1) by moving to the next epoch.
+  void clearFootprint();
+  /// Adds [Addr, Addr+Size)'s lines to the read or write set; false when
+  /// either set now exceeds its capacity.
   bool trackFootprint(uint64_t Addr, uint64_t Size, bool IsWrite);
+  void addLine(uint64_t Line, uint8_t Set);
+  /// Doubles the line table (first call: allocates it) and rehashes the
+  /// live slots.
+  void growLineTable();
+  /// True when the span's lines fit the read (write) set even if all new.
+  bool blockFits(uint64_t Addr, uint64_t Size, bool IsWrite) const;
 
   mem::Memory &M;
   bool Active = false;
   std::vector<UndoRecord> UndoLog;
-  std::unordered_set<uint64_t> ReadSetLines;
-  std::unordered_set<uint64_t> WriteSetLines;
+  std::vector<uint8_t> UndoBytes;
+  /// Open-addressed (linear probing) line table, a power of two in size,
+  /// kept at most half full. Empty until the first tracked access.
+  std::vector<LineSlot> LineTable;
+  unsigned LineShift = 64; ///< 64 - log2(LineTable.size()).
+  uint32_t Epoch = 1;
+  unsigned LinesUsed = 0;
+  unsigned ReadSetLines = 0;
+  unsigned WriteSetLines = 0;
   TxStats Stats;
   TxFaultHook *Hook = nullptr;
   AbortReason LastAbort = AbortReason::None;

@@ -397,3 +397,184 @@ TEST(RtmFault, InjectedAbortRollsBackBitForBit) {
   EXPECT_EQ(R.Stats.RtmFallbacks, 1u);
   EXPECT_EQ(R.Stats.RtmRetries, 0u);
 }
+
+// --- Vector accesses at the transactional capacity edge ------------------===//
+//
+// Full-mask unit-stride vloads/vstores inside one transaction fill the read
+// (write) set to exactly its capacity, one line per instruction; one more
+// access then straddles a tracked line and a fresh one, so the overflow
+// lands partway through the instruction. The pinned counters are those of
+// the reference per-lane transactional access sequence: whatever path the
+// emulator takes for a contiguous access inside a transaction must book
+// the same abort lane, bytes logged, TLB traffic and COW copies, and must
+// restore the image bit for bit.
+
+namespace {
+
+struct EdgeRun {
+  emu::ExecResult R;
+  rtm::TxStats Tx;
+  MemoryStats Mem;
+  bool ImageRestored = false;
+  int64_t Handler = 0; ///< 1: abort handler ran, 2: committed.
+};
+
+/// Runs \p Lines full-mask I32 accesses (one per 64-byte line, starting 32
+/// lines into a page), plus the straddling one when \p Cross, inside a
+/// single XBEGIN/XEND against a COW clone of a patterned image.
+EdgeRun runCapacityEdge(bool IsStore, unsigned Lines, bool Cross) {
+  constexpr uint64_t Region = 0x100000;
+  constexpr uint64_t Base = Region + 32 * LineBytes;
+  const uint64_t Bytes = (32 + Lines + 32) * LineBytes;
+  Memory Image;
+  Image.map(Region, Bytes);
+  std::vector<uint8_t> Pattern(Bytes);
+  for (size_t I = 0; I < Pattern.size(); ++I)
+    Pattern[I] = static_cast<uint8_t>(I * 131 + 7);
+  Image.poke(Region, Pattern.data(), Pattern.size());
+  Memory M = Image.clone();
+
+  using namespace flexvec::isa;
+  ProgramBuilder B;
+  auto Abort = B.createLabel();
+  auto Done = B.createLabel();
+  B.movImm(Reg::scalar(1), static_cast<int64_t>(Base));
+  B.movImm(Reg::scalar(9), 1000);
+  B.vindex(Reg::vector(1), ElemType::I32, Reg::scalar(9));
+  B.xbegin(Abort);
+  auto access = [&](int64_t Disp) {
+    if (IsStore)
+      B.vstore(ElemType::I32, Reg::none(), Reg::scalar(1), Reg::none(), 1,
+               Disp, Reg::vector(1));
+    else
+      B.vload(Reg::vector(2), ElemType::I32, Reg::none(), Reg::scalar(1),
+              Reg::none(), 1, Disp);
+  };
+  for (unsigned L = 0; L < Lines; ++L)
+    access(static_cast<int64_t>(L * LineBytes));
+  if (Cross) // Lanes 0-7 re-touch the last tracked line, 8-15 a new one.
+    access(static_cast<int64_t>((Lines - 1) * LineBytes + LineBytes / 2));
+  B.xend();
+  B.movImm(Reg::scalar(8), 2);
+  B.jmp(Done);
+  B.bind(Abort);
+  B.movImm(Reg::scalar(8), 1);
+  B.bind(Done);
+  B.halt();
+
+  emu::Machine Mach(M);
+  EdgeRun Out;
+  Out.R = Mach.run(B.finalize());
+  Out.Tx = Mach.txStats();
+  Out.Mem = M.stats();
+  Out.ImageRestored = M.contentsEqual(Image) &&
+                      M.fingerprint() == Image.fingerprint();
+  Out.Handler = Mach.getScalar(8);
+  return Out;
+}
+
+} // namespace
+
+TEST(RtmVectorEdge, VStoresFillWriteSetExactlyThenCommit) {
+  EdgeRun E = runCapacityEdge(/*IsStore=*/true, MaxWriteSetLines, false);
+  ASSERT_EQ(E.R.Reason, emu::StopReason::Halted) << E.R.describe();
+  EXPECT_EQ(E.Handler, 2) << "a write set of exactly the capacity commits";
+  EXPECT_EQ(E.Tx.Commits, 1u);
+  EXPECT_EQ(E.Tx.Aborts, 0u);
+  EXPECT_EQ(E.Tx.BytesLogged, MaxWriteSetLines * LineBytes);
+  EXPECT_FALSE(E.ImageRestored);
+  EXPECT_EQ(E.R.Stats.MemoryAccesses, MaxWriteSetLines * 16u);
+  // Per lane: one undo read and one write through the TLB.
+  EXPECT_EQ(E.Mem.TlbMisses, 9u);
+  EXPECT_EQ(E.Mem.TlbHits, MaxWriteSetLines * 32u - 9u);
+  EXPECT_EQ(E.Mem.CowCopies, 9u);
+}
+
+TEST(RtmVectorEdge, VStoreCrossingWriteSetAbortsAtTheLane) {
+  EdgeRun E = runCapacityEdge(/*IsStore=*/true, MaxWriteSetLines, true);
+  ASSERT_EQ(E.R.Reason, emu::StopReason::Halted) << E.R.describe();
+  EXPECT_EQ(E.Handler, 1);
+  EXPECT_EQ(E.Tx.Aborts, 1u);
+  EXPECT_EQ(E.Tx.AbortsByCapacity, 1u);
+  EXPECT_EQ(E.R.Stats.RtmFallbacks, 1u);
+  // Lanes 0-8 of the crossing store were logged; lane 8 overflowed.
+  EXPECT_EQ(E.Tx.BytesLogged, MaxWriteSetLines * LineBytes + 9 * 4);
+  EXPECT_EQ(E.R.Stats.MemoryAccesses, MaxWriteSetLines * 16u + 9u);
+  EXPECT_TRUE(E.ImageRestored) << "rollback must be bit for bit";
+  // The rollback pokes every logged element again, in reverse.
+  EXPECT_EQ(E.Mem.TlbMisses, 9u);
+  EXPECT_EQ(E.Mem.TlbHits,
+            MaxWriteSetLines * 32u + 18u - 9u + MaxWriteSetLines * 16u + 9u);
+  EXPECT_EQ(E.Mem.CowCopies, 9u);
+}
+
+TEST(RtmVectorEdge, VLoadsFillReadSetExactlyThenCommit) {
+  EdgeRun E = runCapacityEdge(/*IsStore=*/false, MaxReadSetLines, false);
+  ASSERT_EQ(E.R.Reason, emu::StopReason::Halted) << E.R.describe();
+  EXPECT_EQ(E.Handler, 2);
+  EXPECT_EQ(E.Tx.Commits, 1u);
+  EXPECT_EQ(E.Tx.BytesLogged, 0u);
+  EXPECT_TRUE(E.ImageRestored) << "loads leave the image alone";
+  EXPECT_EQ(E.R.Stats.MemoryAccesses, MaxReadSetLines * 16u);
+  // 65 pages touched, each missing the TLB once.
+  EXPECT_EQ(E.Mem.TlbMisses, 65u);
+  EXPECT_EQ(E.Mem.TlbHits, MaxReadSetLines * 16u - 65u);
+  EXPECT_EQ(E.Mem.CowCopies, 0u);
+}
+
+TEST(RtmVectorEdge, VLoadCrossingReadSetAbortsAtTheLane) {
+  EdgeRun E = runCapacityEdge(/*IsStore=*/false, MaxReadSetLines, true);
+  ASSERT_EQ(E.R.Reason, emu::StopReason::Halted) << E.R.describe();
+  EXPECT_EQ(E.Handler, 1);
+  EXPECT_EQ(E.Tx.Aborts, 1u);
+  EXPECT_EQ(E.Tx.AbortsByCapacity, 1u);
+  EXPECT_EQ(E.Tx.BytesLogged, 0u);
+  EXPECT_EQ(E.R.Stats.MemoryAccesses, MaxReadSetLines * 16u + 9u);
+  EXPECT_TRUE(E.ImageRestored);
+  EXPECT_EQ(E.Mem.TlbMisses, 65u);
+  EXPECT_EQ(E.Mem.TlbHits, MaxReadSetLines * 16u + 9u - 65u);
+  EXPECT_EQ(E.Mem.CowCopies, 0u);
+}
+
+TEST(RtmVectorEdge, VStoreThenOverlappingScalarStoreRollsBack) {
+  Memory Image;
+  Image.map(0x1000, PageSize);
+  for (uint64_t A = 0x1000; A < 0x1100; A += 8)
+    Image.set<int64_t>(A, static_cast<int64_t>(A * 0x9E3779B97F4A7C15ULL));
+  Memory M = Image.clone();
+
+  using namespace flexvec::isa;
+  ProgramBuilder B;
+  auto Abort = B.createLabel();
+  auto Done = B.createLabel();
+  B.movImm(Reg::scalar(1), 0x1040);
+  B.movImm(Reg::scalar(9), -5);
+  B.vindex(Reg::vector(1), ElemType::I32, Reg::scalar(9));
+  B.movImm(Reg::scalar(3), 0x7777777777777777LL);
+  B.xbegin(Abort);
+  B.vstore(ElemType::I32, Reg::none(), Reg::scalar(1), Reg::none(), 1, 0,
+           Reg::vector(1));
+  // Overlaps lanes 2-3: its undo record holds the vstore's bytes, so only
+  // a reverse-order replay gets back to the original image.
+  B.store(ElemType::I64, Reg::scalar(1), Reg::none(), 1, 8, Reg::scalar(3));
+  B.xabort();
+  B.xend();
+  B.jmp(Done);
+  B.bind(Abort);
+  B.movImm(Reg::scalar(8), 1);
+  B.bind(Done);
+  B.halt();
+
+  emu::Machine Mach(M);
+  emu::ExecResult R = Mach.run(B.finalize());
+  ASSERT_EQ(R.Reason, emu::StopReason::Halted) << R.describe();
+  EXPECT_EQ(Mach.getScalar(8), 1);
+  EXPECT_TRUE(M.contentsEqual(Image));
+  EXPECT_EQ(M.fingerprint(), Image.fingerprint());
+  EXPECT_EQ(Mach.txStats().AbortsExplicit, 1u);
+  EXPECT_EQ(Mach.txStats().BytesLogged, 64u + 8u);
+  // 16 undo reads + 16 writes, the scalar store's 2, then 17 rollback pokes.
+  EXPECT_EQ(M.stats().TlbMisses, 1u);
+  EXPECT_EQ(M.stats().TlbHits, 32u + 2u + 17u - 1u);
+  EXPECT_EQ(M.stats().CowCopies, 1u);
+}
