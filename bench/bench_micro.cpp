@@ -13,6 +13,7 @@
 #include "emu/simd/Kernels.h"
 #include "isa/Program.h"
 #include "sim/OooCore.h"
+#include "workloads/Benchmarks.h"
 #include "workloads/PaperLoops.h"
 
 #include <benchmark/benchmark.h>
@@ -141,10 +142,9 @@ void BM_MemoryClone(benchmark::State &State) {
 //===----------------------------------------------------------------------===//
 
 // Layer 1a, software TLB. Same-page accesses are the loop-workload common
-// case and must be served by the TLB, not the page-map tree walk; the
-// miss benchmark ping-pongs between two pages that collide in the
-// direct-mapped TLB (64 entries, so pages 0 and 64 share a slot), making
-// every lookup take the slow path. The hit/miss gap is the TLB's win.
+// case and must be served by the TLB, not the page-table search; the
+// miss benchmark makes every lookup take the slow path. The hit/miss gap
+// is the TLB's win.
 void BM_MemoryTlbHitLoad(benchmark::State &State) {
   mem::Memory M;
   M.map(0x10000, mem::PageSize);
@@ -166,19 +166,35 @@ void BM_MemoryTlbHitLoad(benchmark::State &State) {
       static_cast<double>(M.stats().TlbHits + M.stats().TlbMisses);
 }
 
+// With Arg 2 the loads ping-pong between pages 0 and 64; with a larger
+// Arg they land on random pages of an image that size (4003 is the MILC
+// row's: its scatter table draws about 39 k misses per cell), so each miss
+// searches a realistically sized page table.
 void BM_MemoryTlbMissLoad(benchmark::State &State) {
+  const uint64_t Pages = static_cast<uint64_t>(State.range(0));
+  const uint64_t Base = 0x10000;
   mem::Memory M;
-  M.map(0x10000, mem::PageSize);
-  M.map(0x10000 + 64 * mem::PageSize, mem::PageSize); // same TLB slot
+  std::vector<uint64_t> Addrs(4096);
+  if (Pages == 2) {
+    M.map(Base, mem::PageSize);
+    M.map(Base + 64 * mem::PageSize, mem::PageSize); // same TLB slot
+    for (size_t I = 0; I < Addrs.size(); ++I)
+      Addrs[I] = Base + (I & 1) * 64 * mem::PageSize;
+  } else {
+    M.map(Base, Pages * mem::PageSize);
+    Rng R(7);
+    for (uint64_t &A : Addrs)
+      A = Base + R.nextBelow(Pages) * mem::PageSize + 8 * R.nextBelow(512);
+  }
   uint64_t Accesses = 0;
   for (auto _ : State) {
     uint64_t Sum = 0;
-    for (unsigned I = 0; I < 256; ++I) {
+    for (uint64_t A : Addrs) {
       uint64_t V = 0;
-      M.readValue(0x10000 + (I & 1) * 64 * mem::PageSize, V);
+      M.readValue(A, V);
       Sum += V;
     }
-    Accesses += 256;
+    Accesses += Addrs.size();
     benchmark::DoNotOptimize(Sum);
   }
   State.counters["loads/s"] = benchmark::Counter(
@@ -219,6 +235,41 @@ void BM_MemoryCloneThenTouchAll(benchmark::State &State) {
   }
   State.counters["cow-copies"] =
       static_cast<double>(Copies) / static_cast<double>(State.iterations());
+}
+
+// Layer 1c, memory images at the MILC row's size: 4003 pages (a 4 M-entry
+// f32 scatter table plus its index and weight arrays).
+//
+// BM_Fingerprint/0 hashes an image that owns all its pages; /1 hashes a
+// clone still sharing every page with its base. Every call rehashes every
+// page either way: a per-page hash cached on shared pages made /1 about
+// 60-110x faster but did not move any workload, whose fingerprinted pages
+// are mostly COW copies (docs/PERFORMANCE.md, sixth pass).
+void BM_Fingerprint(benchmark::State &State) {
+  mem::Memory Base;
+  Base.map(0x10000, 4003 * mem::PageSize);
+  for (uint64_t P = 0; P < 4003; ++P)
+    Base.set<uint64_t>(0x10000 + P * mem::PageSize + 8 * (P % 512), P + 1);
+  mem::Memory Clone;
+  if (State.range(0))
+    Clone = Base.clone();
+  const mem::Memory &M = State.range(0) ? Clone : Base;
+  for (auto _ : State)
+    benchmark::DoNotOptimize(M.fingerprint());
+  State.SetBytesProcessed(static_cast<int64_t>(State.iterations()) * 4003 *
+                          static_cast<int64_t>(mem::PageSize));
+}
+
+// The MILC row's input build: 16000 x 2 index/weight/aux entries and the
+// 4 M-entry table drawn into the image.
+void BM_ScatterAccumInputs(benchmark::State &State) {
+  auto F = buildScatterAccumLoop("MILC", /*Fp=*/true, /*ExtraCompute=*/1);
+  for (auto _ : State) {
+    Rng R(1);
+    core::WorkloadInstance In = genScatterAccumInputs(
+        *F, R, 16000, 2, 0.005, 4000000, /*Fp=*/true, /*ExtraCompute=*/1);
+    benchmark::DoNotOptimize(In.Image.numPages());
+  }
 }
 
 // Layer 2, pre-decoded dispatch. Plan construction runs once per
@@ -560,9 +611,12 @@ BENCHMARK(BM_CompilePipeline)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_PdgAndAnalysis)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_MemoryClone)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_MemoryTlbHitLoad)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_MemoryTlbMissLoad)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_MemoryTlbMissLoad)->Arg(2)->Arg(4003)->Unit(
+    benchmark::kMicrosecond);
 BENCHMARK(BM_MemoryDeepClone)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_MemoryCloneThenTouchAll)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Fingerprint)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ScatterAccumInputs)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PredecodeAndSetup)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_TraceDeliveryNoSink)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TraceDeliveryBatched)->Unit(benchmark::kMillisecond);

@@ -5,18 +5,103 @@
 #include "obs/Metrics.h"
 #include "support/Error.h"
 
+#include <algorithm>
 #include <cassert>
+#include <mutex>
+
+// Pooled page blocks stay poisoned under AddressSanitizer, so a stale page
+// pointer is still reported as a use after free.
+#ifdef __SANITIZE_ADDRESS__
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(Addr, Size) ((void)(Addr), (void)(Size))
+#define ASAN_UNPOISON_MEMORY_REGION(Addr, Size) ((void)(Addr), (void)(Size))
+#endif
 
 using namespace flexvec;
 using namespace flexvec::mem;
 
 FaultHook::~FaultHook() = default;
 
+namespace {
+
+/// Allocator behind every page: single blocks freed by destroyed pages are
+/// kept and handed to the next page instead of going back to malloc. A
+/// clone's COW copies are freed together when the clone dies, and glibc
+/// would return that stretch of heap to the OS, so the next clone's
+/// copies would fault every page in afresh. Blocks in the pool plus blocks
+/// in use never exceed the most pages ever live at once, so recycling does
+/// not raise the peak; MaxPooled bounds what an idle process keeps.
+template <typename T> class PageBlockAllocator {
+public:
+  using value_type = T;
+
+  PageBlockAllocator() = default;
+  template <typename U> PageBlockAllocator(const PageBlockAllocator<U> &) {}
+
+  T *allocate(size_t N) {
+    if (N == 1) {
+      Pool &P = pool();
+      std::lock_guard<std::mutex> L(P.Lock);
+      if (!P.Blocks.empty()) {
+        void *B = P.Blocks.back();
+        P.Blocks.pop_back();
+        ASAN_UNPOISON_MEMORY_REGION(B, sizeof(T));
+        return static_cast<T *>(B);
+      }
+    }
+    return std::allocator<T>().allocate(N);
+  }
+
+  void deallocate(T *B, size_t N) {
+    if (N == 1) {
+      Pool &P = pool();
+      std::lock_guard<std::mutex> L(P.Lock);
+      if (P.Blocks.size() < MaxPooled) {
+        P.Blocks.push_back(B);
+        ASAN_POISON_MEMORY_REGION(B, sizeof(T));
+        return;
+      }
+    }
+    std::allocator<T>().deallocate(B, N);
+  }
+
+  template <typename U> bool operator==(const PageBlockAllocator<U> &) const {
+    return true;
+  }
+
+private:
+  static constexpr size_t MaxPooled = 8192; // ~33 MB of 4 KB pages
+
+  struct Pool {
+    std::mutex Lock;
+    std::vector<void *> Blocks;
+  };
+  /// Never destroyed: images in static storage may free pages during exit.
+  static Pool &pool() {
+    static Pool *P = new Pool;
+    return *P;
+  }
+};
+
+} // namespace
+
+Memory::PageRef Memory::newPage(uint8_t Perms) {
+  // Value-initialized: the bytes start zeroed.
+  PageRef Ref = std::allocate_shared<Page>(PageBlockAllocator<Page>());
+  Ref->Perms = Perms;
+  return Ref;
+}
+
+Memory::PageRef Memory::copyPage(const Page &Src) {
+  return std::allocate_shared<Page>(PageBlockAllocator<Page>(), Src);
+}
+
 Memory::Memory(Memory &&Other) noexcept
     : Pages(std::move(Other.Pages)), Hook(Other.Hook), Tlb(Other.Tlb),
       Stats(Other.Stats) {
-  // Map nodes are address-stable across the move, so the inherited TLB
-  // slots stay valid here; the moved-from side must forget them.
+  // A moved vector keeps its buffer, so the inherited TLB slots stay valid
+  // here; the moved-from side must forget them.
   Other.Pages.clear();
   Other.flushTlb();
   Other.Hook = nullptr;
@@ -51,6 +136,29 @@ void Memory::flushTlb() const {
     E = TlbEntry();
 }
 
+void Memory::retargetTlb() {
+  for (TlbEntry &E : Tlb)
+    if (E.Slot)
+      E.Slot = findSlot(E.PageIdx);
+}
+
+std::vector<Memory::Slot>::iterator
+Memory::slotsFrom(uint64_t PageIdx) const {
+  // The table is the authoritative structure; the TLB caches slot pointers
+  // into it, including from const lookups.
+  auto &Table = const_cast<std::vector<Slot> &>(Pages);
+  return std::lower_bound(
+      Table.begin(), Table.end(), PageIdx,
+      [](const Slot &S, uint64_t Idx) { return S.Idx < Idx; });
+}
+
+Memory::PageRef *Memory::findSlot(uint64_t PageIdx) const {
+  auto It = slotsFrom(PageIdx);
+  if (It == Pages.end() || It->Idx != PageIdx)
+    return nullptr;
+  return &It->Ref;
+}
+
 Memory::PageRef *Memory::lookup(uint64_t PageIdx) const {
   TlbEntry &E = Tlb[PageIdx & (TlbEntries - 1)];
   if (E.PageIdx == PageIdx) {
@@ -58,14 +166,12 @@ Memory::PageRef *Memory::lookup(uint64_t PageIdx) const {
     return E.Slot;
   }
   ++Stats.TlbMisses;
-  // The map is the authoritative structure; the TLB is a cache over it.
-  auto &Map = const_cast<std::map<uint64_t, PageRef> &>(Pages);
-  auto It = Map.find(PageIdx);
-  if (It == Map.end())
+  PageRef *S = findSlot(PageIdx);
+  if (!S)
     return nullptr; // Negative results are not cached.
   E.PageIdx = PageIdx;
-  E.Slot = &It->second;
-  return E.Slot;
+  E.Slot = S;
+  return S;
 }
 
 const Memory::Page *Memory::findPage(uint64_t PageIdx) const {
@@ -89,19 +195,18 @@ const uint8_t *Memory::spanForRead(uint64_t Addr, uint64_t Size,
     Stats.TlbHits += Accesses;
     return Pg->Data.data() + Off;
   }
-  // TLB miss: probe the map without booking, so an ineligible span leaves
-  // the counters for the fallback loop to produce.
-  auto &Map = const_cast<std::map<uint64_t, PageRef> &>(Pages);
-  auto It = Map.find(PageIdx);
-  if (It == Map.end() || !(It->second->Perms & PermRead))
+  // TLB miss: search the table without booking, so an ineligible span
+  // leaves the counters for the fallback loop to produce.
+  PageRef *S = findSlot(PageIdx);
+  if (!S || !((*S)->Perms & PermRead))
     return nullptr;
   // Eligible: the reference loop's first access would miss and install,
   // the remaining Accesses-1 would hit.
   ++Stats.TlbMisses;
   Stats.TlbHits += Accesses - 1;
   E.PageIdx = PageIdx;
-  E.Slot = &It->second;
-  return It->second->Data.data() + Off;
+  E.Slot = S;
+  return (*S)->Data.data() + Off;
 }
 
 uint8_t *Memory::spanForWrite(uint64_t Addr, uint64_t Size,
@@ -118,10 +223,9 @@ uint8_t *Memory::spanForWrite(uint64_t Addr, uint64_t Size,
   if (E.PageIdx == PageIdx) {
     S = E.Slot;
   } else {
-    auto It = Pages.find(PageIdx);
-    if (It == Pages.end())
+    S = findSlot(PageIdx);
+    if (!S)
       return nullptr;
-    S = &It->second;
     Missed = true;
   }
   // Perm check before any booking or COW, mirroring write(): a faulting
@@ -136,10 +240,7 @@ uint8_t *Memory::spanForWrite(uint64_t Addr, uint64_t Size,
   } else {
     Stats.TlbHits += Accesses;
   }
-  if (S->use_count() > 1) {
-    *S = std::make_shared<Page>(**S);
-    ++Stats.CowCopies;
-  }
+  unshare(*S);
   return (*S)->Data.data() + Off;
 }
 
@@ -147,46 +248,50 @@ Memory::Page *Memory::findPageForWrite(uint64_t PageIdx) {
   PageRef *S = lookup(PageIdx);
   if (!S)
     return nullptr;
-  if (S->use_count() > 1) {
-    // Shared with a COW clone: copy before the first write. The slot (and
-    // any TLB entry pointing at it) survives; only the pointee changes.
-    *S = std::make_shared<Page>(**S);
-    ++Stats.CowCopies;
-  }
+  unshare(*S);
   return S->get();
 }
 
 void Memory::map(uint64_t Addr, uint64_t Size, uint8_t Perms) {
   assert(Size > 0 && "cannot map an empty range");
-  uint64_t First = Addr / PageSize;
-  uint64_t Last = (Addr + Size - 1) / PageSize;
+  const uint64_t First = Addr / PageSize;
+  const uint64_t Last = (Addr + Size - 1) / PageSize;
+  auto Begin = slotsFrom(First), End = slotsFrom(Last + 1);
+  // Re-mapped pages keep their contents and change only permissions.
+  for (auto It = Begin; It != End; ++It) {
+    PageRef &Ref = It->Ref;
+    if (Ref->Perms == Perms)
+      continue;
+    unshare(Ref); // A permission change is a write for COW purposes.
+    Ref->Perms = Perms;
+  }
+  if (static_cast<uint64_t>(End - Begin) == Last - First + 1)
+    return; // Every page was already mapped.
+  // Rebuild the covered stretch as one sorted run of old and new slots,
+  // then splice it in place.
+  std::vector<Slot> Run;
+  Run.reserve(Last - First + 1);
+  auto Old = Begin;
   for (uint64_t P = First; P <= Last; ++P) {
-    auto It = Pages.find(P);
-    if (It != Pages.end()) {
-      PageRef &Ref = It->second;
-      if (Ref->Perms != Perms) {
-        // A permission change is a write for COW purposes.
-        if (Ref.use_count() > 1) {
-          Ref = std::make_shared<Page>(*Ref);
-          ++Stats.CowCopies;
-        }
-        Ref->Perms = Perms;
-      }
+    if (Old != End && Old->Idx == P) {
+      Run.push_back(std::move(*Old++));
       continue;
     }
-    auto NewPage = std::make_shared<Page>();
-    NewPage->Data.fill(0);
-    NewPage->Perms = Perms;
-    Pages.emplace(P, std::move(NewPage));
+    Run.push_back({P, newPage(Perms)});
   }
+  auto At = Pages.erase(Begin, End);
+  Pages.insert(At, std::make_move_iterator(Run.begin()),
+               std::make_move_iterator(Run.end()));
+  // Insertion moved slots (and may have reallocated the table); cached
+  // translations follow their pages, so the TLB behaves as if nothing moved.
+  retargetTlb();
 }
 
 void Memory::unmap(uint64_t Addr, uint64_t Size) {
   assert(Size > 0 && "cannot unmap an empty range");
-  uint64_t First = Addr / PageSize;
-  uint64_t Last = (Addr + Size - 1) / PageSize;
-  for (uint64_t P = First; P <= Last; ++P)
-    Pages.erase(P);
+  const uint64_t First = Addr / PageSize;
+  const uint64_t Last = (Addr + Size - 1) / PageSize;
+  Pages.erase(slotsFrom(First), slotsFrom(Last + 1));
   // Erasure invalidates slot pointers; drop every cached translation.
   flushTlb();
 }
@@ -276,10 +381,7 @@ AccessResult Memory::doWrite(uint64_t Addr, const void *Data, uint64_t Size) {
     PageRef *S = lookup(Addr / PageSize);
     if (!S || !((*S)->Perms & PermWrite))
       return AccessResult::fault(Addr);
-    if (S->use_count() > 1) {
-      *S = std::make_shared<Page>(**S);
-      ++Stats.CowCopies;
-    }
+    unshare(*S);
     std::memcpy((*S)->Data.data() + Off, Data, Size);
     return AccessResult::success();
   }
@@ -310,33 +412,62 @@ AccessResult Memory::doWrite(uint64_t Addr, const void *Data, uint64_t Size) {
   return AccessResult::success();
 }
 
-uint64_t Memory::fingerprint() const {
-  // FNV-1a-style mix over (page index, permissions, contents) in address
-  // order, one 64-bit word at a time (pages are word-multiples), with a
-  // final avalanche so every input bit reaches every output bit. The
-  // value is only ever compared against another fingerprint() from the
-  // same build — the exact mixing function is not a stable contract — so
-  // the word-at-a-time form trades nothing for an 8x shorter multiply
-  // chain on the image-hashing path the evaluation sweep runs per cell.
-  static_assert(PageSize % 8 == 0, "page contents hash word-at-a-time");
-  uint64_t Hash = 0xcbf29ce484222325ULL;
-  auto mixWord = [&Hash](uint64_t W) {
-    Hash = (Hash ^ W) * 0x100000001b3ULL;
+namespace {
+
+inline uint64_t rotl(uint64_t V, int R) { return (V << R) | (V >> (64 - R)); }
+
+/// Final avalanche (MurmurHash3 fmix64): every input bit reaches every
+/// output bit.
+inline uint64_t avalanche(uint64_t H) {
+  H ^= H >> 33;
+  H *= 0xff51afd7ed558ccdULL;
+  H ^= H >> 33;
+  H *= 0xc4ceb9fe1a85ec53ULL;
+  H ^= H >> 33;
+  return H;
+}
+
+constexpr uint64_t MixMul = 0x9e3779b97f4a7c15ULL;
+
+inline uint64_t mixWord(uint64_t H, uint64_t W) {
+  return rotl(H ^ W, 29) * MixMul;
+}
+
+} // namespace
+
+// A page hashes as four interleaved lanes of 64-bit words (word I feeds
+// lane I % 4), each a rotate-multiply chain: the lanes' multiplies overlap,
+// so one page costs about a quarter of a single chain's latency. The lanes
+// fold in a fixed order with the permissions.
+static_assert(PageSize % 32 == 0, "pages hash in four-word strides");
+
+uint64_t Memory::pageHash(const Page &Pg) {
+  uint64_t L0 = 0x243f6a8885a308d3ULL, L1 = 0x13198a2e03707344ULL,
+           L2 = 0xa4093822299f31d0ULL, L3 = 0x082efa98ec4e6c89ULL;
+  const uint8_t *Bytes = Pg.Data.data();
+  auto Word = [Bytes](size_t Off) {
+    uint64_t W;
+    std::memcpy(&W, Bytes + Off, 8);
+    return W;
   };
-  for (const auto &[Idx, Pg] : Pages) {
-    mixWord(Idx);
-    mixWord(static_cast<uint64_t>(Pg->Perms));
-    const uint8_t *Bytes = Pg->Data.data();
-    for (size_t I = 0; I < PageSize; I += 8) {
-      uint64_t W;
-      std::memcpy(&W, Bytes + I, 8);
-      mixWord(W);
-    }
+  for (size_t I = 0; I < PageSize; I += 32) {
+    L0 = mixWord(L0, Word(I));
+    L1 = mixWord(L1, Word(I + 8));
+    L2 = mixWord(L2, Word(I + 16));
+    L3 = mixWord(L3, Word(I + 24));
   }
-  Hash ^= Hash >> 33;
-  Hash *= 0xff51afd7ed558ccdULL;
-  Hash ^= Hash >> 33;
-  return Hash;
+  return avalanche(
+      mixWord(mixWord(mixWord(mixWord(Pg.Perms, L0), L1), L2), L3));
+}
+
+uint64_t Memory::fingerprint() const {
+  // Per-page hashes folded in address order with the page indices. The
+  // value is only ever compared against another fingerprint() from the
+  // same build, so the mixing function is not a stable contract.
+  uint64_t Hash = 0xcbf29ce484222325ULL;
+  for (const Slot &S : Pages)
+    Hash = mixWord(mixWord(Hash, S.Idx), pageHash(*S.Ref));
+  return avalanche(Hash);
 }
 
 Memory Memory::clone() const {
@@ -348,24 +479,22 @@ Memory Memory::clone() const {
 
 Memory Memory::deepClone() const {
   Memory Copy;
-  for (const auto &[Idx, Pg] : Pages)
-    Copy.Pages.emplace(Idx, std::make_shared<Page>(*Pg));
+  Copy.Pages.reserve(Pages.size());
+  for (const Slot &S : Pages)
+    Copy.Pages.push_back({S.Idx, copyPage(*S.Ref)});
   return Copy;
 }
 
 bool Memory::contentsEqual(const Memory &Other) const {
   if (Pages.size() != Other.Pages.size())
     return false;
-  auto ItA = Pages.begin();
-  auto ItB = Other.Pages.begin();
-  for (; ItA != Pages.end(); ++ItA, ++ItB) {
-    if (ItA->first != ItB->first)
+  for (size_t I = 0; I < Pages.size(); ++I) {
+    const Slot &A = Pages[I], &B = Other.Pages[I];
+    if (A.Idx != B.Idx)
       return false;
-    if (ItA->second == ItB->second)
+    if (A.Ref == B.Ref)
       continue; // Still COW-shared: trivially equal.
-    if (ItA->second->Perms != ItB->second->Perms)
-      return false;
-    if (ItA->second->Data != ItB->second->Data)
+    if (A.Ref->Perms != B.Ref->Perms || A.Ref->Data != B.Ref->Data)
       return false;
   }
   return true;

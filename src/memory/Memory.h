@@ -5,20 +5,22 @@
 // aborting, which is what the first-faulting FlexVec loads (Section 3.3.1)
 // and the RTM abort path (Section 3.3.2) are built on.
 //
-// Two hot-path mechanisms keep the model fast without changing observable
-// behaviour (docs/PERFORMANCE.md):
+// The mapped pages live in a flat page table: one address-ordered vector of
+// (page index, page) slots, searched by binary search. Two mechanisms keep
+// the model cheap without changing observable behaviour
+// (docs/PERFORMANCE.md):
 //
 //   * A direct-mapped software TLB caches the last-N page lookups in front
-//     of the std::map tree walk, so same-page accesses (the common case
-//     for loop workloads) skip the tree entirely.
+//     of the page-table search, so same-page accesses (the common case for
+//     loop workloads) skip the search entirely.
 //   * clone() is copy-on-write: pages are shared between the clone and its
 //     source via refcount and copied the first time either side writes
-//     them, so per-run image clones cost O(mapped pages) pointer copies
+//     them, so per-run image clones cost one flat copy of the slot vector
 //     instead of O(bytes).
 //
 // A Memory must only be read or written from one thread at a time. A
 // published base image that is no longer read or written directly may be
-// clone()d from several threads at once: clone() only copies the page map
+// clone()d from several threads at once: clone() only copies the page table
 // (shared_ptr copies, atomic refcounts), and because the base keeps a
 // reference to every shared page, no clone ever sees use_count()==1 on a
 // shared page — so clones copy pages before writing and never mutate
@@ -30,10 +32,10 @@
 #ifndef FLEXVEC_MEMORY_MEMORY_H
 #define FLEXVEC_MEMORY_MEMORY_H
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -71,7 +73,7 @@ struct AccessResult {
 /// deterministic bench payload.
 struct MemoryStats {
   uint64_t TlbHits = 0;   ///< Page lookups served by the software TLB.
-  uint64_t TlbMisses = 0; ///< Lookups that walked the page map.
+  uint64_t TlbMisses = 0; ///< Lookups that searched the page table.
   uint64_t CowCopies = 0; ///< Shared pages copied on first write.
 
   void merge(const MemoryStats &O) {
@@ -181,8 +183,11 @@ public:
   /// Number of mapped pages.
   size_t numPages() const { return Pages.size(); }
 
-  /// Order-independent digest of the mapped contents, used to compare final
-  /// memory images across scalar and vectorized executions.
+  /// Digest of the mapped contents (page indices, permissions, bytes), used
+  /// to compare final memory images across scalar and vectorized
+  /// executions. Equal images give equal fingerprints whichever of their
+  /// pages are still shared and whichever were copied. The value is only
+  /// comparable within one build.
   uint64_t fingerprint() const;
 
   /// Copy-on-write copy: pages are shared with the source and copied the
@@ -210,10 +215,16 @@ private:
   /// Memory is the sole owner and may write in place.
   using PageRef = std::shared_ptr<Page>;
 
+  /// One page-table slot. The table is sorted by Idx.
+  struct Slot {
+    uint64_t Idx;
+    PageRef Ref;
+  };
+
   /// One direct-mapped TLB entry. Slot points at the PageRef inside the
-  /// std::map node, which is address-stable across insertions and moves,
-  /// so an entry stays valid until its page is unmapped — including across
-  /// the COW copy, which replaces the pointee, not the slot.
+  /// page table. A COW copy replaces the pointee, not the slot, and a move
+  /// keeps the table's buffer, so an entry stays valid until its page is
+  /// unmapped; map() re-points the entries when it inserts slots.
   struct TlbEntry {
     uint64_t PageIdx = ~0ULL;
     PageRef *Slot = nullptr;
@@ -221,6 +232,13 @@ private:
   static constexpr size_t TlbEntries = 64; // power of two (direct-mapped)
 
   static void checkOk(const AccessResult &R);
+  /// Hash of one page's permissions and bytes.
+  static uint64_t pageHash(const Page &Pg);
+
+  /// The first slot at or above \p PageIdx (binary search).
+  std::vector<Slot>::iterator slotsFrom(uint64_t PageIdx) const;
+  /// Page-table search without TLB booking; null when unmapped.
+  PageRef *findSlot(uint64_t PageIdx) const;
 
   /// TLB-accelerated slot lookup; null when the page is unmapped.
   PageRef *lookup(uint64_t PageIdx) const;
@@ -229,7 +247,25 @@ private:
   /// Lookup for mutation: copies a shared page first (copy-on-write).
   Page *findPageForWrite(uint64_t PageIdx);
 
+  /// A zero-filled page, or a copy of \p Src; both draw on the recycled
+  /// page blocks (Memory.cpp).
+  static PageRef newPage(uint8_t Perms);
+  static PageRef copyPage(const Page &Src);
+
+  /// Copy-on-write: if \p Ref is shared with a clone, replaces it with a
+  /// private copy before the first write. The slot (and any TLB entry
+  /// pointing at it) survives; only the pointee changes.
+  void unshare(PageRef &Ref) {
+    if (Ref.use_count() > 1) {
+      Ref = copyPage(*Ref);
+      ++Stats.CowCopies;
+    }
+  }
+
   void flushTlb() const;
+  /// Re-points every cached TLB entry at its page's current slot (after
+  /// map() inserted slots and moved the others).
+  void retargetTlb();
 
   AccessResult doRead(uint64_t Addr, void *Out, uint64_t Size) const;
   AccessResult doWrite(uint64_t Addr, const void *Data, uint64_t Size);
@@ -240,9 +276,8 @@ private:
   AccessResult readCold(uint64_t Addr, void *Out, uint64_t Size) const;
   AccessResult writeCold(uint64_t Addr, const void *Data, uint64_t Size);
 
-  // std::map keeps iteration deterministic for fingerprint/compare, and
-  // its node stability is what lets TLB entries hold slot pointers.
-  std::map<uint64_t, PageRef> Pages;
+  /// Address-ordered, so fingerprint and compare walk it deterministically.
+  std::vector<Slot> Pages;
   FaultHook *Hook = nullptr;
   // The TLB is a cache warmed by const reads; stats are event counts on
   // const paths too. Both are logically non-observable state.
@@ -286,12 +321,8 @@ inline AccessResult Memory::write(uint64_t Addr, const void *Data,
       PageRef *S = E.Slot;
       if (!((*S)->Perms & PermWrite))
         return AccessResult::fault(Addr);
-      if (S->use_count() > 1) {
-        // Shared with a COW clone: copy before the first write (the perm
-        // check above ran first, so a faulting write never copies).
-        *S = std::make_shared<Page>(**S);
-        ++Stats.CowCopies;
-      }
+      // The perm check above ran first, so a faulting write never copies.
+      unshare(*S);
       std::memcpy((*S)->Data.data() + Off, Data, Size);
       return AccessResult::success();
     }
@@ -321,6 +352,25 @@ public:
     uint64_t Addr = alloc(Values.size() * sizeof(T), 64);
     if (!Values.empty())
       M.poke(Addr, Values.data(), Values.size() * sizeof(T));
+    return Addr;
+  }
+
+  /// Allocates \p Count elements of \p T and stores Elem(I) at element I,
+  /// calling Elem once per element in index order. The values go into the
+  /// image one page-sized chunk at a time, so no copy of the whole array
+  /// is ever staged. Debug write path, as allocArray.
+  template <typename T, typename Fn>
+  uint64_t allocGenerated(uint64_t Count, Fn &&Elem) {
+    uint64_t Addr = alloc(Count * sizeof(T), 64);
+    constexpr uint64_t PerChunk = PageSize / sizeof(T);
+    std::array<T, PerChunk> Chunk{};
+    for (uint64_t I = 0; I < Count;) {
+      uint64_t N = std::min(PerChunk, Count - I);
+      for (uint64_t K = 0; K < N; ++K)
+        Chunk[K] = Elem(I + K);
+      M.poke(Addr + I * sizeof(T), Chunk.data(), N * sizeof(T));
+      I += N;
+    }
     return Addr;
   }
 

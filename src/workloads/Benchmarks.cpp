@@ -68,19 +68,35 @@ std::vector<int64_t> extremeTrace(Rng &R, int64_t Trip, double UpdateProb,
   return T;
 }
 
-/// Writes \p Values (exact small integers) as the array's element type.
+/// Allocates \p Count elements of the array's element type (f32 when \p Fp,
+/// else i32) and writes Value(I), an exact small integer, at element I.
+/// Value is called once per element in index order, so it may draw from
+/// an Rng: the table is then drawn straight into the image.
+template <typename Fn>
+uint64_t allocTyped(mem::BumpAllocator &Alloc, int64_t Count, bool Fp,
+                    Fn &&Value) {
+  const uint64_t N = static_cast<uint64_t>(Count);
+  if (Fp)
+    return Alloc.allocGenerated<float>(
+        N, [&](uint64_t I) { return static_cast<float>(Value(I)); });
+  return Alloc.allocGenerated<int32_t>(
+      N, [&](uint64_t I) { return static_cast<int32_t>(Value(I)); });
+}
+
+/// Writes \p V (exact small integers) as the array's element type.
 uint64_t allocTyped(mem::BumpAllocator &Alloc, const std::vector<int64_t> &V,
                     bool Fp) {
-  if (Fp) {
-    std::vector<float> F(V.size());
-    for (size_t I = 0; I < V.size(); ++I)
-      F[I] = static_cast<float>(V[I]);
-    return Alloc.allocArray(F);
-  }
-  std::vector<int32_t> I32(V.size());
-  for (size_t I = 0; I < V.size(); ++I)
-    I32[I] = static_cast<int32_t>(V[I]);
-  return Alloc.allocArray(I32);
+  return allocTyped(Alloc, static_cast<int64_t>(V.size()), Fp,
+                    [&V](uint64_t I) { return V[I]; });
+}
+
+/// Allocates the accumulation table last and draws its \p TableSize
+/// entries (uniform in [0, 64)) straight into the image.
+uint64_t allocDrawnTable(mem::BumpAllocator &Alloc, Rng &R, int64_t TableSize,
+                         bool Fp) {
+  return allocTyped(Alloc, TableSize, Fp, [&R](uint64_t) {
+    return static_cast<int64_t>(R.nextBelow(64));
+  });
 }
 
 int64_t extraSumOf(const std::vector<int64_t> &Aux, int64_t I,
@@ -288,14 +304,12 @@ workloads::genScatterAccumInputs(const LoopFunction &F, Rng &R, int64_t Trip,
   std::vector<int64_t> Aux(static_cast<size_t>(Total));
   for (auto &V : Aux)
     V = static_cast<int64_t>(R.nextBelow(16));
-  std::vector<int64_t> D(static_cast<size_t>(TableSize));
-  for (auto &V : D)
-    V = static_cast<int64_t>(R.nextBelow(64));
 
   uint64_t IdxBase = allocTyped(Alloc, Idx, /*Fp=*/false);
   uint64_t WBase = allocTyped(Alloc, W, Fp);
   uint64_t AuxBase = ExtraCompute ? allocTyped(Alloc, Aux, Fp) : 0;
-  uint64_t DBase = allocTyped(Alloc, D, Fp);
+  // The table is both drawn and allocated last.
+  uint64_t DBase = allocDrawnTable(Alloc, R, TableSize, Fp);
 
   for (int64_t Inv = 0; Inv < Invocations; ++Inv) {
     uint64_t Off = static_cast<uint64_t>((Inv % Slices) * Trip) * 4;
@@ -375,14 +389,11 @@ workloads::genForceInputs(const LoopFunction &F, Rng &R, int64_t Trip,
     std::copy(SliceIdx.begin(), SliceIdx.end(),
               Idx.begin() + static_cast<long>(S * Trip));
   }
-  std::vector<int64_t> D(static_cast<size_t>(TableSize));
-  for (auto &V : D)
-    V = static_cast<int64_t>(R.nextBelow(64));
-
   uint64_t WBase = allocTyped(Alloc, W, Fp);
   uint64_t AuxBase = ExtraCompute ? allocTyped(Alloc, Aux, Fp) : 0;
   uint64_t IdxBase = allocTyped(Alloc, Idx, /*Fp=*/false);
-  uint64_t DBase = allocTyped(Alloc, D, Fp);
+  // The table is both drawn and allocated last.
+  uint64_t DBase = allocDrawnTable(Alloc, R, TableSize, Fp);
 
   for (int64_t Inv = 0; Inv < Invocations; ++Inv) {
     uint64_t Off = static_cast<uint64_t>((Inv % Slices) * Trip) * 4;

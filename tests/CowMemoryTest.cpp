@@ -18,8 +18,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 using namespace flexvec;
 using namespace flexvec::ir;
@@ -109,6 +112,353 @@ TEST(CowMemory, StraddlingFaultingWriteHasNoPartialEffect) {
   EXPECT_EQ(Clone.stats().CowCopies, 0u);
   EXPECT_EQ(Clone.fingerprint(), BaseFp);
   EXPECT_EQ(Base.fingerprint(), BaseFp);
+}
+
+//===----------------------------------------------------------------------===//
+// The fingerprint contract: equal images give equal fingerprints whichever
+// pages are shared and whichever were copied, and every in-place write
+// shows, including on pages that other images shared earlier. Any future
+// per-page hash cache must keep these.
+//===----------------------------------------------------------------------===//
+
+mem::Memory patternImage(uint64_t Pages) {
+  mem::Memory M;
+  M.map(0x10000, Pages * mem::PageSize);
+  for (uint64_t P = 0; P < Pages; ++P)
+    for (uint64_t W = 0; W < 8; ++W)
+      M.set<uint64_t>(0x10000 + P * mem::PageSize + W * 512, P * 131 + W);
+  return M;
+}
+
+/// The fingerprint of an image that shares no page with any other.
+uint64_t freshFingerprint(const mem::Memory &M) {
+  return M.deepClone().fingerprint();
+}
+
+TEST(Fingerprint, SharedAndCopiedPagesHashAlike) {
+  mem::Memory Base = patternImage(4);
+  const uint64_t Fp = freshFingerprint(Base);
+  mem::Memory A = Base.clone();
+  EXPECT_EQ(A.fingerprint(), Fp);
+  EXPECT_EQ(Base.fingerprint(), Fp);
+
+  // COW-copy a page, then put its original bytes back: equal contents, so
+  // an equal fingerprint although one page is now private.
+  mem::Memory B = Base.clone();
+  const uint64_t Addr = 0x10000 + 2 * mem::PageSize;
+  const uint64_t Old = B.get<uint64_t>(Addr);
+  B.set<uint64_t>(Addr, Old + 1);
+  EXPECT_EQ(B.stats().CowCopies, 1u);
+  EXPECT_NE(B.fingerprint(), Fp);
+  B.set<uint64_t>(Addr, Old);
+  EXPECT_TRUE(B.contentsEqual(Base));
+  EXPECT_EQ(B.fingerprint(), Fp);
+  EXPECT_EQ(A.fingerprint(), Fp);
+  EXPECT_EQ(Base.fingerprint(), Fp);
+}
+
+TEST(Fingerprint, FingerprintCoversIndicesPermissionsAndBytes) {
+  mem::Memory A = patternImage(2);
+  mem::Memory Moved;
+  Moved.map(0x10000 + mem::PageSize, 2 * mem::PageSize);
+  EXPECT_NE(A.fingerprint(), Moved.fingerprint());
+  mem::Memory Zero;
+  Zero.map(0x10000, 2 * mem::PageSize);
+  EXPECT_NE(Zero.fingerprint(), Moved.fingerprint()) << "page indices";
+  mem::Memory ReadOnly;
+  ReadOnly.map(0x10000, 2 * mem::PageSize, mem::PermRead);
+  EXPECT_NE(Zero.fingerprint(), ReadOnly.fingerprint()) << "permissions";
+  // Swapping two words moves them between hash lanes and positions.
+  mem::Memory Swapped = Zero.deepClone();
+  Zero.set<uint64_t>(0x10000, 1);
+  Zero.set<uint64_t>(0x10008, 2);
+  Swapped.set<uint64_t>(0x10000, 2);
+  Swapped.set<uint64_t>(0x10008, 1);
+  EXPECT_NE(Zero.fingerprint(), Swapped.fingerprint()) << "word order";
+  // Two sign flips of odd-indexed f32 elements flip bit 63 of two words.
+  // A plain xor-multiply chain keeps the first flip in bit 63 alone, and
+  // the second one cancels it.
+  mem::Memory Flipped = Swapped.deepClone();
+  Flipped.set<uint64_t>(0x10040, uint64_t(1) << 63);
+  Flipped.set<uint64_t>(0x10080, uint64_t(1) << 63);
+  EXPECT_NE(Flipped.fingerprint(), Swapped.fingerprint()) << "paired flips";
+}
+
+/// Fingerprints \p Base and a clone while they share every page, destroys
+/// the clone so \p Base owns its pages alone again, applies \p Mutate in
+/// place and checks that both \p Base and a later clone see the change.
+template <typename Fn>
+void expectInPlaceWriteSeen(const char *What, Fn &&Mutate) {
+  mem::Memory Base = patternImage(3);
+  const uint64_t Before = Base.fingerprint();
+  {
+    mem::Memory Clone = Base.clone();
+    EXPECT_EQ(Clone.fingerprint(), Before) << What;
+    EXPECT_EQ(Base.fingerprint(), Before) << What;
+  }
+  Mutate(Base);
+  EXPECT_EQ(Base.stats().CowCopies, 0u) << What << ": must write in place";
+  const uint64_t After = freshFingerprint(Base);
+  EXPECT_NE(After, Before) << What;
+  EXPECT_EQ(Base.fingerprint(), After) << What;
+  mem::Memory Clone = Base.clone();
+  EXPECT_EQ(Clone.fingerprint(), After) << What << ": stale fingerprint";
+  EXPECT_EQ(Base.fingerprint(), After) << What;
+}
+
+TEST(Fingerprint, SoleOwnerInPlaceWritesInvalidate) {
+  const uint64_t Addr = 0x10000 + mem::PageSize + 64;
+  expectInPlaceWriteSeen("write", [&](mem::Memory &M) {
+    uint32_t V = 0xdead;
+    ASSERT_TRUE(M.write(Addr, &V, sizeof(V)).Ok);
+  });
+  expectInPlaceWriteSeen("poke", [&](mem::Memory &M) {
+    uint32_t V = 0xbeef;
+    ASSERT_TRUE(M.poke(Addr, &V, sizeof(V)).Ok);
+  });
+  expectInPlaceWriteSeen("straddling write", [&](mem::Memory &M) {
+    uint64_t V = ~0ULL;
+    ASSERT_TRUE(M.write(0x10000 + 2 * mem::PageSize - 4, &V, 8).Ok);
+  });
+  expectInPlaceWriteSeen("span", [&](mem::Memory &M) {
+    uint8_t *P = M.spanForWrite(Addr, 16, 4);
+    ASSERT_NE(P, nullptr);
+    std::memset(P, 0x5a, 16);
+  });
+  expectInPlaceWriteSeen("map() permission change", [&](mem::Memory &M) {
+    M.map(0x10000 + mem::PageSize, mem::PageSize, mem::PermRead);
+  });
+}
+
+// Clones of one published base fingerprinted from four threads at once,
+// each also copying and rewriting pages of its own. Under TSan this checks
+// that fingerprinting shared pages is race-free.
+TEST(Fingerprint, ConcurrentClonesOfOneBase) {
+  constexpr int Threads = 4;
+  constexpr int Rounds = 25;
+  const mem::Memory Base = patternImage(16);
+  uint64_t Want[Threads];
+  for (int T = 0; T < Threads; ++T) {
+    mem::Memory M = Base.deepClone();
+    M.set<uint64_t>(0x10000 + T * mem::PageSize, 1000 + T);
+    Want[T] = M.fingerprint();
+  }
+  const uint64_t BaseFp = freshFingerprint(Base);
+  std::atomic<int> Mismatches{0};
+  std::vector<std::thread> Pool;
+  for (int T = 0; T < Threads; ++T)
+    Pool.emplace_back([&, T] {
+      for (int R = 0; R < Rounds; ++R) {
+        mem::Memory C = Base.clone();
+        if (C.fingerprint() != BaseFp)
+          ++Mismatches;
+        C.set<uint64_t>(0x10000 + T * mem::PageSize, 1000 + T);
+        if (C.fingerprint() != Want[T])
+          ++Mismatches;
+      }
+    });
+  for (std::thread &Th : Pool)
+    Th.join();
+  EXPECT_EQ(Mismatches.load(), 0);
+  EXPECT_EQ(freshFingerprint(Base), BaseFp);
+}
+
+//===----------------------------------------------------------------------===//
+// Page table and TLB semantics. mem.tlb.* and mem.cow.page_copies are
+// payload metrics, so these scripted sequences pin the exact counts the
+// 64-entry direct-mapped TLB books, whatever structure sits behind it.
+//===----------------------------------------------------------------------===//
+
+constexpr uint64_t pageAddr(uint64_t PageIdx) {
+  return PageIdx * mem::PageSize;
+}
+
+void expectStats(const mem::Memory &M, uint64_t Hits, uint64_t Misses,
+                 uint64_t Copies, const char *Where) {
+  EXPECT_EQ(M.stats().TlbHits, Hits) << Where;
+  EXPECT_EQ(M.stats().TlbMisses, Misses) << Where;
+  EXPECT_EQ(M.stats().CowCopies, Copies) << Where;
+}
+
+bool readOk(const mem::Memory &M, uint64_t Addr) {
+  int32_t V;
+  return M.read(Addr, &V, sizeof(V)).Ok;
+}
+
+TEST(PageTable, DirectMappedConflictsEvict) {
+  mem::Memory M;
+  // Pages 16 and 80 share TLB set 16.
+  M.map(pageAddr(16), mem::PageSize);
+  M.map(pageAddr(80), mem::PageSize);
+  EXPECT_TRUE(readOk(M, pageAddr(16)));      // miss, install 16
+  EXPECT_TRUE(readOk(M, pageAddr(16) + 8));  // hit
+  EXPECT_TRUE(readOk(M, pageAddr(80)));      // miss, evicts 16
+  EXPECT_TRUE(readOk(M, pageAddr(16)));      // miss again
+  EXPECT_TRUE(readOk(M, pageAddr(16) + 64)); // hit
+  expectStats(M, 2, 3, 0, "conflicting pages");
+}
+
+TEST(PageTable, NegativeLookupsAreNotCached) {
+  mem::Memory M;
+  M.map(pageAddr(16), mem::PageSize);
+  EXPECT_TRUE(readOk(M, pageAddr(16)));  // miss, install 16 in set 16
+  EXPECT_FALSE(readOk(M, pageAddr(30))); // miss, unmapped
+  EXPECT_FALSE(readOk(M, pageAddr(30))); // miss again: not cached
+  EXPECT_FALSE(readOk(M, pageAddr(80))); // miss; set 16 keeps page 16
+  EXPECT_TRUE(readOk(M, pageAddr(16)));  // hit
+  expectStats(M, 1, 4, 0, "negative lookups");
+
+  M.map(pageAddr(30), mem::PageSize);
+  EXPECT_TRUE(readOk(M, pageAddr(30))); // miss, install
+  EXPECT_TRUE(readOk(M, pageAddr(30))); // hit
+  expectStats(M, 2, 5, 0, "after mapping the missing page");
+}
+
+TEST(PageTable, UnmapFlushesTheWholeTlb) {
+  mem::Memory M;
+  M.map(pageAddr(16), 2 * mem::PageSize);
+  EXPECT_TRUE(readOk(M, pageAddr(16)));
+  EXPECT_TRUE(readOk(M, pageAddr(17)));
+  M.unmap(pageAddr(17), mem::PageSize);
+  EXPECT_TRUE(readOk(M, pageAddr(16)));  // miss: the unmap flushed set 16
+  EXPECT_FALSE(readOk(M, pageAddr(17))); // miss, now unmapped
+  EXPECT_TRUE(readOk(M, pageAddr(16)));  // hit
+  expectStats(M, 1, 4, 0, "unmap");
+  EXPECT_EQ(M.numPages(), 1u);
+}
+
+TEST(PageTable, CloneStartsWithAColdTlbAndFreshStats) {
+  mem::Memory Base;
+  Base.map(pageAddr(16), mem::PageSize);
+  Base.set<int32_t>(pageAddr(16), 5); // miss
+  mem::Memory Clone = Base.clone();
+  expectStats(Clone, 0, 0, 0, "fresh clone");
+  EXPECT_TRUE(readOk(Clone, pageAddr(16))); // miss: cold TLB
+  EXPECT_EQ(Clone.get<int32_t>(pageAddr(16)), 5); // hit
+  Clone.set<int32_t>(pageAddr(16), 6);            // hit + COW copy
+  Clone.set<int32_t>(pageAddr(16) + 4, 7);        // hit, already owned
+  EXPECT_EQ(Clone.get<int32_t>(pageAddr(16)), 6); // hit on the copy
+  expectStats(Clone, 4, 1, 1, "clone");
+  EXPECT_EQ(Base.get<int32_t>(pageAddr(16)), 5); // base TLB still warm
+  expectStats(Base, 1, 1, 0, "base");
+}
+
+TEST(PageTable, TlbEntriesSurviveAMove) {
+  mem::Memory M;
+  M.map(pageAddr(16), mem::PageSize);
+  M.set<int32_t>(pageAddr(16), 9); // miss
+  mem::Memory N(std::move(M));
+  EXPECT_EQ(N.get<int32_t>(pageAddr(16)), 9); // hit: entry moved along
+  expectStats(N, 1, 1, 0, "move-constructed");
+  mem::Memory O;
+  O = std::move(N);
+  EXPECT_EQ(O.get<int32_t>(pageAddr(16)), 9); // hit
+  expectStats(O, 2, 1, 0, "move-assigned");
+  EXPECT_EQ(M.numPages(), 0u);
+  EXPECT_EQ(N.numPages(), 0u);
+  expectStats(N, 0, 0, 0, "moved-from");
+}
+
+TEST(PageTable, MapAfterAccessesKeepsCachedEntries) {
+  mem::Memory M;
+  M.map(pageAddr(16), mem::PageSize);
+  M.map(pageAddr(40), mem::PageSize);
+  M.set<int32_t>(pageAddr(16), 1); // miss
+  M.set<int32_t>(pageAddr(40), 2); // miss
+  // New pages below, between and above the cached ones: map() neither
+  // flushes nor books anything, and the cached entries still see their
+  // own pages' bytes.
+  M.map(pageAddr(2), 3 * mem::PageSize);
+  M.map(pageAddr(20), mem::PageSize);
+  M.map(pageAddr(100), 8 * mem::PageSize);
+  expectStats(M, 0, 2, 0, "map adds no lookups");
+  EXPECT_EQ(M.get<int32_t>(pageAddr(16)), 1); // hit
+  EXPECT_EQ(M.get<int32_t>(pageAddr(40)), 2); // hit
+  EXPECT_EQ(M.get<int32_t>(pageAddr(20)), 0); // miss, zero-filled
+  expectStats(M, 2, 3, 0, "after the new pages");
+  EXPECT_EQ(M.numPages(), 14u);
+
+  // Re-mapping an existing page only changes its permissions; the entry
+  // stays cached, so the faulting write books a hit.
+  M.map(pageAddr(16), mem::PageSize, mem::PermRead);
+  int32_t V = 3;
+  EXPECT_FALSE(M.write(pageAddr(16), &V, sizeof(V)).Ok); // hit, faults
+  EXPECT_EQ(M.get<int32_t>(pageAddr(16)), 1);            // hit
+  expectStats(M, 4, 3, 0, "permission change");
+}
+
+TEST(PageTable, PermissionChangeOnASharedPageCopiesIt) {
+  mem::Memory Base;
+  Base.map(pageAddr(16), mem::PageSize);
+  Base.set<int32_t>(pageAddr(16), 7);
+  mem::Memory Clone = Base.clone();
+  EXPECT_TRUE(readOk(Clone, pageAddr(16)));              // miss
+  Clone.map(pageAddr(16), mem::PageSize, mem::PermRead); // COW copy
+  EXPECT_EQ(Clone.get<int32_t>(pageAddr(16)), 7);        // hit, the copy
+  int32_t V = 3;
+  EXPECT_FALSE(Clone.write(pageAddr(16), &V, sizeof(V)).Ok); // hit
+  expectStats(Clone, 2, 1, 1, "clone");
+  EXPECT_TRUE(Base.write(pageAddr(16), &V, sizeof(V)).Ok); // base keeps RW
+  EXPECT_EQ(Base.stats().CowCopies, 0u) << "the clone copied, not the base";
+}
+
+TEST(PageTable, StraddlingAccessesValidateThenCopy) {
+  mem::Memory M;
+  M.map(pageAddr(16), 2 * mem::PageSize);
+  int64_t V = 0x0102030405060708LL;
+  // A straddling access looks up both pages to validate, then both again
+  // to copy: miss, miss, hit, hit.
+  EXPECT_TRUE(M.write(pageAddr(17) - 4, &V, sizeof(V)).Ok);
+  expectStats(M, 2, 2, 0, "straddling write");
+  int64_t Out = 0;
+  EXPECT_TRUE(M.read(pageAddr(17) - 4, &Out, sizeof(Out)).Ok);
+  EXPECT_EQ(Out, V);
+  expectStats(M, 6, 2, 0, "straddling read");
+  EXPECT_TRUE(M.isAccessible(pageAddr(16), 3 * mem::PageSize, mem::PermRead) ==
+              false); // hit, hit, miss on page 18
+  expectStats(M, 8, 3, 0, "isAccessible");
+}
+
+TEST(PageTable, FarPageBesideLowPages) {
+  // The adaptive dispatch cell sits at 1<<40; its page shares TLB set 0
+  // with page 64.
+  const uint64_t Far = uint64_t(1) << 40;
+  mem::Memory M;
+  M.map(pageAddr(16), mem::PageSize);
+  M.map(pageAddr(64), mem::PageSize);
+  M.set<int32_t>(pageAddr(16), 1); // miss
+  M.map(Far, 64);
+  M.set<int64_t>(Far + 8, 42);     // miss
+  EXPECT_EQ(M.get<int32_t>(pageAddr(16)), 1); // hit
+  EXPECT_TRUE(readOk(M, pageAddr(64)));       // miss, evicts the far page
+  EXPECT_EQ(M.get<int64_t>(Far + 8), 42);     // miss
+  EXPECT_EQ(M.get<int64_t>(Far + 8), 42);     // hit
+  expectStats(M, 2, 4, 0, "far page");
+  EXPECT_EQ(M.numPages(), 3u);
+  M.unmap(Far, 64);
+  EXPECT_EQ(M.get<int32_t>(pageAddr(16)), 1); // miss: flushed
+  EXPECT_FALSE(readOk(M, Far));               // miss, unmapped
+  expectStats(M, 2, 6, 0, "after unmapping the far page");
+  EXPECT_EQ(M.numPages(), 2u);
+}
+
+TEST(PageTable, SpansBookWhatTheirAccessesWould) {
+  mem::Memory Base;
+  Base.map(pageAddr(16), 2 * mem::PageSize);
+  mem::Memory M = Base.clone();
+  // Read span on a cold TLB: one miss plus Accesses-1 hits.
+  EXPECT_NE(M.spanForRead(pageAddr(16), 64, 16), nullptr);
+  expectStats(M, 15, 1, 0, "read span, miss");
+  // Write span on the cached page: hits plus the COW copy.
+  EXPECT_NE(M.spanForWrite(pageAddr(16), 64, 16), nullptr);
+  expectStats(M, 31, 1, 1, "write span, hit");
+  // Ineligible spans book nothing: a straddle, an unmapped page.
+  EXPECT_EQ(M.spanForRead(pageAddr(17) - 4, 8, 2), nullptr);
+  EXPECT_EQ(M.spanForWrite(pageAddr(40), 8, 2), nullptr);
+  expectStats(M, 31, 1, 1, "ineligible spans");
+  // Write span on a cold page: a miss, hits and a copy.
+  EXPECT_NE(M.spanForWrite(pageAddr(17), 32, 8), nullptr);
+  expectStats(M, 38, 2, 2, "write span, miss");
 }
 
 //===----------------------------------------------------------------------===//
