@@ -272,11 +272,13 @@ void BM_ScatterAccumInputs(benchmark::State &State) {
   }
 }
 
-// Layer 2, pre-decoded dispatch. Plan construction runs once per
-// Machine::run; BM_EmulatorScalar/FlexVec above measure the resulting
-// steady-state dispatch throughput. This pins the predecode + setup cost
-// alone by stopping the run after a single retired instruction.
-void BM_PredecodeAndSetup(benchmark::State &State) {
+// Layer 2, decoded dispatch. The program's decoded rows are built once,
+// with the Program; BM_EmulatorScalar/FlexVec above measure the dispatch
+// throughput over them. This pins what every run still pays before its
+// first instruction (image clone, dispatch-cell setup, machine and
+// register reset, kernel-table binding) by stopping the run after a
+// single retired instruction.
+void BM_RunSetup(benchmark::State &State) {
   Fixture &Fx = fixture();
   emu::RunLimits Limits;
   Limits.MaxInstructions = 1;
@@ -617,7 +619,7 @@ BENCHMARK(BM_MemoryDeepClone)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_MemoryCloneThenTouchAll)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Fingerprint)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ScatterAccumInputs)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PredecodeAndSetup)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_RunSetup)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_TraceDeliveryNoSink)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TraceDeliveryBatched)->Unit(benchmark::kMillisecond);
 

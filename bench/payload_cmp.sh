@@ -7,13 +7,14 @@
 #
 # PARENT_BUILD and CHANGE_BUILD are CMake build directories (of the parent
 # commit and of the change) with the flexvec-bench target built. The
-# payloads are the three every performance change must keep:
+# payloads are the four every performance change must keep:
 #
 #   full       --deterministic                        (full scale)
 #   vl256      --deterministic --vl=256 --scale=0.1
+#   vl2048     --deterministic --vl=2048 --scale=0.1  (the widest width)
 #   faultseed  --deterministic --fault-seed=20260808 --scale=0.5
 #
-# Exit status: 0 when all three are identical; 1 at the first payload that
+# Exit status: 0 when all four are identical; 1 at the first payload that
 # differs (named on stderr, both files kept); 2 on a usage error, a missing
 # flexvec-bench, or a run that fails. The payloads are written under a
 # fresh directory in ${TMPDIR:-/tmp}, printed at the end.
@@ -36,8 +37,9 @@ for Dir in "$1" "$2"; do
 done
 
 OUT=$(mktemp -d "${TMPDIR:-/tmp}/flexvec-payload.XXXXXX")
-NAMES=(full vl256 faultseed)
-ARGS=("" "--vl=256 --scale=0.1" "--fault-seed=20260808 --scale=0.5")
+NAMES=(full vl256 vl2048 faultseed)
+ARGS=("" "--vl=256 --scale=0.1" "--vl=2048 --scale=0.1"
+  "--fault-seed=20260808 --scale=0.5")
 
 for I in "${!NAMES[@]}"; do
   Name=${NAMES[$I]}

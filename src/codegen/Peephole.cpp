@@ -2,8 +2,6 @@
 
 #include "codegen/Peephole.h"
 
-#include "support/Error.h"
-
 #include <algorithm>
 #include <cassert>
 #include <map>
@@ -16,7 +14,10 @@ using namespace flexvec::isa;
 namespace {
 
 /// True when the instruction's merge-masked (or selecting) semantics read
-/// the previous destination value.
+/// the previous destination value. This is the semantic question (may the
+/// old value survive into the result?), so masked loads count; the timing
+/// model's wait on the old destination (isa::decode) is a separate policy
+/// that treats loads as zero-masking.
 bool readsOwnDest(const Instruction &I) {
   if (!I.Dst.isValid() || !I.Dst.isVector())
     return false;
@@ -48,20 +49,6 @@ void collectWrites(const Instruction &I, std::vector<Reg> &Out) {
 
 /// Instructions that must never be moved or removed.
 bool hasSideEffects(const Instruction &I) { return I.has(opflag::Fx); }
-
-unsigned regKey(Reg R) {
-  switch (R.Class) {
-  case RegClass::Scalar:
-    return R.Index;
-  case RegClass::Vector:
-    return 32u + R.Index;
-  case RegClass::Mask:
-    return 64u + R.Index;
-  case RegClass::None:
-    break;
-  }
-  unreachable("invalid register");
-}
 
 /// Rebuilds a program keeping instructions where Keep[i], remapping branch
 /// targets to the next kept instruction at or after the old target.
@@ -95,9 +82,9 @@ unsigned deadCodeElimination(Program &P) {
   const auto &Instrs = P.instructions();
   std::vector<bool> Live(Instrs.size(), false);
 
-  // Roots: every scalar register (keys 0..31) is observable after Halt.
-  std::vector<bool> RootRegs(96, false);
-  for (unsigned R = 0; R < 32; ++R)
+  // Roots: every scalar register (flat ids 0..31) is observable after Halt.
+  std::vector<bool> RootRegs(NumFlatRegs, false);
+  for (unsigned R = 0; R < NumScalarRegs; ++R)
     RootRegs[R] = true;
 
   // Flow-insensitive fixpoint: side-effecting instructions are live; an
@@ -114,7 +101,7 @@ unsigned deadCodeElimination(Program &P) {
       std::vector<Reg> Reads;
       collectReads(Instrs[I], Reads);
       for (Reg R : Reads)
-        ReadByLive[regKey(R)] = true;
+        ReadByLive[R.flatId()] = true;
     }
     for (size_t I = 0; I < Instrs.size(); ++I) {
       if (Live[I])
@@ -128,7 +115,7 @@ unsigned deadCodeElimination(Program &P) {
       collectWrites(Instrs[I], Writes);
       bool Needed = Writes.empty(); // Pure no-output (nop): drop below.
       for (Reg R : Writes)
-        Needed |= ReadByLive[regKey(R)];
+        Needed |= ReadByLive[R.flatId()];
       if (Instrs[I].Op == Opcode::Nop)
         Needed = false;
       if (Needed && !Live[I]) {
@@ -182,7 +169,7 @@ struct InstrKey {
 };
 
 InstrKey keyOf(const Instruction &I) {
-  auto K = [](Reg R) { return R.isValid() ? regKey(R) + 1 : 0u; };
+  auto K = [](Reg R) { return R.isValid() ? R.flatId() + 1 : 0u; };
   return InstrKey{static_cast<uint8_t>(I.Op), static_cast<uint8_t>(I.Type),
                   static_cast<uint8_t>(I.Cond), K(I.Dst), K(I.Src1),
                   K(I.Src2), K(I.Src3), K(I.MaskReg), I.Imm, I.Disp,
@@ -289,12 +276,12 @@ unsigned hoistOneLoop(Program &P) {
 
   for (const Region &R : Regions) {
     // Registers written anywhere in the region, with write counts per reg.
-    std::vector<unsigned> WriteCount(96, 0);
+    std::vector<unsigned> WriteCount(NumFlatRegs, 0);
     for (size_t I = R.Head; I <= R.Back; ++I) {
       std::vector<Reg> Writes;
       collectWrites(Instrs[I], Writes);
       for (Reg W : Writes)
-        ++WriteCount[regKey(W)];
+        ++WriteCount[W.flatId()];
     }
     // A branch from inside the region jumping *into* the middle from
     // outside would break preheader placement; targets of outside branches
@@ -321,11 +308,11 @@ unsigned hoistOneLoop(Program &P) {
       collectReads(Ins, Reads);
       bool Invariant = true;
       for (Reg Src : Reads)
-        Invariant &= WriteCount[regKey(Src)] == 0;
+        Invariant &= WriteCount[Src.flatId()] == 0;
       std::vector<Reg> Writes;
       collectWrites(Ins, Writes);
       for (Reg W : Writes)
-        Invariant &= WriteCount[regKey(W)] == 1; // Only this instruction.
+        Invariant &= WriteCount[W.flatId()] == 1; // Only this instruction.
       if (!Invariant)
         continue;
       // A read of the destination earlier in the region (a cross-iteration

@@ -190,41 +190,6 @@ void Machine::resetRegisters() {
   Faulted = false;
 }
 
-void Machine::predecode(const Program &P) {
-  Plan.clear();
-  Plan.reserve(P.size());
-  VecBytes = P.vectorBytes();
-  assert(isa::VectorConfig::isValidBytes(VecBytes) &&
-         "program compiled for an unsupported vector width");
-  for (size_t Idx = 0; Idx < P.size(); ++Idx) {
-    const Instruction &I = P[Idx];
-    DecodedInstr D;
-    D.Op = I.Op;
-    D.Type = I.Type;
-    D.Cond = I.Cond;
-    D.ES = static_cast<uint8_t>(elemSize(I.Type));
-    D.Lanes = static_cast<uint8_t>(laneCountFor(VecBytes, I.Type));
-    D.Dst = I.Dst.Index;
-    D.Src1 = I.Src1.Index;
-    D.Src2 = I.Src2.Index;
-    D.Src3 = I.Src3.Index;
-    // k0 (or no mask register) enables all lanes of the element type.
-    D.EffMask = (!I.MaskReg.isValid() || I.MaskReg.Index == 0)
-                    ? NoEffMask
-                    : I.MaskReg.Index;
-    D.Scale = I.Scale;
-    D.Flags = static_cast<uint8_t>((I.isBranch() ? FlagBranch : 0) |
-                                   (I.isVector() ? FlagVector : 0) |
-                                   (I.Src2.isValid() ? FlagSrc2Valid : 0) |
-                                   (I.isMemory() ? FlagMemory : 0));
-    D.AllMask = lowBitMask(D.Lanes);
-    D.Imm = I.Imm;
-    D.Disp = I.Disp;
-    D.Target = I.Target;
-    Plan.push_back(D);
-  }
-}
-
 void Machine::flushBatch(TraceSink *Sink, ExecStats &Stats) {
   if (BatchLen == 0)
     return;
@@ -303,11 +268,6 @@ double applyScalarFpOp(Opcode Op, double A, double B) {
 ExecResult Machine::run(const Program &P, RunLimits Limits, TraceSink *Sink) {
   if (P.empty())
     return ExecResult();
-
-  // Decode once into the dense plan; the dynamic loop never touches the
-  // (string-carrying) isa::Instruction records again except to hand trace
-  // consumers their static-instruction pointer.
-  predecode(P);
 
   // Bind the lane-kernel table for this run. Resolution clamps to what
   // the build and host support, so the dispatch loop can index the table

@@ -1,11 +1,13 @@
 //===- emu/Machine.h - Functional ISA emulator ------------------*- C++ -*-===//
 //
 // Architectural-state emulator for the FlexVec target: 32 scalar registers,
-// 32 512-bit vector registers, 8 mask registers, a paged memory, and a
-// rollback-only transaction unit. Executes finalized Programs and
-// optionally streams a dynamic-instruction trace to a sink; the
-// out-of-order timing model (src/sim) is such a sink, mirroring the
-// trace-driven (LIT checkpoint) methodology of the paper's evaluation.
+// 32 vector registers (512-bit by default, up to 2048), 8 mask registers, a
+// paged memory, and a rollback-only transaction unit. Executes finalized
+// Programs by dispatching on the rows each Program decoded once when it
+// was built (isa/DecodedInstr.h), and optionally streams a
+// dynamic-instruction trace to a sink; the out-of-order timing model
+// (src/sim) is such a sink, mirroring the trace-driven (LIT checkpoint)
+// methodology of the paper's evaluation.
 //
 // FlexVec instruction semantics follow the worked examples in Section 3 of
 // the paper lane for lane; those examples are encoded as unit tests.
@@ -48,17 +50,14 @@ struct VecReg {
 };
 
 /// One dynamic instruction, streamed to a TraceSink as it retires from the
-/// functional model.
+/// functional model. Everything static about it is in its decoded row.
 struct DynInstr {
-  const isa::Instruction *Instr = nullptr;
+  /// The program's decoded row for this instruction (Program::decoded()).
+  const isa::DecodedInstr *Row = nullptr;
   uint32_t InstrIdx = 0;   ///< Static index within the program.
   uint32_t NextIdx = 0;    ///< Dynamic successor (branch-resolved).
   bool Taken = false;      ///< For branches: taken?
   uint64_t ActiveMask = 0; ///< Resolved write mask (vector ops).
-  unsigned AccessSize = 0; ///< Bytes per memory access (memory ops).
-  /// Vector-register width (bytes) of the producing run; timing models
-  /// scale vector-op micro-op counts by it.
-  uint16_t VecBytes = isa::VectorBytes;
   /// Effective addresses of the memory accesses this instruction performed
   /// (one per active lane for gathers/scatters). Points into the machine's
   /// batch address pool: valid only for the duration of the sink call that
@@ -276,42 +275,9 @@ private:
     std::array<uint64_t, isa::NumMaskRegs> K;
   };
 
-  /// One pre-decoded instruction: everything the dispatch loop needs,
-  /// resolved once per run() instead of per dynamic execution. A dense POD
-  /// (isa::Instruction carries a std::string comment and symbolic register
-  /// records, so re-deriving element sizes, lane counts, and mask validity
-  /// per retired instruction was a measurable cost; see
-  /// docs/PERFORMANCE.md).
-  struct DecodedInstr {
-    isa::Opcode Op;
-    isa::ElemType Type;
-    isa::CmpKind Cond;
-    uint8_t ES;    ///< Element size in bytes.
-    uint8_t Lanes; ///< Lanes at this element size and the run's width.
-    uint8_t Dst, Src1, Src2, Src3;
-    uint8_t EffMask; ///< Write-mask register; NoEffMask = all lanes.
-    uint8_t Scale;
-    uint8_t Flags;    ///< FlagBranch | FlagVector | FlagSrc2Valid | FlagMemory.
-    uint64_t AllMask; ///< lowBitMask(Lanes).
-    int64_t Imm;
-    int64_t Disp;
-    int32_t Target;
-  };
-  static constexpr uint8_t NoEffMask = 0xff;
-  static constexpr uint8_t FlagBranch = 1;
-  static constexpr uint8_t FlagVector = 2;
-  static constexpr uint8_t FlagSrc2Valid = 4;
-  static constexpr uint8_t FlagMemory = 8;
-
-  /// Fills Plan from \p P. Runs once per run() call — the plan must not
-  /// outlive the Program it was decoded from, and keying a cache on the
-  /// Program's address would misfire when a freed program's storage is
-  /// reused.
-  void predecode(const isa::Program &P);
-
-  /// The dispatch loop (emu/Interp.inc) over the predecoded plan. Takes
-  /// the limits by reference: a by-value RunLimits (16 bytes, passed in
-  /// registers) measured up to 10% slower on RTM-storm sweeps.
+  /// The dispatch loop (emu/Interp.inc) over the program's decoded rows.
+  /// Takes the limits by reference: a by-value RunLimits (16 bytes, passed
+  /// in registers) measured up to 10% slower on RTM-storm sweeps.
   ExecResult interpret(const isa::Program &P, const RunLimits &Limits,
                        TraceSink *Sink);
 
@@ -330,11 +296,6 @@ private:
   std::array<VecReg, isa::NumVectorRegs> V{};
   std::array<uint64_t, isa::NumMaskRegs> K{};
 
-  /// Vector width (bytes) of the program being executed; predecode() reads
-  /// it off the Program and bakes lane counts / all-lanes masks into the
-  /// plan.
-  unsigned VecBytes = isa::VectorBytes;
-
   // Transaction control state.
   bool TxAborted = false;
   int32_t TxAbortTarget = 0;
@@ -348,10 +309,9 @@ private:
   /// RunLimits::Simd before dispatch starts.
   const simd::KernelTable *SimdKern = nullptr;
 
-  // Pre-decoded dispatch plan and trace-batching state, reused across
-  // run() calls so the hot loop performs no per-instruction allocation.
+  // Trace-batching state, reused across run() calls so the hot loop
+  // performs no per-instruction allocation.
   static constexpr size_t TraceBatchSize = 64;
-  std::vector<DecodedInstr> Plan;
   /// Flat pool of effective addresses for the staged batch; DynInstr
   /// records reference ranges of it (fixed up at flush, since the pool may
   /// reallocate while the batch fills).

@@ -44,7 +44,8 @@ enum class PortKind : uint8_t {
   None,   ///< Consumes no execution port (nop, halt).
 };
 
-/// Static per-opcode timing description (see isa/InstrInfo.h).
+/// Static per-opcode timing description, read by the timing model through
+/// the decoded row (isa/DecodedInstr.h).
 struct InstrTiming {
   unsigned Latency = 1;      ///< Result latency in cycles.
   double RecipThroughput = 1; ///< Min cycles between issues of this opcode.

@@ -10,6 +10,15 @@
 using namespace flexvec;
 using namespace flexvec::isa;
 
+Program::Program(std::vector<Instruction> Instrs, unsigned VecBytes)
+    : Instrs(std::move(Instrs)), VecBytes(VecBytes) {
+  assert(VectorConfig::isValidBytes(VecBytes) &&
+         "program built for an unsupported vector width");
+  Decoded.reserve(this->Instrs.size());
+  for (const Instruction &I : this->Instrs)
+    Decoded.push_back(decode(I, VecBytes));
+}
+
 std::string Program::disassemble() const {
   std::string Out;
   for (size_t I = 0; I < Instrs.size(); ++I) {

@@ -10,6 +10,7 @@
 #ifndef FLEXVEC_ISA_PROGRAM_H
 #define FLEXVEC_ISA_PROGRAM_H
 
+#include "isa/DecodedInstr.h"
 #include "isa/Instruction.h"
 
 #include <string>
@@ -18,24 +19,28 @@
 namespace flexvec {
 namespace isa {
 
-/// A finalized instruction sequence.
+/// A finalized instruction sequence. Immutable once built: the constructor
+/// decodes every instruction at the program's width, so a copy carries a
+/// table that cannot go stale, and concurrent runs only read it.
 class Program {
 public:
   Program() = default;
   explicit Program(std::vector<Instruction> Instrs,
-                   unsigned VecBytes = VectorBytes)
-      : Instrs(std::move(Instrs)), VecBytes(VecBytes) {}
+                   unsigned VecBytes = VectorBytes);
 
-  /// Vector-register width (bytes) this program was compiled for; the
-  /// emulator predecodes lane counts and all-lanes masks from it.
+  /// Vector-register width (bytes) this program was compiled for; lane
+  /// counts and all-lanes masks in decoded() are resolved at it.
   unsigned vectorBytes() const { return VecBytes; }
-  void setVectorBytes(unsigned Bytes) { VecBytes = Bytes; }
 
   size_t size() const { return Instrs.size(); }
   bool empty() const { return Instrs.empty(); }
   const Instruction &operator[](size_t I) const { return Instrs[I]; }
 
   const std::vector<Instruction> &instructions() const { return Instrs; }
+
+  /// The decoded table, one row per instruction at the same index; what
+  /// the emulator dispatches on and the trace hands the timing model.
+  const std::vector<DecodedInstr> &decoded() const { return Decoded; }
 
   /// Counts instructions for which \p Pred holds.
   template <typename PredT> unsigned countIf(PredT Pred) const {
@@ -56,6 +61,7 @@ public:
 
 private:
   std::vector<Instruction> Instrs;
+  std::vector<DecodedInstr> Decoded;
   unsigned VecBytes = VectorBytes;
 };
 

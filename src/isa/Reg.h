@@ -31,6 +31,9 @@ inline constexpr unsigned MaxVectorBytes = 256;
 inline constexpr unsigned NumScalarRegs = 32;
 inline constexpr unsigned NumVectorRegs = 32;
 inline constexpr unsigned NumMaskRegs = 8;
+/// Size of the flat numbering over all three classes (Reg::flatId).
+inline constexpr unsigned NumFlatRegs =
+    NumScalarRegs + NumVectorRegs + NumMaskRegs;
 
 /// Vector element types supported by the target.
 enum class ElemType : uint8_t { I32, I64, F32, F64 };
@@ -130,6 +133,20 @@ struct Reg {
     return Class == O.Class && Index == O.Index;
   }
   bool operator!=(const Reg &O) const { return !(*this == O); }
+
+  /// One number per architectural register across the classes: scalar
+  /// 0..31, vector 32..63, mask 64..71 (below NumFlatRegs).
+  unsigned flatId() const {
+    assert(isValid() && "an absent register has no flat id");
+    switch (Class) {
+    case RegClass::Vector:
+      return NumScalarRegs + Index;
+    case RegClass::Mask:
+      return NumScalarRegs + NumVectorRegs + Index;
+    default:
+      return Index;
+    }
+  }
 
   /// Printable name: r0..r31, v0..v31, k0..k7.
   std::string str() const;

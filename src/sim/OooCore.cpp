@@ -2,12 +2,9 @@
 
 #include "sim/OooCore.h"
 
-#include "isa/InstrInfo.h"
 #include "obs/Metrics.h"
-#include "support/Error.h"
 
 #include <algorithm>
-#include <cassert>
 
 using namespace flexvec;
 using namespace flexvec::sim;
@@ -19,20 +16,6 @@ OooCore::OooCore()
       VecRing(VecUnits), LoadRing(LoadPorts), StoreRing(StorePorts),
       L3BwRing(1), DramBwRing(1) {
   StoreBuf.resize(StoreQueueEntries, PendingStore{~0ULL, 0});
-}
-
-unsigned OooCore::regId(Reg R) {
-  switch (R.Class) {
-  case RegClass::Scalar:
-    return R.Index;
-  case RegClass::Vector:
-    return 32 + R.Index;
-  case RegClass::Mask:
-    return 64 + R.Index;
-  case RegClass::None:
-    break;
-  }
-  unreachable("invalid register for scoreboard");
 }
 
 template <bool IsLoadU, bool IsStoreU>
@@ -133,71 +116,17 @@ void OooCore::onBatch(const emu::DynInstr *Batch, size_t N) {
     step(Batch[I]);
 }
 
-const OooCore::DecodedSim &OooCore::decoded(const emu::DynInstr &DI) {
-  if (DI.InstrIdx >= Decoded.size())
-    Decoded.resize(DI.InstrIdx + 1);
-  DecodedSim &D = Decoded[DI.InstrIdx];
-  if (D.Tag == DI.Instr)
-    return D;
-
-  const Instruction &I = *DI.Instr;
-  const InstrTiming &T = instrTiming(I.Op);
-  D = DecodedSim{};
-  D.Tag = DI.Instr;
-  D.Latency = static_cast<uint16_t>(T.Latency);
-  D.Port = T.Port;
-  D.FixedUops = static_cast<uint8_t>(T.FixedUops);
-  D.LanesPerMemUop = static_cast<uint8_t>(T.LanesPerMemUop);
-  D.Skip = T.Port == PortKind::None && !I.isBranch(); // halt / nop
-  // Transaction boundaries drain the pipeline: XBEGIN/XEND cannot execute
-  // until every older uop has retired (store-buffer drain), though the
-  // front end keeps fetching.
-  D.SerializesRetire = I.has(opflag::Ser);
-  D.IsXAbort = I.Op == Opcode::XAbort;
-  D.IsCondBranch = I.isConditionalBranch();
-  D.IsLoad = I.isLoad();
-  D.IsStore = I.isStore();
-  D.IsMemory = I.isMemory();
-  // Vector-unit (non-memory) ops occupy the 512-bit datapath once per
-  // native slice: a 1024-bit configuration double-pumps, 2048-bit
-  // quad-pumps. Memory ops are handled per address below.
-  D.IsVecAlu = T.Port == PortKind::Vec && I.isVector() && !D.IsMemory;
-  for (Reg R : {I.Src1, I.Src2, I.Src3})
-    if (R.isValid())
-      D.WaitIds[D.NumWaits++] = static_cast<uint8_t>(regId(R));
-  if (I.MaskReg.isValid())
-    D.WaitIds[D.NumWaits++] = static_cast<uint8_t>(regId(I.MaskReg));
-  if (I.Dst.isValid())
-    D.DstId = static_cast<int16_t>(regId(I.Dst));
-  // Only genuinely merge-masked vector writes read their old destination
-  // (VBLEND selects; masked ALU ops merge). Loads and gathers are treated
-  // as zero-masking, which is how baseline compilers break the false
-  // dependence, and full-width writes (broadcast-class results, VSLCTLAST)
-  // replace every lane.
-  bool ReadsDest = false;
-  if (I.Dst.isValid() && I.Dst.isVector()) {
-    if (I.Op == Opcode::VBlend)
-      ReadsDest = true;
-    else if (I.MaskReg.isValid() && I.MaskReg.Index != 0 && !I.isLoad() &&
-             I.Op != Opcode::VSlctLast)
-      ReadsDest = true;
-  }
-  if (ReadsDest)
-    D.WaitIds[D.NumWaits++] = static_cast<uint8_t>(D.DstId);
-  if (I.isFirstFaulting() && I.MaskReg.isValid())
-    D.FFMaskId = static_cast<int16_t>(regId(I.MaskReg));
-  return D;
-}
-
 void OooCore::step(const emu::DynInstr &DI) {
   ++Stats.Instructions;
-  const DecodedSim &D = decoded(DI);
+  const DecodedInstr &D = *DI.Row;
 
-  if (D.Skip)
+  if (D.Flags & dflag::Untimed)
     return; // halt / nop
 
-  // Source readiness (pre-resolved scoreboard ids, see DecodedSim).
-  uint64_t SrcReady = D.SerializesRetire ? LastRetire : 0;
+  // Source readiness over the row's scoreboard ids. Transaction boundaries
+  // drain the pipeline: XBEGIN/XEND cannot execute until every older uop
+  // has retired (store-buffer drain), though the front end keeps fetching.
+  uint64_t SrcReady = (D.Flags & opflag::Ser) ? LastRetire : 0;
   for (unsigned W = 0; W < D.NumWaits; ++W)
     SrcReady = std::max(SrcReady, RegReady[D.WaitIds[W]]);
 
@@ -211,7 +140,7 @@ void OooCore::step(const emu::DynInstr &DI) {
     UopDesc Agu{PortKind::Vec, 1};
     uint64_t AguDone = issueUop<false, false>(Agu, SrcReady, DI.InstrIdx);
     Complete = AguDone;
-    if (D.IsLoad) {
+    if (D.Flags & opflag::Ld) {
       for (uint32_t A = 0; A < DI.NumMemAddrs; ++A) {
         UopDesc MemU{PortKind::Load, D.Latency, DI.MemAddrs[A], AguDone};
         uint64_t Done = issueUop<true, false>(MemU, SrcReady, DI.InstrIdx);
@@ -224,7 +153,7 @@ void OooCore::step(const emu::DynInstr &DI) {
         Complete = std::max(Complete, Done);
       }
     }
-  } else if (D.IsMemory) {
+  } else if (D.Flags & (opflag::Ld | opflag::St)) {
     // Scalar or contiguous vector access: one memory uop; a 512-bit access
     // can straddle two lines — charge the slower line.
     uint64_t First = 0, Last = 0;
@@ -232,7 +161,7 @@ void OooCore::step(const emu::DynInstr &DI) {
       First = DI.MemAddrs[0];
       Last = DI.MemAddrs[DI.NumMemAddrs - 1];
     }
-    if (D.IsLoad) {
+    if (D.Flags & opflag::Ld) {
       UopDesc MemU{PortKind::Load, D.Latency, First, 0};
       Complete = issueUop<true, false>(MemU, SrcReady, DI.InstrIdx);
       uint64_t FirstLine = First / mem::LineBytes;
@@ -255,14 +184,11 @@ void OooCore::step(const emu::DynInstr &DI) {
       Complete = issueUop<false, true>(MemU, SrcReady, DI.InstrIdx);
     }
   } else {
-    // Non-memory: FixedUops micro-ops on the unit; the result is ready
+    // Non-memory: the row's micro-ops on the unit; the result is ready
     // Latency cycles after the first issues. Vector ALU ops wider than the
-    // 512-bit datapath issue one slice-uop group per native slice.
-    unsigned Uops = D.FixedUops;
-    if (D.IsVecAlu && DI.VecBytes > 64)
-      Uops *= DI.VecBytes / 64;
+    // 512-bit datapath carry one slice-uop group per native slice.
     uint64_t FirstDone = 0;
-    for (unsigned U = 0; U < Uops; ++U) {
+    for (unsigned U = 0; U < D.Uops; ++U) {
       UopDesc Desc{D.Port, U == 0 ? D.Latency : 1u};
       uint64_t Done = issueUop<false, false>(Desc, SrcReady, DI.InstrIdx);
       if (U == 0)
@@ -272,13 +198,13 @@ void OooCore::step(const emu::DynInstr &DI) {
   }
 
   // Destination scoreboard updates.
-  if (D.DstId >= 0)
+  if (D.DstId != NoFlatReg)
     RegReady[D.DstId] = Complete;
-  if (D.FFMaskId >= 0)
+  if (D.FFMaskId != NoFlatReg)
     RegReady[D.FFMaskId] = Complete; // Mask is also written.
 
   // Control flow.
-  if (D.IsCondBranch) {
+  if (D.Flags & opflag::CBr) {
     ++Stats.Branches;
     bool Correct = Bp.predictAndUpdate(DI.InstrIdx, DI.Taken);
     if (!Correct) {
@@ -297,7 +223,7 @@ void OooCore::step(const emu::DynInstr &DI) {
   // Transaction aborts flush the pipeline; XBEGIN/XEND are expensive but
   // non-serializing on real RTM hardware (the tile-size study depends on
   // inter-tile overlap surviving commits).
-  if (D.IsXAbort) {
+  if (D.Op == Opcode::XAbort) {
     if (Complete > FetchCycle) {
       FetchCycle = Complete;
       FetchedThisCycle = 0;

@@ -2,14 +2,17 @@
 //
 // Trace-driven timing model of the aggressive OOO core in Table 1. The
 // functional emulator streams retired instructions (with resolved branch
-// outcomes and memory addresses); the model expands them into micro-ops
-// and plays a one-pass scoreboard over:
+// outcomes and memory addresses), each pointing at its program's decoded
+// row (isa/DecodedInstr.h: scoreboard ids, latency, port, uop count); the
+// model expands them into micro-ops and plays a one-pass scoreboard over:
 //
 //   * front end: 5-wide fetch, gshare direction prediction, redirect
 //     penalty on mispredicts, serializing RTM boundaries,
-//   * dispatch: 5-wide, stalls on ROB (224) / RS (97) / LQ (80) / SQ (56),
-//   * issue: 8-wide over typed units (4 ALU, 1 mul, 2 vector, 2 load
-//     ports, 1 store port) honoring per-opcode reciprocal throughput,
+//   * dispatch: stalls on ROB (224) / RS (97) / LQ (80) / SQ (56), with
+//     no width limit of its own (EXPERIMENTS.md, "Known deviations"),
+//   * issue: over typed units (4 ALU, 1 mul, 2 vector, 2 load ports,
+//     1 store port); an opcode's throughput is its uop count on its port
+//     (the reciprocal-throughput column of Opcodes.def is not read),
 //   * execute: per-opcode latencies (Table 1 bottom for the FlexVec
 //     instructions), cache hierarchy latencies for memory, store-to-load
 //     forwarding,
@@ -25,7 +28,6 @@
 #define FLEXVEC_SIM_OOOCORE_H
 
 #include "emu/Machine.h"
-#include "isa/InstrInfo.h"
 #include "sim/BranchPredictor.h"
 #include "sim/Cache.h"
 #include "sim/Config.h"
@@ -78,39 +80,6 @@ public:
 private:
   /// Plays one retired instruction through the scoreboard.
   void step(const emu::DynInstr &DI);
-
-  // Architectural register scoreboard: 32 scalar + 32 vector + 8 mask.
-  static constexpr unsigned NumRegs = 72;
-  static unsigned regId(isa::Reg R);
-
-  /// Everything step() needs from the static instruction, resolved once
-  /// per program instruction instead of per retired one: scoreboard ids
-  /// for every register the uop waits on (sources, mask, and — when the
-  /// op genuinely merge-masks — the old destination), timing-table
-  /// fields, and the classification flags. Indexed by DynInstr::InstrIdx
-  /// and tag-checked against the Instruction's address, so a core fed
-  /// from more than one program just re-decodes on the switch.
-  struct DecodedSim {
-    const isa::Instruction *Tag = nullptr;
-    uint8_t NumWaits = 0;
-    uint8_t WaitIds[5];
-    int16_t DstId = -1;
-    int16_t FFMaskId = -1; ///< First-faulting ops also write their mask.
-    uint16_t Latency = 1;
-    isa::PortKind Port = isa::PortKind::ALU;
-    uint8_t FixedUops = 1;
-    uint8_t LanesPerMemUop = 0;
-    bool Skip = false;             ///< Untimed (halt / nop).
-    bool IsVecAlu = false;         ///< Vector-unit op; uops scale with VL.
-    bool SerializesRetire = false; ///< XBEGIN/XEND store-buffer drain.
-    bool IsXAbort = false;
-    bool IsCondBranch = false;
-    bool IsLoad = false;
-    bool IsStore = false;
-    bool IsMemory = false;
-  };
-  const DecodedSim &decoded(const emu::DynInstr &DI);
-  std::vector<DecodedSim> Decoded;
 
   struct UopDesc {
     isa::PortKind Port;
@@ -177,7 +146,8 @@ private:
   MemoryHierarchy Mem;
   BranchPredictor Bp;
 
-  std::array<uint64_t, NumRegs> RegReady{};
+  /// Architectural register scoreboard, indexed by Reg::flatId.
+  std::array<uint64_t, isa::NumFlatRegs> RegReady{};
 
   // Front end.
   uint64_t FetchCycle = 0;

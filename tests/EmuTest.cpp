@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 using namespace flexvec;
 using namespace flexvec::isa;
 using namespace flexvec::emu;
@@ -344,4 +346,40 @@ TEST_F(EmuTest, OpcodeCountsTrackMix) {
   EXPECT_EQ(R.Stats.countOf(Opcode::KFtmExc), 1u);
   EXPECT_EQ(R.Stats.countOf(Opcode::KFtmInc), 1u);
   EXPECT_EQ(R.Stats.countOf(Opcode::KSet), 1u);
+}
+
+TEST_F(EmuTest, ProgramCopyRunsAfterTheOriginalIsDestroyed) {
+  // A Program carries its decoded table by value: a copy indexes its own
+  // rows, so it runs (and traces) after the original is gone.
+  struct RowCheckSink : TraceSink {
+    const Program *P = nullptr;
+    uint64_t Records = 0;
+    void onBatch(const DynInstr *Batch, size_t N) override {
+      for (size_t I = 0; I < N; ++I) {
+        const DynInstr &DI = Batch[I];
+        EXPECT_EQ(DI.Row, &P->decoded()[DI.InstrIdx]);
+        EXPECT_EQ(DI.Row->Op, (*P)[DI.InstrIdx].Op);
+        ++Records;
+      }
+    }
+  };
+  auto Original = std::make_unique<Program>([] {
+    ProgramBuilder B;
+    ProgramBuilder::Label Loop = B.createLabel();
+    B.movImm(Reg::scalar(1), 0);
+    B.bind(Loop);
+    B.binOpImm(Opcode::AddImm, Reg::scalar(1), Reg::scalar(1), 1);
+    B.cmpImm(Reg::scalar(2), CmpKind::LT, Reg::scalar(1), 100);
+    B.brNonZero(Reg::scalar(2), Loop);
+    B.halt();
+    return B.finalize();
+  }());
+  Program Copy = *Original;
+  Original.reset();
+  RowCheckSink Sink;
+  Sink.P = &Copy;
+  ExecResult R = Mach.run(Copy, RunLimits(), &Sink);
+  ASSERT_EQ(R.Reason, StopReason::Halted);
+  EXPECT_EQ(Mach.getScalar(1), 100);
+  EXPECT_EQ(Sink.Records, 1u + 3 * 100);
 }

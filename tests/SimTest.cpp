@@ -265,3 +265,95 @@ TEST(Sim, Table1ConfigIsDefault) {
   EXPECT_EQ(LoadPorts, 2u);
   EXPECT_EQ(StorePorts, 1u);
 }
+
+TEST(Sim, WideVectorAluOpsIssueOneUopGroupPerSlice) {
+  // Two broadcasts and a dependent vadd chain: every instruction is a
+  // one-uop vector-ALU op, and the model's datapath is 512 bits wide, so a
+  // 1024-bit program double-pumps each one and a 2048-bit program
+  // quad-pumps it.
+  constexpr unsigned ChainLen = 16;
+  auto uopsAt = [](unsigned VecBytes) {
+    mem::Memory M;
+    ProgramBuilder B;
+    B.setVectorBytes(VecBytes);
+    B.vbroadcastImm(Reg::vector(1), ElemType::I32, 1);
+    B.vbroadcastImm(Reg::vector(2), ElemType::I32, 2);
+    for (unsigned I = 0; I < ChainLen; ++I)
+      B.vbinOp(Opcode::VAdd, ElemType::I32, Reg::vector(1), Reg::vector(1),
+               Reg::vector(2));
+    B.halt();
+    SimStats S = timeProgram(B.finalize(), M);
+    EXPECT_EQ(S.Instructions, ChainLen + 2);
+    return S.Uops;
+  };
+  EXPECT_EQ(uopsAt(64), 18u);
+  EXPECT_EQ(uopsAt(128), 36u);
+  EXPECT_EQ(uopsAt(256), 72u);
+}
+
+namespace {
+
+/// Two programs with the same instruction indices. \p DivChain: r1, r2 =
+/// 7, 1, then a dependent chain of N scalar divides (latency 21, 4 uops on
+/// the single multiply/divide unit). Otherwise: r1, r2 = 0, 1 and a chain
+/// of N one-uop, one-cycle adds. Timing the adds with the divide rows
+/// would cost 4 uops and 21 cycles per add.
+constexpr unsigned TwoProgramsN = 8;
+Program twoProgramsChain(bool DivChain) {
+  ProgramBuilder B;
+  B.movImm(Reg::scalar(1), DivChain ? 7 : 0);
+  B.movImm(Reg::scalar(2), 1);
+  for (unsigned I = 0; I < TwoProgramsN; ++I)
+    B.binOp(DivChain ? Opcode::Div : Opcode::Add, Reg::scalar(1),
+            Reg::scalar(1), Reg::scalar(2));
+  B.halt();
+  return B.finalize();
+}
+
+/// Pinned timing of the divide chain then the add chain on one core.
+void expectTwoProgramsTiming(const SimStats &A, const SimStats &AB) {
+  constexpr unsigned N = TwoProgramsN;
+  // Both moves complete at cycle 6 (five-stage front end, one-cycle ALU);
+  // divide k completes at 6 + 21k and all four of its uops retire the
+  // cycle after.
+  EXPECT_EQ(A.Uops, 2u + 4 * N);
+  EXPECT_EQ(A.Cycles, 7u + 21 * N);
+  // The add chain completes at cycle 13 + N, long before the last divide
+  // retires, so its 2 + N uops retire in order behind it at the 5-wide
+  // commit: one slot left in that cycle, then five per cycle.
+  EXPECT_EQ(AB.Instructions, 2 * (N + 2));
+  EXPECT_EQ(AB.Uops, A.Uops + 2 + N);
+  EXPECT_EQ(AB.Cycles, A.Cycles + 2);
+}
+
+} // namespace
+
+TEST(Sim, OneCoreTimesTwoProgramsWithTheirOwnRows) {
+  const Program Div = twoProgramsChain(true);
+  const Program Add = twoProgramsChain(false);
+  mem::Memory M;
+  emu::Machine Mach(M);
+  OooCore Core;
+  ASSERT_EQ(Mach.run(Div, emu::RunLimits(), &Core).Reason,
+            emu::StopReason::Halted);
+  SimStats A = Core.stats();
+  ASSERT_EQ(Mach.run(Add, emu::RunLimits(), &Core).Reason,
+            emu::StopReason::Halted);
+  expectTwoProgramsTiming(A, Core.stats());
+}
+
+TEST(Sim, ProgramBuiltInAFreedProgramsStorageTimesWithItsOwnRows) {
+  // As above, but the first program is gone before the second is built, so
+  // the allocator may hand the second one the same storage: nothing may
+  // key the timing on where a program lives.
+  mem::Memory M;
+  emu::Machine Mach(M);
+  OooCore Core;
+  ASSERT_EQ(Mach.run(twoProgramsChain(true), emu::RunLimits(), &Core).Reason,
+            emu::StopReason::Halted);
+  SimStats A = Core.stats();
+  ASSERT_EQ(
+      Mach.run(twoProgramsChain(false), emu::RunLimits(), &Core).Reason,
+      emu::StopReason::Halted);
+  expectTwoProgramsTiming(A, Core.stats());
+}

@@ -43,12 +43,11 @@ struct RecordDigest {
   uint64_t Count = 0;
 
   void fold(const emu::DynInstr &DI) {
-    H = hashCombine(H, static_cast<uint64_t>(DI.Instr->Op));
+    H = hashCombine(H, static_cast<uint64_t>(DI.Row->Op));
     H = hashCombine(H, DI.InstrIdx);
     H = hashCombine(H, DI.NextIdx);
     H = hashCombine(H, DI.Taken ? 1 : 0);
     H = hashCombine(H, DI.ActiveMask);
-    H = hashCombine(H, DI.AccessSize);
     H = hashCombine(H, DI.NumMemAddrs);
     for (uint32_t A = 0; A < DI.NumMemAddrs; ++A)
       H = hashCombine(H, DI.MemAddrs[A]);

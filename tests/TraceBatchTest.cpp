@@ -30,19 +30,18 @@ uint64_t hashCombine(uint64_t H, uint64_t V) {
 }
 
 /// Folds every observable field of a DynInstr record — including the
-/// opcode behind the Instr pointer and the per-lane effective addresses —
-/// into a running order-sensitive hash.
+/// opcode behind the decoded-row pointer and the per-lane effective
+/// addresses — into a running order-sensitive hash.
 struct RecordDigest {
   uint64_t H = 0;
   uint64_t Count = 0;
 
   void fold(const emu::DynInstr &DI) {
-    H = hashCombine(H, static_cast<uint64_t>(DI.Instr->Op));
+    H = hashCombine(H, static_cast<uint64_t>(DI.Row->Op));
     H = hashCombine(H, DI.InstrIdx);
     H = hashCombine(H, DI.NextIdx);
     H = hashCombine(H, DI.Taken ? 1 : 0);
     H = hashCombine(H, DI.ActiveMask);
-    H = hashCombine(H, DI.AccessSize);
     H = hashCombine(H, DI.NumMemAddrs);
     for (uint32_t A = 0; A < DI.NumMemAddrs; ++A)
       H = hashCombine(H, DI.MemAddrs[A]);
