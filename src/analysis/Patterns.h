@@ -93,7 +93,7 @@ struct VectorizationPlan {
   std::vector<int> SpeculativeLoadNodes;
 
   /// Bitset over statement ids mirroring SpeculativeLoadNodes, built once
-  /// by seal() in plan legalization; empty until sealed.
+  /// by seal() in pattern-analysis; empty until sealed.
   std::vector<uint64_t> SpecLoadBits;
 
   /// True if any FlexVec-specific mechanism is required (i.e. a traditional

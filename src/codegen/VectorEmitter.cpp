@@ -227,7 +227,7 @@ Reg VectorEmitter::emitArrayLoad(const Expr *E) {
   uint8_t Scale = static_cast<uint8_t>(elemSize(A.Elem));
   std::optional<pdg::AffineSubscript> Aff = pdg::matchAffine(E->Index);
 
-  bool Spec = isSpeculativeLoadSite(CurrentStmtId) && Opts.UseFirstFaulting;
+  bool Spec = isSpeculativeLoadSite(CurrentStmtId) && Opts.FaultBail;
   Reg T = acquireVec();
 
   if (!Spec) {
@@ -245,7 +245,6 @@ Reg VectorEmitter::emitArrayLoad(const Expr *E) {
   // First-faulting sequence (Section 4.1): copy the current predicate into
   // a writable mask, load, and bail to the scalar fallback if the returned
   // mask was clipped by a speculative fault.
-  assert(Opts.HasFaultBail && "speculative load without a bail-out target");
   assert(!(CurMask == kScratch()) && !(CurMask == kSafe()) &&
          "FF sequence would clobber its own mask");
   B.kmov(kScratch(), CurMask).Comment = "FF mask <- current predicate";
@@ -260,7 +259,7 @@ Reg VectorEmitter::emitArrayLoad(const Expr *E) {
   B.kbinOp(Opcode::KXor, kSafe(), kScratch(), CurMask);
   Reg Chk = Reg::scalar(25);
   B.ktest(Chk, kSafe());
-  B.brNonZero(Chk, Opts.FaultBail).Comment =
+  B.brNonZero(Chk, *Opts.FaultBail).Comment =
       "speculative fault: fall back to scalar";
   return T;
 }

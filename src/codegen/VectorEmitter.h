@@ -46,13 +46,11 @@ enum class ScalarClass : uint8_t {
 class VectorEmitter {
 public:
   struct Options {
-    /// Use VMOVFF/VPGATHERFF for speculative loads; when false (RTM mode)
-    /// plain loads are used and faults surface as transaction aborts.
-    bool UseFirstFaulting = true;
-    /// Label of the scalar fallback entry used when a first-faulting check
-    /// detects a clipped mask. Only consulted when UseFirstFaulting.
-    isa::ProgramBuilder::Label FaultBail = 0;
-    bool HasFaultBail = false;
+    /// Scalar fallback entry a first-faulting check branches to when a
+    /// speculative fault clipped its mask. Set, speculative loads use
+    /// VMOVFF/VPGATHERFF; unset (RTM mode), they are plain loads and faults
+    /// surface as transaction aborts.
+    std::optional<isa::ProgramBuilder::Label> FaultBail;
     /// PACT'13-style speculative mode: emit the body as plain if-converted
     /// straight-line vector code with no VPLs; the caller guarantees (via
     /// up-front checks) that no relaxed dependence fires in this chunk.
@@ -77,8 +75,8 @@ public:
 
   /// Why the code emitted so far is unusable, or empty: the first
   /// construct met that has no vector form (or that needed more live
-  /// scratch registers than v16..v31). Emission carries on past it, so the
-  /// driver can dry-run the body to decline such loops in the plan.
+  /// scratch registers than v16..v31). Emission carries on past it, so
+  /// pattern-analysis can decline such loops after lowering flexvec-rtm.
   const std::string &whyUnsupported() const { return Unsupported; }
 
   /// Scalar register acting as the early-exit flag (set when any lane

@@ -8,11 +8,11 @@
 //               trip < MinTrip ........................ jmp GuardFail
 //               per-pair alias-range overlap .......... jmp GuardFail
 //               guard_pass++, invocations++
-//   spec nest:  the full flexvec-rtm (or flexvec) skeleton; its scalar
-//               fallback blocks bump abort_events via Ctx.DispatchCellAddr
+//   spec nest:  the full flexvec-rtm skeleton; its abort handler bumps
+//               abort_events via Ctx.DispatchCellAddr
 //   GuardFail:  guard_fail++, jmp TradEntry
 //   TradEntry:  the full traditional skeleton (own preheader/halt), or a
-//               plain scalar loop when traditional declines the shape
+//               plain scalar loop when the loop needs FlexVec
 //
 // The guard is a *heuristic* router, not a safety check: both variants
 // compute the same function, so unboundable (indirect-subscript) array
@@ -23,10 +23,8 @@
 #include "driver/AdaptiveStrategy.h"
 
 #include "codegen/ScalarCodeGen.h"
-#include "support/Error.h"
 
 #include <algorithm>
-#include <cassert>
 #include <optional>
 
 using namespace flexvec;
@@ -107,39 +105,14 @@ public:
   CodeGenKind kind() const override { return CodeGenKind::FlexVecAdaptive; }
 
   bool prepare(LoweringContext &Ctx) override {
-    // Probe candidate inner strategies on a throwaway context so declined
-    // probes leave no remarks or labels behind.
-    auto probeOk = [&](CodeGenKind K) {
-      RemarkStream Scratch;
-      LoweringContext Probe(Ctx.F, Ctx.Plan, Ctx.RtmTile, Scratch, Ctx.Vec,
-                            Ctx.Predicated);
-      return createStrategy(K)->prepare(Probe);
-    };
-
-    CodeGenKind SpecKind;
-    if (probeOk(CodeGenKind::FlexVecRtm))
-      SpecKind = CodeGenKind::FlexVecRtm;
-    else if (probeOk(CodeGenKind::FlexVec))
-      SpecKind = CodeGenKind::FlexVec;
-    else {
-      Ctx.Remarks
-          .missed("lower", "decline.no-speculative-variant",
-                  "neither flexvec-rtm nor flexvec accepts this loop; "
-                  "there is nothing to dispatch between")
-          .Variant = codegen::variantName(kind());
-      return false;
-    }
-
-    Spec = createStrategy(SpecKind);
-    if (!Spec->prepare(Ctx))
-      fatalError("speculative inner strategy declined after its probe "
-                 "accepted the identical plan");
-
-    if (probeOk(CodeGenKind::Traditional)) {
+    // flexvec-rtm accepts every vectorizable plan, and traditional exactly
+    // the ones that need no FlexVec mechanism; neither declines here, so
+    // neither remarks.
+    Spec = createStrategy(CodeGenKind::FlexVecRtm);
+    Spec->prepare(Ctx);
+    if (!Ctx.Plan.needsFlexVec()) {
       Trad = createStrategy(CodeGenKind::Traditional);
-      if (!Trad->prepare(Ctx))
-        fatalError("traditional inner strategy declined after its probe "
-                   "accepted the identical plan");
+      Trad->prepare(Ctx);
     }
 
     TradEntry = Ctx.B.createLabel();
@@ -164,9 +137,8 @@ public:
 
   void emitFallbackTail(LoweringContext &Ctx) override {
     Spec->emitFallbackTail(Ctx);
-    // FlexVec's scalar fallback falls through at its Done label expecting
-    // the halt next; route it (and the RTM/no-tail layouts, where this is
-    // one dead instruction) over the demoted variant.
+    // RTM's tail already jumps to the halt, so this jmp is unreachable; it
+    // stays so adaptive programs keep their layout.
     Ctx.B.jmp(Ctx.HaltL);
 
     Ctx.B.bind(TradEntry);

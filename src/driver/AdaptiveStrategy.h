@@ -1,8 +1,8 @@
 //===- driver/AdaptiveStrategy.h - Adaptive multi-versioned codegen -*- C++ -*-===//
 //
 // The fifth lowering product, flexvec-adaptive: one program carrying BOTH
-// the speculative variant (flexvec-rtm, or flexvec when RTM declines) and
-// the traditional variant (or a scalar tail when the loop needs FlexVec),
+// the speculative variant (flexvec-rtm) and the traditional variant (or a
+// scalar tail when the loop needs FlexVec),
 // dispatched at run time by a preheader prologue that consults
 //
 //  (a) a cheap runtime guard — a minimum trip-count check plus an

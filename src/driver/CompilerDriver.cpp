@@ -3,7 +3,6 @@
 #include "driver/CompilerDriver.h"
 
 #include "codegen/ScalarCodeGen.h"
-#include "codegen/VectorEmitter.h"
 #include "driver/LoweringStrategy.h"
 #include "driver/Verifier.h"
 #include "pdg/Pdg.h"
@@ -16,7 +15,8 @@ using codegen::CompiledLoop;
 
 namespace {
 
-std::string stmtRef(int Node) { return "S" + std::to_string(Node); }
+// 'S', not "S": GCC 12 reports a false -Wrestrict on `"S" + std::string&&`.
+std::string stmtRef(int Node) { return 'S' + std::to_string(Node); }
 
 /// ir-normalize: validates the loop against the register conventions and
 /// records its static shape. This is where a malformed loop dies loudly
@@ -39,26 +39,28 @@ void normalizeIr(const ir::LoopFunction &F, CompileResult &R) {
           " compute-ops=" + std::to_string(R.Shape.ComputeOps));
 }
 
-/// pattern-analysis: builds the plan from the PDG and remarks every
-/// recognized idiom and relaxed dependence. A loop whose dependences allow
-/// vector code but which uses a construct the vector emitter cannot emit
-/// is declined too: a dry run of the flexvec-rtm body, the widest of the
-/// five variants' emissions, finds the construct.
+/// pattern-analysis: builds and seals the plan from the PDG and remarks
+/// every recognized idiom and relaxed dependence. For a vectorizable plan
+/// it lowers flexvec-rtm at the compiled width and mode and keeps the
+/// program as R.Rtm. Every other variant emits a subset of that code, so
+/// when the emission meets a construct without a vector form the loop is
+/// declined instead.
 void analyzePatterns(const ir::LoopFunction &F, const pdg::Pdg &Graph,
-                     CompileResult &R) {
+                     const DriverOptions &Opts, CompileResult &R) {
   const char *Pass = "pattern-analysis";
   RemarkStream &Rs = R.Remarks;
   analysis::VectorizationPlan &Plan = R.Plan;
   Plan = analysis::analyzeLoop(Graph);
+  Plan.seal(F.numStmts());
   if (Plan.Vectorizable) {
-    isa::ProgramBuilder Scratch;
-    codegen::VectorEmitter::Options Opts;
-    Opts.UseFirstFaulting = false;
-    codegen::VectorEmitter Em(Scratch, F, Plan, Opts);
-    Em.emitBody();
-    if (!Em.whyUnsupported().empty()) {
+    // A vectorizable plan leaves no remark here: flexvec-rtm never declines.
+    std::string Unsupported;
+    R.Rtm = lowerLoop(F, Plan, CodeGenKind::FlexVecRtm, Opts.RtmTile, Rs,
+                      Opts.Vec, Opts.Predicated, Unsupported);
+    if (!Unsupported.empty()) {
+      R.Rtm.reset();
       Plan.Vectorizable = false;
-      Plan.Reason = Em.whyUnsupported();
+      Plan.Reason = std::move(Unsupported);
     }
   }
 
@@ -102,12 +104,10 @@ void analyzePatterns(const ir::LoopFunction &F, const pdg::Pdg &Graph,
                     std::to_string(MC.LastTop));
 }
 
-/// plan-legalize: finalizes the plan for emission, building the
-/// per-statement speculative-load bitset so isSpeculative() is O(1) during
-/// codegen.
-void legalizePlan(const ir::LoopFunction &F, CompileResult &R) {
-  analysis::VectorizationPlan &Plan = R.Plan;
-  Plan.seal(F.numStmts());
+/// plan-legalize: remarks the loads that execute speculatively and so need
+/// first-faulting forms or a transaction.
+void legalizePlan(CompileResult &R) {
+  const analysis::VectorizationPlan &Plan = R.Plan;
   if (Plan.SpeculativeLoadNodes.empty())
     return;
   std::string Sites;
@@ -122,21 +122,38 @@ void legalizePlan(const ir::LoopFunction &F, CompileResult &R) {
                          "forms (or RTM)");
 }
 
-/// lower: generates the scalar baseline and runs each of the five vector
-/// variants through the Algorithm-1 skeleton.
+/// lower: generates the scalar baseline and runs the vector variants
+/// through the Algorithm-1 skeleton, remarking each in variant order;
+/// flexvec-rtm's program comes from pattern-analysis.
 void lower(const ir::LoopFunction &F, const DriverOptions &Opts,
            CompileResult &R) {
   R.Scalar = codegen::generateScalar(F);
   R.Remarks.note("lower", "scalar", R.Scalar.Notes).Variant =
       codegen::variantName(CodeGenKind::Scalar);
+  auto applied = [&](const CompiledLoop &L) {
+    R.Remarks.applied("lower", "vectorized", L.Notes).Variant =
+        codegen::variantName(L.Kind);
+  };
   auto lowerAs = [&](CodeGenKind Kind) {
-    return lowerLoop(F, R.Plan, Kind, Opts.RtmTile, R.Remarks, Opts.Vec,
-                     Opts.Predicated);
+    std::string Unsupported;
+    std::optional<CompiledLoop> L = lowerLoop(
+        F, R.Plan, Kind, Opts.RtmTile, R.Remarks, Opts.Vec, Opts.Predicated,
+        Unsupported);
+    // pattern-analysis declined every loop whose flexvec-rtm emission met
+    // such a construct, and the other variants emit a subset of it.
+    if (!Unsupported.empty())
+      fatalError("loop '" + F.name() + "': " + Unsupported);
+    if (L)
+      applied(*L);
+    return L;
   };
   R.Traditional = lowerAs(CodeGenKind::Traditional);
   R.Speculative = lowerAs(CodeGenKind::Speculative);
   R.FlexVec = lowerAs(CodeGenKind::FlexVec);
-  R.Rtm = lowerAs(CodeGenKind::FlexVecRtm);
+  if (R.Rtm)
+    applied(*R.Rtm);
+  else
+    R.Rtm = lowerAs(CodeGenKind::FlexVecRtm); // Declines: not vectorizable.
   R.Adaptive = lowerAs(CodeGenKind::FlexVecAdaptive);
 }
 
@@ -176,8 +193,8 @@ CompileResult driver::compileLoop(const ir::LoopFunction &F,
   CompileResult R;
   normalizeIr(F, R);
   const pdg::Pdg Graph(F); // pdg-build
-  analyzePatterns(F, Graph, R);
-  legalizePlan(F, R);
+  analyzePatterns(F, Graph, Opts, R);
+  legalizePlan(R);
   lower(F, Opts, R);
   verifyPrograms(F, R);
   return R;

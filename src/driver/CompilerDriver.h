@@ -6,8 +6,10 @@
 //   lower → program-verify
 //
 // and returns the six program variants the evaluation compares plus the
-// full remark stream. compileLoop(F, DriverOptions) is the only way to
-// compile a loop.
+// full remark stream. pattern-analysis decides vector legality by lowering
+// flexvec-rtm, the widest emission, and keeps that program; lower emits
+// the other five. compileLoop(F, DriverOptions) is the only way to compile
+// a loop.
 //
 //===----------------------------------------------------------------------===//
 

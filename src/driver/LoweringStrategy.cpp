@@ -70,11 +70,11 @@ void declineRemark(RemarkStream &Remarks, CodeGenKind Kind, std::string Id,
       codegen::variantName(Kind);
 }
 
-/// When lowering under the adaptive dispatcher, entering a scalar fallback
-/// marks one aborted speculative attempt: bump the dispatch cell's
-/// abort-event word so the next invocation's prologue can charge it.
-/// Both call sites sit at the very top of a fallback block, before the
-/// scalar emitter's scratch pool is live, so r25..r27 are free.
+/// When lowering under the adaptive dispatcher, entering the RTM abort
+/// handler marks one aborted speculative attempt: bump the dispatch cell's
+/// abort-event word so the next invocation's prologue can charge it. The
+/// call sits at the very top of the handler, before the scalar emitter's
+/// scratch pool is live, so r25..r27 are free.
 void bumpAbortEvents(LoweringContext &Ctx) {
   if (!Ctx.DispatchCellAddr)
     return;
@@ -111,9 +111,7 @@ public:
 
   VectorEmitter::Options
   emitterOptions(const LoweringContext &) const override {
-    VectorEmitter::Options Opts;
-    Opts.UseFirstFaulting = false;
-    return Opts;
+    return {};
   }
 
   void emitLoopNest(LoweringContext &Ctx) override {
@@ -150,8 +148,6 @@ public:
   VectorEmitter::Options
   emitterOptions(const LoweringContext &) const override {
     VectorEmitter::Options Opts;
-    Opts.UseFirstFaulting = true;
-    Opts.HasFaultBail = HasSpec;
     Opts.FaultBail = ScalarEntry;
     return Opts;
   }
@@ -170,7 +166,6 @@ public:
     // chunk-entry scalar state (no side effects have committed when a
     // first-faulting check bails).
     Ctx.B.bind(ScalarEntry);
-    bumpAbortEvents(Ctx);
     codegen::emitScalarLoopBody(Ctx.B, Ctx.F, Ctx.trip(), Ctx.HaltL);
   }
 
@@ -198,9 +193,7 @@ public:
 
   VectorEmitter::Options
   emitterOptions(const LoweringContext &) const override {
-    VectorEmitter::Options Opts;
-    Opts.UseFirstFaulting = false; // Faults abort the transaction instead.
-    return Opts;
+    return {}; // Plain loads: faults abort the transaction instead.
   }
 
   void emitLoopNest(LoweringContext &Ctx) override {
@@ -403,7 +396,6 @@ public:
   VectorEmitter::Options
   emitterOptions(const LoweringContext &) const override {
     VectorEmitter::Options Opts;
-    Opts.UseFirstFaulting = false;
     Opts.StraightlineOnly = true;
     return Opts;
   }
@@ -527,9 +519,8 @@ std::string driver::emitSkeletonBody(LoweringContext &Ctx,
   Ctx.B.bind(Ctx.HaltL);
   Ctx.B.halt();               // 6. done
 
-  // pattern-analysis declines the loops the emitter cannot vectorize.
-  if (!Em.whyUnsupported().empty())
-    fatalError("loop '" + Ctx.F.name() + "': " + Em.whyUnsupported());
+  if (Ctx.Unsupported.empty())
+    Ctx.Unsupported = Em.whyUnsupported();
   // Notes must be composed while the emitter is still alive.
   return S.notes(Ctx);
 }
@@ -537,7 +528,8 @@ std::string driver::emitSkeletonBody(LoweringContext &Ctx,
 std::optional<CompiledLoop>
 driver::lowerLoop(const LoopFunction &F, const VectorizationPlan &Plan,
                   CodeGenKind Kind, unsigned RtmTile, RemarkStream &Remarks,
-                  isa::VectorConfig Vec, bool Predicated) {
+                  isa::VectorConfig Vec, bool Predicated,
+                  std::string &Unsupported) {
   if (!Plan.Vectorizable) {
     declineRemark(Remarks, Kind, "decline.not-vectorizable",
                   "loop is not vectorizable: " + Plan.Reason);
@@ -552,7 +544,6 @@ driver::lowerLoop(const LoopFunction &F, const VectorizationPlan &Plan,
   Out.Notes = emitSkeletonBody(Ctx, *S);
   Out.Kind = Kind;
   Out.Prog = Ctx.B.finalize();
-  Remarks.applied("lower", "vectorized", Out.Notes).Variant =
-      codegen::variantName(Kind);
+  Unsupported = std::move(Ctx.Unsupported);
   return Out;
 }

@@ -33,6 +33,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 
 namespace flexvec {
 namespace driver {
@@ -70,6 +71,9 @@ struct LoweringContext {
   isa::VectorConfig Vec;
   /// SVE-style predicated loop control (KWHILELT chunk heads).
   bool Predicated = false;
+  /// The first construct met, by any emitter of this lowering, that has
+  /// no vector form; empty while the program is usable.
+  std::string Unsupported;
 
   LoweringContext(const ir::LoopFunction &F,
                   const analysis::VectorizationPlan &Plan, unsigned RtmTile,
@@ -154,19 +158,22 @@ std::unique_ptr<LoweringStrategy> createStrategy(codegen::CodeGenKind Kind);
 /// The body of the Algorithm-1 skeleton: creates fresh VecExit/HaltL labels
 /// on \p Ctx, constructs the emitter from \p S's options, and emits
 /// preheader | nest | resume | live-outs | tail | halt. Returns the
-/// strategy's notes (computed while the emitter is still alive). Exposed so
-/// the adaptive strategy can nest a complete traditional skeleton behind
-/// its dispatch guard; \p S must already have prepare()d successfully.
+/// strategy's notes (computed while the emitter is still alive) and keeps
+/// the emitter's whyUnsupported() in Ctx.Unsupported. Exposed so the
+/// adaptive strategy can nest a complete traditional skeleton behind its
+/// dispatch guard; \p S must already have prepare()d successfully.
 std::string emitSkeletonBody(LoweringContext &Ctx, LoweringStrategy &S);
 
 /// THE Algorithm-1 driver: runs the strategy for \p Kind through the
 /// shared skeleton. Returns nullopt when the plan is not vectorizable or
-/// the strategy declines, after a Missed remark says why; otherwise emits
-/// an Applied remark recording the generation.
+/// the strategy declines, after a Missed remark says why. A generated
+/// program gets no remark here: the driver files its Applied remark. When
+/// the emission met a construct without a vector form, \p Unsupported
+/// receives its name and the program is unusable.
 std::optional<codegen::CompiledLoop>
 lowerLoop(const ir::LoopFunction &F, const analysis::VectorizationPlan &Plan,
           codegen::CodeGenKind Kind, unsigned RtmTile, RemarkStream &Remarks,
-          isa::VectorConfig Vec, bool Predicated);
+          isa::VectorConfig Vec, bool Predicated, std::string &Unsupported);
 
 } // namespace driver
 } // namespace flexvec

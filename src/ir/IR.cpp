@@ -147,11 +147,15 @@ std::string Expr::str(const LoopFunction &F) const {
     if (Op == BinOp::Min || Op == BinOp::Max)
       return std::string(binOpName(Op)) + "(" + Lhs->str(F) + ", " +
              Rhs->str(F) + ")";
-    return "(" + Lhs->str(F) + " " + binOpName(Op) + " " + Rhs->str(F) + ")";
+    // std::string("("), not "(": GCC 12 reports a false -Wrestrict on
+    // `"literal" + std::string&&` (GCC bug 105329).
+    return std::string("(") + Lhs->str(F) + " " + binOpName(Op) + " " +
+           Rhs->str(F) + ")";
   case ExprKind::Compare:
-    return "(" + Lhs->str(F) + " " + cmpSymbol(Cmp) + " " + Rhs->str(F) + ")";
+    return std::string("(") + Lhs->str(F) + " " + cmpSymbol(Cmp) + " " +
+           Rhs->str(F) + ")";
   case ExprKind::LogicalAnd:
-    return "(" + Lhs->str(F) + " && " + Rhs->str(F) + ")";
+    return std::string("(") + Lhs->str(F) + " && " + Rhs->str(F) + ")";
   }
   unreachable("unknown expr kind");
 }

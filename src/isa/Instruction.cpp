@@ -59,11 +59,13 @@ std::string Instruction::str() const {
 
   if (Dst.isValid())
     appendOperand(Dst.str());
+  // std::string("{"), not "{": GCC 12 reports a false -Wrestrict on
+  // `"literal" + std::string&&` (GCC bug 105329). Likewise below.
   if (MaskReg.isValid())
-    appendOperand("{" + MaskReg.str() + "}");
+    appendOperand(std::string("{") + MaskReg.str() + "}");
 
   if (isMemory()) {
-    std::string Mem = "[" + Src1.str();
+    std::string Mem = std::string("[") + Src1.str();
     if (Src2.isValid()) {
       Mem += " + " + Src2.str();
       if (Scale != 1) {

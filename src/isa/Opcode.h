@@ -47,8 +47,7 @@ enum class PortKind : uint8_t {
 /// Static per-opcode timing description, read by the timing model through
 /// the decoded row (isa/DecodedInstr.h).
 struct InstrTiming {
-  unsigned Latency = 1;      ///< Result latency in cycles.
-  double RecipThroughput = 1; ///< Min cycles between issues of this opcode.
+  unsigned Latency = 1; ///< Result latency in cycles.
   PortKind Port = PortKind::ALU;
   unsigned FixedUops = 1; ///< Uops, before per-lane memory expansion.
   /// For gathers/scatters: number of lanes serviced per memory uop (the
@@ -103,12 +102,12 @@ namespace detail {
 using namespace opflag;
 inline constexpr OpcodeInfo OpcodeTable[] = {
 #define OPCODE(Name, Mnemonic, Flags, Dst, Src1, Src2, Src3, Mask, Lat,      \
-               Tput, Port, Uops, Lanes)                                       \
+               Port, Uops, Lanes)                                             \
   {Mnemonic,                                                                  \
    static_cast<uint16_t>(Flags),                                              \
    {OperandClass::Dst, OperandClass::Src1, OperandClass::Src2,                \
     OperandClass::Src3, OperandClass::Mask},                                  \
-   {Lat, Tput, PortKind::Port, Uops, Lanes}},
+   {Lat, PortKind::Port, Uops, Lanes}},
 #include "isa/Opcodes.def"
 #undef OPCODE
 };

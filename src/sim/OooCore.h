@@ -11,8 +11,7 @@
 //   * dispatch: stalls on ROB (224) / RS (97) / LQ (80) / SQ (56), with
 //     no width limit of its own (EXPERIMENTS.md, "Known deviations"),
 //   * issue: over typed units (4 ALU, 1 mul, 2 vector, 2 load ports,
-//     1 store port); an opcode's throughput is its uop count on its port
-//     (the reciprocal-throughput column of Opcodes.def is not read),
+//     1 store port); an opcode's throughput is its uop count on its port,
 //   * execute: per-opcode latencies (Table 1 bottom for the FlexVec
 //     instructions), cache hierarchy latencies for memory, store-to-load
 //     forwarding,

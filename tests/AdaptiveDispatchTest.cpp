@@ -22,6 +22,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 using namespace flexvec;
 
 namespace {
@@ -84,6 +88,43 @@ TEST(AdaptiveDispatch, CorpusConflictStormDemotesWithinWindowBitExact) {
   }
   EXPECT_EQ(Checked, Table2Rows);
   EXPECT_EQ(Checked, 18u) << "Table 2 corpus must stay at 18 rows";
+}
+
+// The adaptive program's speculative side is always flexvec-rtm: it is
+// generated exactly when flexvec-rtm is, and its notes embed flexvec-rtm's.
+// Checked over the Figure 8 suite and every checked-in corpus loop.
+TEST(AdaptiveDispatch, SpeculativeSideIsAlwaysFlexVecRtm) {
+  workloads::Figure8Suite Suite = workloads::buildFigure8Suite(1.0);
+  std::vector<std::pair<std::string, const ir::LoopFunction *>> Loops;
+  for (const core::SweepWorkload &W : Suite.Workloads)
+    Loops.emplace_back(W.Name, W.F);
+  std::vector<ir::ParseResult> Parsed;
+  const std::filesystem::path Corpus =
+      std::filesystem::path(FLEXVEC_SOURCE_DIR) / "tests" / "corpus";
+  for (const auto &Entry : std::filesystem::directory_iterator(Corpus)) {
+    if (Entry.path().extension() != ".fv")
+      continue;
+    std::ifstream In(Entry.path());
+    std::ostringstream SS;
+    SS << In.rdbuf();
+    Parsed.push_back(ir::parseLoop(SS.str()));
+    ASSERT_TRUE(Parsed.back()) << Entry.path() << ": " << Parsed.back().Error;
+    Loops.emplace_back(Entry.path().filename().string(),
+                       Parsed.back().F.get());
+  }
+
+  size_t WithRtm = 0;
+  for (const auto &[Name, F] : Loops) {
+    driver::CompileResult PR = driver::compileLoop(*F);
+    EXPECT_EQ(PR.Adaptive.has_value(), PR.Rtm.has_value()) << Name;
+    if (!PR.Adaptive || !PR.Rtm)
+      continue;
+    ++WithRtm;
+    EXPECT_NE(PR.Adaptive->Notes.find("speculative=[" + PR.Rtm->Notes + "]"),
+              std::string::npos)
+        << Name << ": " << PR.Adaptive->Notes;
+  }
+  EXPECT_GT(WithRtm, 0u);
 }
 
 // With no faults injected, the adaptive program stays speculative for the

@@ -208,8 +208,20 @@ TEST(Codegen, SpeculativeGeneratorDeclinesUnsupportedShapes) {
 // Loops whose dependences allow vector execution but which use a construct
 // the vector emitter cannot emit: pattern-analysis declines them, naming
 // the construct, every vector variant says so, and the scalar variant
-// alone is built.
+// alone is built. Legality follows the width and loop-control mode
+// actually compiled, so every case is checked at each of them.
 TEST(Codegen, PatternAnalysisDeclinesConstructsWithoutAVectorForm) {
+  const driver::DriverOptions Configs[] = {
+      {},
+      {.Vec = isa::VectorConfig(256 / 8)},
+      {.Vec = isa::VectorConfig(2048 / 8)},
+      {.Predicated = true},
+      {.Vec = isa::VectorConfig(2048 / 8), .Predicated = true},
+  };
+  auto configName = [](const driver::DriverOptions &O) {
+    return std::to_string(O.Vec.bits()) +
+           (O.Predicated ? " bits, predicated" : " bits");
+  };
   // D nested gathers hold D scratch vector registers: each gather holds its
   // result register while its subscript is gathered.
   auto nestedGathers = [](int Depth) {
@@ -254,31 +266,34 @@ TEST(Codegen, PatternAnalysisDeclinesConstructsWithoutAVectorForm) {
       {nestedGathers(17),
        "vector code needs more than 16 live scratch vector registers"},
   };
-  for (const Case &C : Cases) {
-    ParseResult R = parseLoop(C.Src);
-    ASSERT_TRUE(R) << C.Src << ": " << R.Error;
-    driver::CompileResult PR = driver::compileLoop(*R.F);
-    EXPECT_FALSE(PR.Plan.Vectorizable) << C.Src;
-    EXPECT_NE(PR.Plan.Reason.find(C.Reason), std::string::npos)
-        << C.Src << ": " << PR.Plan.Reason;
-    size_t Declines = 0;
-    for (const driver::Remark &Rk : PR.Remarks.remarks()) {
-      if (Rk.Kind != driver::RemarkKind::Missed)
-        continue;
-      if (Rk.Pass == "pattern-analysis")
-        EXPECT_EQ(Rk.Message, PR.Plan.Reason);
-      else
-        Declines += Rk.Id == "decline.not-vectorizable";
+  for (const driver::DriverOptions &Opts : Configs) {
+    SCOPED_TRACE(configName(Opts));
+    for (const Case &C : Cases) {
+      ParseResult R = parseLoop(C.Src);
+      ASSERT_TRUE(R) << C.Src << ": " << R.Error;
+      driver::CompileResult PR = driver::compileLoop(*R.F, Opts);
+      EXPECT_FALSE(PR.Plan.Vectorizable) << C.Src;
+      EXPECT_NE(PR.Plan.Reason.find(C.Reason), std::string::npos)
+          << C.Src << ": " << PR.Plan.Reason;
+      size_t Declines = 0;
+      for (const driver::Remark &Rk : PR.Remarks.remarks()) {
+        if (Rk.Kind != driver::RemarkKind::Missed)
+          continue;
+        if (Rk.Pass == "pattern-analysis")
+          EXPECT_EQ(Rk.Message, PR.Plan.Reason);
+        else
+          Declines += Rk.Id == "decline.not-vectorizable";
+      }
+      EXPECT_EQ(Declines, 5u) << C.Src;
+      EXPECT_FALSE(PR.Traditional || PR.Speculative || PR.FlexVec ||
+                   PR.Rtm || PR.Adaptive);
     }
-    EXPECT_EQ(Declines, 5u) << C.Src;
-    EXPECT_FALSE(PR.Traditional || PR.Speculative || PR.FlexVec || PR.Rtm ||
-                 PR.Adaptive);
+    // One gather fewer fits v16..v31.
+    ParseResult Fits = parseLoop(nestedGathers(16));
+    ASSERT_TRUE(Fits) << Fits.Error;
+    driver::CompileResult PR = driver::compileLoop(*Fits.F, Opts);
+    EXPECT_TRUE(PR.Traditional && PR.FlexVec && PR.Rtm && PR.Adaptive);
   }
-  // One gather fewer fits v16..v31.
-  ParseResult Fits = parseLoop(nestedGathers(16));
-  ASSERT_TRUE(Fits) << Fits.Error;
-  driver::CompileResult PR = driver::compileLoop(*Fits.F);
-  EXPECT_TRUE(PR.Traditional && PR.FlexVec && PR.Rtm && PR.Adaptive);
 }
 
 TEST(Codegen, NotesDescribeTheBuild) {

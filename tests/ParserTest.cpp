@@ -199,7 +199,8 @@ loop w(i64 n trip, f64 s, f64 a[], f64 b[] readonly, i64 c[] readonly) {
   };
   std::vector<std::string> Seen;
   forEachStmt(*R.F, [&](const Stmt *S) {
-    Seen.push_back("S" + std::to_string(S->Id));
+    // Not "S" + ...: GCC 12 reports a false -Wrestrict on that form.
+    Seen.push_back(std::string("S") + std::to_string(S->Id));
     forEachExpr(*S, [&](const Expr *E) { Seen.push_back(ExprName(E)); });
   });
   const std::vector<std::string> Expected = {
