@@ -206,8 +206,7 @@ void Machine::flushBatch(TraceSink *Sink, ExecStats &Stats) {
 
 bool Machine::memRead(uint64_t Addr, void *Out, uint64_t Size) {
   if (Tx.isActive()) {
-    rtm::AbortReason Reason;
-    if (!Tx.read(Addr, Out, Size, Reason)) {
+    if (!Tx.read(Addr, Out, Size)) {
       TxAborted = true;
       return false;
     }
@@ -224,8 +223,7 @@ bool Machine::memRead(uint64_t Addr, void *Out, uint64_t Size) {
 
 bool Machine::memWrite(uint64_t Addr, const void *Data, uint64_t Size) {
   if (Tx.isActive()) {
-    rtm::AbortReason Reason;
-    if (!Tx.write(Addr, Data, Size, Reason)) {
+    if (!Tx.write(Addr, Data, Size)) {
       TxAborted = true;
       return false;
     }

@@ -284,9 +284,11 @@ private:
   /// Delivers the staged batch (if any) to \p Sink and resets it.
   void flushBatch(TraceSink *Sink, ExecStats &Stats);
 
-  /// Memory access routed through the transaction unit when one is active.
-  /// Returns false on a fault outside a transaction (sets FaultAddr); when
-  /// a transaction is active, faults abort it and set TxAborted.
+  /// One architectural access, booked by the policy in force: plain Memory
+  /// (inline TLB fast path) outside a transaction, TransactionManager
+  /// read/write (hook draw, footprint, undo log, capacity abort) inside
+  /// one. Returns false on a fault outside a transaction (sets FaultAddr);
+  /// inside one, any failure aborts it and sets TxAborted.
   bool memRead(uint64_t Addr, void *Out, uint64_t Size);
   bool memWrite(uint64_t Addr, const void *Data, uint64_t Size);
 

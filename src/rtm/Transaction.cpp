@@ -195,47 +195,35 @@ bool TransactionManager::blockFits(uint64_t Addr, uint64_t Size,
                  : ReadSetLines + Span <= MaxReadSetLines;
 }
 
-bool TransactionManager::read(uint64_t Addr, void *Out, uint64_t Size,
-                              AbortReason &Reason) {
-  Reason = AbortReason::None;
-  if (Active && Hook) {
+bool TransactionManager::read(uint64_t Addr, void *Out, uint64_t Size) {
+  assert(Active && "transactional read outside a transaction");
+  if (Hook) {
     AbortReason Injected = Hook->injectAbort(/*AtCommit=*/false);
     if (Injected != AbortReason::None) {
       ++Stats.InjectedAborts;
-      Reason = Injected;
-      abort(Reason);
+      abort(Injected);
       return false;
     }
   }
-  mem::AccessResult R = M.read(Addr, Out, Size);
-  if (!Active)
-    return R.Ok; // Non-transactional: fault surfaces to the machine.
-  if (!R.Ok) {
-    Reason = AbortReason::Fault;
-    abort(Reason);
+  if (!M.read(Addr, Out, Size).Ok) {
+    abort(AbortReason::Fault);
     return false;
   }
   if (!trackFootprint(Addr, Size, /*IsWrite=*/false)) {
-    Reason = AbortReason::Capacity;
-    abort(Reason);
+    abort(AbortReason::Capacity);
     return false;
   }
   return true;
 }
 
-bool TransactionManager::write(uint64_t Addr, const void *Data, uint64_t Size,
-                               AbortReason &Reason) {
-  Reason = AbortReason::None;
-  if (!Active) {
-    mem::AccessResult R = M.write(Addr, Data, Size);
-    return R.Ok;
-  }
+bool TransactionManager::write(uint64_t Addr, const void *Data,
+                               uint64_t Size) {
+  assert(Active && "transactional write outside a transaction");
   if (Hook) {
     AbortReason Injected = Hook->injectAbort(/*AtCommit=*/false);
     if (Injected != AbortReason::None) {
       ++Stats.InjectedAborts;
-      Reason = Injected;
-      abort(Reason);
+      abort(Injected);
       return false;
     }
   }
@@ -244,24 +232,16 @@ bool TransactionManager::write(uint64_t Addr, const void *Data, uint64_t Size,
   // write has landed, so abort() never replays the bytes of a failed one.
   const uint64_t Offset = UndoBytes.size();
   UndoBytes.resize(Offset + Size);
-  mem::AccessResult Old = M.read(Addr, UndoBytes.data() + Offset, Size);
-  if (!Old.Ok) {
-    Reason = AbortReason::Fault;
-    abort(Reason);
-    return false;
-  }
-  mem::AccessResult W = M.write(Addr, Data, Size);
-  if (!W.Ok) {
-    Reason = AbortReason::Fault;
-    abort(Reason);
+  if (!M.read(Addr, UndoBytes.data() + Offset, Size).Ok ||
+      !M.write(Addr, Data, Size).Ok) {
+    abort(AbortReason::Fault);
     return false;
   }
   Stats.BytesLogged += Size;
   UndoLog.push_back({Addr, Offset, static_cast<uint32_t>(Size),
                      static_cast<uint32_t>(Size)});
   if (!trackFootprint(Addr, Size, /*IsWrite=*/true)) {
-    Reason = AbortReason::Capacity;
-    abort(Reason);
+    abort(AbortReason::Capacity);
     return false;
   }
   return true;

@@ -112,15 +112,16 @@ public:
   /// Aborts: tentative writes are undone in reverse order.
   void abort(AbortReason Reason);
 
-  /// Transactional read. Outside a transaction this is a plain read.
-  /// Returns false (and aborts the transaction) on fault or capacity
-  /// overflow; the caller must then redirect control to the abort handler.
-  bool read(uint64_t Addr, void *Out, uint64_t Size, AbortReason &Reason);
+  /// Transactional read; only valid while a transaction is active. Draws
+  /// the abort hook, reads, then adds the bytes' lines to the read set.
+  /// Returns false (and aborts the transaction) on an injected abort, a
+  /// fault or capacity overflow, with the cause in lastAbortReason(); the
+  /// caller must then redirect control to the abort handler.
+  bool read(uint64_t Addr, void *Out, uint64_t Size);
 
-  /// Transactional write; undo data is logged first. Same failure contract
-  /// as read().
-  bool write(uint64_t Addr, const void *Data, uint64_t Size,
-             AbortReason &Reason);
+  /// Transactional write; undo data is logged first. Same contract as
+  /// read().
+  bool write(uint64_t Addr, const void *Data, uint64_t Size);
 
   /// Block fast path for a contiguous access of \p Size bytes standing for
   /// Size / \p ElemBytes same-sized element accesses (a full-mask vector

@@ -95,9 +95,8 @@ protected:
 TEST_F(RtmTest, CommitMakesWritesPermanent) {
   TransactionManager Tx(M);
   Tx.begin();
-  AbortReason Reason;
   int32_t V = 77;
-  ASSERT_TRUE(Tx.write(0x1100, &V, 4, Reason));
+  ASSERT_TRUE(Tx.write(0x1100, &V, 4));
   Tx.commit();
   EXPECT_EQ(M.get<int32_t>(0x1100), 77);
   EXPECT_EQ(Tx.stats().Commits, 1u);
@@ -108,11 +107,10 @@ TEST_F(RtmTest, AbortRollsBackAllWrites) {
   M.set<int32_t>(0x1200, 20);
   TransactionManager Tx(M);
   Tx.begin();
-  AbortReason Reason;
   int32_t V = 99;
-  ASSERT_TRUE(Tx.write(0x1100, &V, 4, Reason));
-  ASSERT_TRUE(Tx.write(0x1200, &V, 4, Reason));
-  ASSERT_TRUE(Tx.write(0x1100, &V, 4, Reason)); // Overwrite again.
+  ASSERT_TRUE(Tx.write(0x1100, &V, 4));
+  ASSERT_TRUE(Tx.write(0x1200, &V, 4));
+  ASSERT_TRUE(Tx.write(0x1100, &V, 4)); // Overwrite again.
   Tx.abort(AbortReason::Explicit);
   EXPECT_EQ(M.get<int32_t>(0x1100), 10);
   EXPECT_EQ(M.get<int32_t>(0x1200), 20);
@@ -123,12 +121,11 @@ TEST_F(RtmTest, FaultInsideTransactionAbortsAndRollsBack) {
   M.set<int32_t>(0x1100, 10);
   TransactionManager Tx(M);
   Tx.begin();
-  AbortReason Reason;
   int32_t V = 99;
-  ASSERT_TRUE(Tx.write(0x1100, &V, 4, Reason));
+  ASSERT_TRUE(Tx.write(0x1100, &V, 4));
   // Unmapped address.
-  EXPECT_FALSE(Tx.write(0x900000, &V, 4, Reason));
-  EXPECT_EQ(Reason, AbortReason::Fault);
+  EXPECT_FALSE(Tx.write(0x900000, &V, 4));
+  EXPECT_EQ(Tx.lastAbortReason(), AbortReason::Fault);
   EXPECT_FALSE(Tx.isActive());
   EXPECT_EQ(M.get<int32_t>(0x1100), 10);
 }
@@ -139,12 +136,11 @@ TEST_F(RtmTest, WriteSetCapacityOverflowAborts) {
   M.map(Base, (MaxWriteSetLines + 1) * LineBytes);
   TransactionManager Tx(M);
   Tx.begin();
-  AbortReason Reason = AbortReason::None;
   int32_t V = 1;
   for (unsigned Line = 0; Line < MaxWriteSetLines; ++Line)
-    ASSERT_TRUE(Tx.write(Base + Line * LineBytes, &V, 4, Reason)) << Line;
-  EXPECT_FALSE(Tx.write(Base + MaxWriteSetLines * LineBytes, &V, 4, Reason));
-  EXPECT_EQ(Reason, AbortReason::Capacity);
+    ASSERT_TRUE(Tx.write(Base + Line * LineBytes, &V, 4)) << Line;
+  EXPECT_FALSE(Tx.write(Base + MaxWriteSetLines * LineBytes, &V, 4));
+  EXPECT_EQ(Tx.lastAbortReason(), AbortReason::Capacity);
   EXPECT_EQ(Tx.stats().AbortsByCapacity, 1u);
   // Every tentative write rolled back.
   for (unsigned Line = 0; Line <= MaxWriteSetLines; ++Line)
@@ -156,22 +152,12 @@ TEST_F(RtmTest, ReadSetCapacityOverflowAborts) {
   M.map(Base, (MaxReadSetLines + 1) * LineBytes);
   TransactionManager Tx(M);
   Tx.begin();
-  AbortReason Reason = AbortReason::None;
   int32_t V;
   for (unsigned Line = 0; Line < MaxReadSetLines; ++Line)
-    ASSERT_TRUE(Tx.read(Base + Line * LineBytes, &V, 4, Reason)) << Line;
-  EXPECT_FALSE(Tx.read(Base + MaxReadSetLines * LineBytes, &V, 4, Reason));
-  EXPECT_EQ(Reason, AbortReason::Capacity);
+    ASSERT_TRUE(Tx.read(Base + Line * LineBytes, &V, 4)) << Line;
+  EXPECT_FALSE(Tx.read(Base + MaxReadSetLines * LineBytes, &V, 4));
+  EXPECT_EQ(Tx.lastAbortReason(), AbortReason::Capacity);
   EXPECT_EQ(Tx.stats().AbortsByCapacity, 1u);
-}
-
-TEST_F(RtmTest, NonTransactionalPathPassesThrough) {
-  TransactionManager Tx(M);
-  AbortReason Reason;
-  int32_t V = 5;
-  EXPECT_TRUE(Tx.write(0x1100, &V, 4, Reason));
-  EXPECT_EQ(M.get<int32_t>(0x1100), 5);
-  EXPECT_EQ(Tx.stats().Begins, 0u);
 }
 
 /// Property: randomized transactional histories either commit (final state
@@ -184,15 +170,13 @@ TEST_F(RtmTest, RandomizedAbortCommitProperty) {
     std::vector<int32_t> Shadow(512, 0);
     TransactionManager Tx(Mem2);
     Tx.begin();
-    AbortReason Reason;
     std::vector<std::pair<size_t, int32_t>> Writes;
     int NumWrites = 1 + static_cast<int>(R.nextBelow(20));
     for (int W = 0; W < NumWrites; ++W) {
       size_t Slot = R.nextBelow(512);
       int32_t Val = static_cast<int32_t>(R.next());
       int32_t V = Val;
-      ASSERT_TRUE(
-          Tx.write(0x1000 + Slot * 4, &V, 4, Reason));
+      ASSERT_TRUE(Tx.write(0x1000 + Slot * 4, &V, 4));
       Writes.push_back({Slot, Val});
     }
     if (R.nextBool(0.5)) {
@@ -400,13 +384,15 @@ TEST(RtmFault, InjectedAbortRollsBackBitForBit) {
 
 // --- Vector accesses at the transactional capacity edge ------------------===//
 //
-// Full-mask unit-stride vloads/vstores inside one transaction fill the read
-// (write) set to exactly its capacity, one line per instruction; one more
-// access then straddles a tracked line and a fresh one, so the overflow
-// lands partway through the instruction. The pinned counters are those of
-// the reference per-lane transactional access sequence: whatever path the
-// emulator takes for a contiguous access inside a transaction must book
-// the same abort lane, bytes logged, TLB traffic and COW copies, and must
+// Vector loads (stores) inside one transaction fill the read (write) set
+// to exactly its capacity, one line per instruction; one more access then
+// straddles a tracked line and a fresh one, so the overflow lands partway
+// through the instruction. Three access kinds do it: full-mask unit-stride
+// vload/vstore, the same under a partial mask, and vgather/vscatter with
+// lanes in reverse address order. The pinned counters are those of the
+// reference per-lane transactional access sequence: whatever path the
+// emulator takes for a vector access inside a transaction must book the
+// same abort lane, bytes logged, TLB traffic and COW copies, and must
 // restore the image bit for bit.
 
 namespace {
@@ -419,10 +405,18 @@ struct EdgeRun {
   int64_t Handler = 0; ///< 1: abort handler ran, 2: committed.
 };
 
-/// Runs \p Lines full-mask I32 accesses (one per 64-byte line, starting 32
-/// lines into a page), plus the straddling one when \p Cross, inside a
-/// single XBEGIN/XEND against a COW clone of a patterned image.
-EdgeRun runCapacityEdge(bool IsStore, unsigned Lines, bool Cross) {
+/// How each capacity-edge access addresses its 16 I32 lanes.
+enum class EdgeKind {
+  FullMask,    ///< vload/vstore, every lane.
+  PartialMask, ///< vload/vstore under k1 = 0xAAAA: the odd lanes only.
+  Indexed,     ///< vgather/vscatter, every lane, lane L at byte 4*(15-L).
+};
+
+/// Runs \p Lines \p Kind accesses of 16 I32 lanes (one per 64-byte line,
+/// starting 32 lines into a page), plus the straddling one when \p Cross,
+/// inside a single XBEGIN/XEND against a COW clone of a patterned image.
+EdgeRun runCapacityEdge(bool IsStore, unsigned Lines, bool Cross,
+                        EdgeKind Kind = EdgeKind::FullMask) {
   constexpr uint64_t Region = 0x100000;
   constexpr uint64_t Base = Region + 32 * LineBytes;
   const uint64_t Bytes = (32 + Lines + 32) * LineBytes;
@@ -441,18 +435,35 @@ EdgeRun runCapacityEdge(bool IsStore, unsigned Lines, bool Cross) {
   B.movImm(Reg::scalar(1), static_cast<int64_t>(Base));
   B.movImm(Reg::scalar(9), 1000);
   B.vindex(Reg::vector(1), ElemType::I32, Reg::scalar(9));
+  // Gather/scatter indices 15 - L: v3 = 15 - vindex(0).
+  B.movImm(Reg::scalar(10), 0);
+  B.vindex(Reg::vector(4), ElemType::I32, Reg::scalar(10));
+  B.vbroadcastImm(Reg::vector(3), ElemType::I32, 15);
+  B.vbinOp(Opcode::VSub, ElemType::I32, Reg::vector(3), Reg::vector(3),
+           Reg::vector(4));
+  B.kset(Reg::mask(1), 0xAAAA);
+  const Reg Mask =
+      Kind == EdgeKind::PartialMask ? Reg::mask(1) : Reg::none();
   B.xbegin(Abort);
   auto access = [&](int64_t Disp) {
-    if (IsStore)
-      B.vstore(ElemType::I32, Reg::none(), Reg::scalar(1), Reg::none(), 1,
-               Disp, Reg::vector(1));
+    if (Kind == EdgeKind::Indexed && IsStore)
+      B.vscatter(ElemType::I32, Reg::none(), Reg::scalar(1), Reg::vector(3),
+                 4, Disp, Reg::vector(1));
+    else if (Kind == EdgeKind::Indexed)
+      B.vgather(Reg::vector(2), ElemType::I32, Reg::none(), Reg::scalar(1),
+                Reg::vector(3), 4, Disp);
+    else if (IsStore)
+      B.vstore(ElemType::I32, Mask, Reg::scalar(1), Reg::none(), 1, Disp,
+               Reg::vector(1));
     else
-      B.vload(Reg::vector(2), ElemType::I32, Reg::none(), Reg::scalar(1),
+      B.vload(Reg::vector(2), ElemType::I32, Mask, Reg::scalar(1),
               Reg::none(), 1, Disp);
   };
   for (unsigned L = 0; L < Lines; ++L)
     access(static_cast<int64_t>(L * LineBytes));
-  if (Cross) // Lanes 0-7 re-touch the last tracked line, 8-15 a new one.
+  // Lanes 0-7 re-touch the last tracked line, 8-15 a new one (indexed:
+  // lanes 0-7 the new line, 8-15 the tracked one).
+  if (Cross)
     access(static_cast<int64_t>((Lines - 1) * LineBytes + LineBytes / 2));
   B.xend();
   B.movImm(Reg::scalar(8), 2);
@@ -533,6 +544,142 @@ TEST(RtmVectorEdge, VLoadCrossingReadSetAbortsAtTheLane) {
   EXPECT_TRUE(E.ImageRestored);
   EXPECT_EQ(E.Mem.TlbMisses, 65u);
   EXPECT_EQ(E.Mem.TlbHits, MaxReadSetLines * 16u + 9u - 65u);
+  EXPECT_EQ(E.Mem.CowCopies, 0u);
+}
+
+// Under k1 = 0xAAAA each access moves 8 lanes. The crossing one books
+// lanes 1, 3, 5 and 7 in the tracked line, then lane 9 (the first active
+// lane in the new line) overflows.
+
+TEST(RtmVectorEdge, MaskedVStoresFillWriteSetExactlyThenCommit) {
+  EdgeRun E = runCapacityEdge(/*IsStore=*/true, MaxWriteSetLines, false,
+                              EdgeKind::PartialMask);
+  ASSERT_EQ(E.R.Reason, emu::StopReason::Halted) << E.R.describe();
+  EXPECT_EQ(E.Handler, 2);
+  EXPECT_EQ(E.Tx.Commits, 1u);
+  EXPECT_EQ(E.Tx.Aborts, 0u);
+  EXPECT_EQ(E.Tx.BytesLogged, MaxWriteSetLines * 8u * 4u);
+  EXPECT_FALSE(E.ImageRestored);
+  EXPECT_EQ(E.R.Stats.MemoryAccesses, MaxWriteSetLines * 8u);
+  // Per active lane: one undo read and one write; 9 pages, each missing
+  // once and copied once.
+  EXPECT_EQ(E.Mem.TlbMisses, 9u);
+  EXPECT_EQ(E.Mem.TlbHits, MaxWriteSetLines * 16u - 9u);
+  EXPECT_EQ(E.Mem.CowCopies, 9u);
+}
+
+TEST(RtmVectorEdge, MaskedVStoreCrossingWriteSetAbortsAtTheLane) {
+  EdgeRun E = runCapacityEdge(/*IsStore=*/true, MaxWriteSetLines, true,
+                              EdgeKind::PartialMask);
+  ASSERT_EQ(E.R.Reason, emu::StopReason::Halted) << E.R.describe();
+  EXPECT_EQ(E.Handler, 1);
+  EXPECT_EQ(E.Tx.Aborts, 1u);
+  EXPECT_EQ(E.Tx.AbortsByCapacity, 1u);
+  EXPECT_EQ(E.R.Stats.RtmFallbacks, 1u);
+  // Lanes 1, 3, 5, 7 and 9 of the crossing store were logged.
+  EXPECT_EQ(E.Tx.BytesLogged, MaxWriteSetLines * 8u * 4u + 5u * 4u);
+  EXPECT_EQ(E.R.Stats.MemoryAccesses, MaxWriteSetLines * 8u + 5u);
+  EXPECT_TRUE(E.ImageRestored) << "rollback must be bit for bit";
+  // Two TLB accesses per logged lane, then one rollback poke per lane.
+  EXPECT_EQ(E.Mem.TlbMisses, 9u);
+  EXPECT_EQ(E.Mem.TlbHits, MaxWriteSetLines * 16u + 10u - 9u +
+                               MaxWriteSetLines * 8u + 5u);
+  EXPECT_EQ(E.Mem.CowCopies, 9u);
+}
+
+TEST(RtmVectorEdge, MaskedVLoadsFillReadSetExactlyThenCommit) {
+  EdgeRun E = runCapacityEdge(/*IsStore=*/false, MaxReadSetLines, false,
+                              EdgeKind::PartialMask);
+  ASSERT_EQ(E.R.Reason, emu::StopReason::Halted) << E.R.describe();
+  EXPECT_EQ(E.Handler, 2);
+  EXPECT_EQ(E.Tx.Commits, 1u);
+  EXPECT_EQ(E.Tx.BytesLogged, 0u);
+  EXPECT_TRUE(E.ImageRestored);
+  EXPECT_EQ(E.R.Stats.MemoryAccesses, MaxReadSetLines * 8u);
+  EXPECT_EQ(E.Mem.TlbMisses, 65u);
+  EXPECT_EQ(E.Mem.TlbHits, MaxReadSetLines * 8u - 65u);
+  EXPECT_EQ(E.Mem.CowCopies, 0u);
+}
+
+TEST(RtmVectorEdge, MaskedVLoadCrossingReadSetAbortsAtTheLane) {
+  EdgeRun E = runCapacityEdge(/*IsStore=*/false, MaxReadSetLines, true,
+                              EdgeKind::PartialMask);
+  ASSERT_EQ(E.R.Reason, emu::StopReason::Halted) << E.R.describe();
+  EXPECT_EQ(E.Handler, 1);
+  EXPECT_EQ(E.Tx.Aborts, 1u);
+  EXPECT_EQ(E.Tx.AbortsByCapacity, 1u);
+  EXPECT_EQ(E.Tx.BytesLogged, 0u);
+  // Lane 9 is read, then its line overflows the read set.
+  EXPECT_EQ(E.R.Stats.MemoryAccesses, MaxReadSetLines * 8u + 5u);
+  EXPECT_TRUE(E.ImageRestored);
+  EXPECT_EQ(E.Mem.TlbMisses, 65u);
+  EXPECT_EQ(E.Mem.TlbHits, MaxReadSetLines * 8u + 5u - 65u);
+  EXPECT_EQ(E.Mem.CowCopies, 0u);
+}
+
+// Indexed accesses visit lanes in lane order, not address order: the
+// crossing one's lane 0 is the highest address, in the new line, so it
+// overflows first, before any lane of the tracked line.
+
+TEST(RtmVectorEdge, VScattersFillWriteSetExactlyThenCommit) {
+  EdgeRun E = runCapacityEdge(/*IsStore=*/true, MaxWriteSetLines, false,
+                              EdgeKind::Indexed);
+  ASSERT_EQ(E.R.Reason, emu::StopReason::Halted) << E.R.describe();
+  EXPECT_EQ(E.Handler, 2);
+  EXPECT_EQ(E.Tx.Commits, 1u);
+  EXPECT_EQ(E.Tx.Aborts, 0u);
+  EXPECT_EQ(E.Tx.BytesLogged, MaxWriteSetLines * LineBytes);
+  EXPECT_FALSE(E.ImageRestored);
+  EXPECT_EQ(E.R.Stats.MemoryAccesses, MaxWriteSetLines * 16u);
+  EXPECT_EQ(E.Mem.TlbMisses, 9u);
+  EXPECT_EQ(E.Mem.TlbHits, MaxWriteSetLines * 32u - 9u);
+  EXPECT_EQ(E.Mem.CowCopies, 9u);
+}
+
+TEST(RtmVectorEdge, VScatterCrossingWriteSetAbortsAtTheLane) {
+  EdgeRun E = runCapacityEdge(/*IsStore=*/true, MaxWriteSetLines, true,
+                              EdgeKind::Indexed);
+  ASSERT_EQ(E.R.Reason, emu::StopReason::Halted) << E.R.describe();
+  EXPECT_EQ(E.Handler, 1);
+  EXPECT_EQ(E.Tx.Aborts, 1u);
+  EXPECT_EQ(E.Tx.AbortsByCapacity, 1u);
+  EXPECT_EQ(E.R.Stats.RtmFallbacks, 1u);
+  // Only lane 0 of the crossing scatter was logged.
+  EXPECT_EQ(E.Tx.BytesLogged, MaxWriteSetLines * LineBytes + 4u);
+  EXPECT_EQ(E.R.Stats.MemoryAccesses, MaxWriteSetLines * 16u + 1u);
+  EXPECT_TRUE(E.ImageRestored) << "rollback must be bit for bit";
+  EXPECT_EQ(E.Mem.TlbMisses, 9u);
+  EXPECT_EQ(E.Mem.TlbHits, MaxWriteSetLines * 32u + 2u - 9u +
+                               MaxWriteSetLines * 16u + 1u);
+  EXPECT_EQ(E.Mem.CowCopies, 9u);
+}
+
+TEST(RtmVectorEdge, VGathersFillReadSetExactlyThenCommit) {
+  EdgeRun E = runCapacityEdge(/*IsStore=*/false, MaxReadSetLines, false,
+                              EdgeKind::Indexed);
+  ASSERT_EQ(E.R.Reason, emu::StopReason::Halted) << E.R.describe();
+  EXPECT_EQ(E.Handler, 2);
+  EXPECT_EQ(E.Tx.Commits, 1u);
+  EXPECT_EQ(E.Tx.BytesLogged, 0u);
+  EXPECT_TRUE(E.ImageRestored);
+  EXPECT_EQ(E.R.Stats.MemoryAccesses, MaxReadSetLines * 16u);
+  EXPECT_EQ(E.Mem.TlbMisses, 65u);
+  EXPECT_EQ(E.Mem.TlbHits, MaxReadSetLines * 16u - 65u);
+  EXPECT_EQ(E.Mem.CowCopies, 0u);
+}
+
+TEST(RtmVectorEdge, VGatherCrossingReadSetAbortsAtTheLane) {
+  EdgeRun E = runCapacityEdge(/*IsStore=*/false, MaxReadSetLines, true,
+                              EdgeKind::Indexed);
+  ASSERT_EQ(E.R.Reason, emu::StopReason::Halted) << E.R.describe();
+  EXPECT_EQ(E.Handler, 1);
+  EXPECT_EQ(E.Tx.Aborts, 1u);
+  EXPECT_EQ(E.Tx.AbortsByCapacity, 1u);
+  EXPECT_EQ(E.Tx.BytesLogged, 0u);
+  EXPECT_EQ(E.R.Stats.MemoryAccesses, MaxReadSetLines * 16u + 1u);
+  EXPECT_TRUE(E.ImageRestored);
+  EXPECT_EQ(E.Mem.TlbMisses, 65u);
+  EXPECT_EQ(E.Mem.TlbHits, MaxReadSetLines * 16u + 1u - 65u);
   EXPECT_EQ(E.Mem.CowCopies, 0u);
 }
 

@@ -261,8 +261,8 @@ TEST(SimdEquivalence, FaultStormIdenticalAcrossBackends) {
   // A seeded RTM conflict-abort storm under both backends: aborts must
   // land on the same operations, roll back the same lanes, and retry to
   // the same architectural outcome whether the handler bodies ran on
-  // reference loops or host SIMD (the batched gather/scatter fast path
-  // disarms itself inside transactions; the storm proves it).
+  // reference loops or host SIMD (gather/scatter addresses come from the
+  // lane-kernel table inside transactions too; the storm proves it).
   workloads::Figure8Suite Suite =
       workloads::buildFigure8Suite(/*IterationScale=*/0.02);
   uint64_t StormyCells = 0;
