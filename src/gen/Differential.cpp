@@ -41,12 +41,34 @@ namespace {
 constexpr double StormAbortRate = 0.75;
 constexpr size_t InvocationsPerStorm = 10;
 
-CheckResult fail(FailureClass C, std::string Variant, std::string Detail) {
+/// \p Digest folds the runs up to and including the failing one; the
+/// checks that precede every run leave it 0.
+CheckResult fail(FailureClass C, std::string Variant, std::string Detail,
+                 uint64_t Digest = 0) {
   CheckResult R;
   R.Class = C;
   R.Variant = std::move(Variant);
   R.Detail = std::move(Detail);
+  R.Digest = Digest;
   return R;
+}
+
+/// Folds one run into a CheckResult::Digest.
+uint64_t foldRun(uint64_t H, const core::RunOutcome &O) {
+  const emu::ExecStats &E = O.Exec.Stats;
+  const rtm::TxStats &T = O.Tx;
+  for (uint64_t V :
+       {O.LiveOutHash, O.MemFingerprint, E.Instructions, E.Branches,
+        E.TakenBranches, E.MemoryAccesses, E.VectorOps, E.RtmRetries,
+        E.RtmFallbacks, E.RtmBudgetExhausted, E.BackoffCycles,
+        E.TraceBatches, E.VplSteps, E.VplPartitions, E.FFClips,
+        E.FFSuppressedLanes, E.ConflictChecks, E.ConflictHits, T.Begins,
+        T.Commits, T.Aborts, T.AbortsByFault, T.AbortsByCapacity,
+        T.AbortsExplicit, T.AbortsByConflict, T.AbortsSpurious,
+        T.AbortsNested, T.InjectedAborts, T.BytesLogged, O.Mem.TlbHits,
+        O.Mem.TlbMisses, O.Mem.CowCopies})
+    H = hashCombine(H, V);
+  return H;
 }
 
 } // namespace
@@ -111,6 +133,7 @@ CheckResult gen::checkLoop(const ir::LoopFunction &F, uint64_t InputSeed,
   // variant against the reference interpreter. The adaptive variant runs
   // through the multi-invocation path, which maps and tears down its
   // dispatch cell.
+  uint64_t Digest = 0;
   for (int Round = 0; Round < Opts.Rounds; ++Round) {
     mem::Memory M;
     ir::Bindings B;
@@ -119,10 +142,12 @@ CheckResult gen::checkLoop(const ir::LoopFunction &F, uint64_t InputSeed,
     std::vector<ir::Bindings> Invocations{B};
 
     core::RunOutcome Ref = core::runReferenceMulti(F, M, Invocations);
+    Digest = foldRun(Digest, Ref);
     if (!Ref.Ok)
       return fail(FailureClass::RunError, "reference",
                   "round " + std::to_string(Round) + ": " + Ref.Error + "\n" +
-                      Dsl);
+                      Dsl,
+                  Digest);
     for (unsigned V = 0; V < core::NumVariants; ++V) {
       const codegen::CompiledLoop *CL =
           core::selectVariant(PR, static_cast<core::VariantId>(V));
@@ -130,15 +155,16 @@ CheckResult gen::checkLoop(const ir::LoopFunction &F, uint64_t InputSeed,
         continue;
       const char *Name = core::variantName(static_cast<core::VariantId>(V));
       core::RunOutcome Out = core::runProgramMulti(F, *CL, M, Invocations);
+      Digest = foldRun(Digest, Out);
       std::string Ctx = std::string(Name) + " (round " +
                         std::to_string(Round) + ", trip " +
                         std::to_string(Trip) + ")";
       if (!Out.Ok)
         return fail(FailureClass::RunError, Name,
-                    Ctx + ": " + Out.Error + "\n" + Dsl);
+                    Ctx + ": " + Out.Error + "\n" + Dsl, Digest);
       if (!core::outcomesMatch(F, Ref, Out))
         return fail(FailureClass::Mismatch, Name,
-                    Ctx + " diverges from the reference\n" + Dsl);
+                    Ctx + " diverges from the reference\n" + Dsl, Digest);
     }
   }
 
@@ -163,10 +189,14 @@ CheckResult gen::checkLoop(const ir::LoopFunction &F, uint64_t InputSeed,
       FP.Tx.Reason = rtm::AbortReason::Conflict;
       core::DiffVerdict Verdict = core::runDifferentialMulti(
           F, PR.Scalar, *CL, M, Invocations, FP);
+      Digest = foldRun(Digest, Verdict.Scalar.Outcome);
+      Digest = foldRun(Digest, Verdict.Vector.Outcome);
       if (!Verdict.Equivalent)
         return fail(FailureClass::StormDivergence, core::variantName(V),
-                    Verdict.Detail + "\n" + Dsl);
+                    Verdict.Detail + "\n" + Dsl, Digest);
     }
   }
-  return CheckResult();
+  CheckResult R;
+  R.Digest = Digest;
+  return R;
 }

@@ -59,6 +59,11 @@ struct CheckResult {
   FailureClass Class = FailureClass::None;
   std::string Variant; ///< Failing column ("flexvec-rtm", ...), or empty.
   std::string Detail;  ///< Human-readable context incl. DSL reproducer.
+  /// Folds every run checkLoop made, up to a failure if there was one:
+  /// live-out hash, memory fingerprint and the scalar counters of
+  /// ExecStats, TxStats and MemoryStats. The histograms and the two Simd*
+  /// counters (which host path ran, not what the program did) stay out.
+  uint64_t Digest = 0;
 
   bool ok() const { return Class == FailureClass::None; }
   /// Same divergence class: what the shrinker preserves.
@@ -76,7 +81,7 @@ int64_t buildRoundInputs(const ir::LoopFunction &F, uint64_t InputSeed,
 
 /// Runs every check on \p F. Inputs derive deterministically from
 /// \p InputSeed, so a (loop, seed, options) triple always yields the same
-/// verdict.
+/// verdict and digest.
 CheckResult checkLoop(const ir::LoopFunction &F, uint64_t InputSeed,
                       const CheckOptions &Opts = {});
 

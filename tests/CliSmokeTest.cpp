@@ -365,11 +365,12 @@ TEST(FuzzSmoke, PinnedSeedRunIsCleanAndWritesSummary) {
   EXPECT_NE(R.Output.find("0 failure(s)"), std::string::npos) << R.Output;
   FILE *F = std::fopen(Out.c_str(), "r");
   ASSERT_NE(F, nullptr) << "fuzz did not write " << Out;
-  char Buf[128] = {0};
+  char Buf[512] = {0};
   size_t N = fread(Buf, 1, sizeof(Buf) - 1, F);
   std::fclose(F);
   EXPECT_GT(N, 0u);
   EXPECT_NE(std::string(Buf).find("flexvec-fuzz/v1"), std::string::npos);
+  EXPECT_NE(std::string(Buf).find("\"outcome_digest\""), std::string::npos);
   std::remove(Out.c_str());
 }
 

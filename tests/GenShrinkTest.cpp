@@ -249,6 +249,21 @@ TEST(CheckLoop, CleanLoopReportsNone) {
   EXPECT_TRUE(R.ok()) << gen::failureClassName(R.Class) << " " << R.Detail;
 }
 
+// The digest is a pure function of (loop, seed, options), and the storm
+// pass's runs are folded into it.
+TEST(CheckLoop, DigestIsDeterministicAndCoversTheStorm) {
+  gen::GeneratedLoop G = gen::generateLoop(3, gen::Envelope::widened());
+  gen::CheckOptions CO;
+  gen::CheckResult Calm = gen::checkLoop(*G.F, 3, CO);
+  CO.StormSeed = 42;
+  gen::CheckResult A = gen::checkLoop(*G.F, 3, CO);
+  gen::CheckResult B = gen::checkLoop(*G.F, 3, CO);
+  ASSERT_TRUE(A.ok()) << A.Detail;
+  EXPECT_NE(A.Digest, 0u);
+  EXPECT_EQ(A.Digest, B.Digest);
+  EXPECT_NE(A.Digest, Calm.Digest);
+}
+
 TEST(CheckLoop, SameFailureComparesClassAndVariant) {
   gen::CheckResult A, B;
   A.Class = gen::FailureClass::Mismatch;

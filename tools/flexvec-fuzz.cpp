@@ -27,6 +27,11 @@
 //
 // Exit status: 0 all cases passed, 1 at least one failure, 2 usage error.
 //
+// The JSON's outcome_digest folds every case's gen::CheckResult::Digest in
+// case order: live-outs, final memory and the scalar emulator, RTM and
+// memory counters of every run, so two builds that print the same digest
+// ran every case to the same outcome.
+//
 //===----------------------------------------------------------------------===//
 
 #include "gen/Differential.h"
@@ -302,6 +307,10 @@ int main(int Argc, char **Argv) {
       Run.set("wall_seconds", WallSeconds);
       Doc.set("run", std::move(Run));
     }
+    uint64_t OutcomeDigest = 0;
+    for (const CaseOutcome &C : Results)
+      OutcomeDigest = hashCombine(OutcomeDigest, C.Check.Digest);
+    Doc.set("outcome_digest", OutcomeDigest);
     Doc.set("failure_count", static_cast<uint64_t>(Failures.size()));
     Json Fails = Json::array();
     for (const CaseOutcome *C : Failures) {
