@@ -133,7 +133,9 @@ struct ExecStats {
   // loads/stores that collapsed to one block copy, and vector ops skipped
   // outright because their write mask was all-zeros. Both are decided by
   // (program, inputs, memory layout) only — never by the host backend —
-  // so they are deterministic-payload safe.
+  // so they are deterministic-payload safe. SimdUnitStrideHits also
+  // depends on whether a memory fault hook is armed (it blocks the copy),
+  // so it reads nonzero in a fault run whose plan arms only the RTM side.
   uint64_t SimdUnitStrideHits = 0;
   uint64_t SimdMaskShortcircuits = 0;
 

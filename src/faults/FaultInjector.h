@@ -78,7 +78,9 @@ struct TxFaultPlan {
   bool enabled() const { return AbortNthOp != 0 || AbortProb > 0.0; }
 };
 
-/// Injection counters, for assertions and reports.
+/// Injection counters, for assertions and reports. Each side counts only
+/// while its hook is armed: MemAccessesSeen stays 0 under a plan whose
+/// MemFaultPlan is disabled, TxOpsSeen under a disabled TxFaultPlan.
 struct InjectorStats {
   uint64_t MemAccessesSeen = 0;
   uint64_t MemFaultsInjected = 0;
@@ -94,8 +96,10 @@ public:
   explicit FaultInjector(MemFaultPlan Mem, TxFaultPlan Tx = TxFaultPlan())
       : Mem(std::move(Mem)), Tx(Tx) {}
 
-  /// Installs this injector into \p M (and \p T if given). The injector
-  /// must outlive the armed objects or be disarmed first.
+  /// Installs this injector into \p M if the memory plan is enabled, and
+  /// into \p T (if given) if the transaction plan is enabled. The injector
+  /// must outlive the armed objects or be disarmed first; disarm() clears
+  /// only what arm() installed.
   void arm(mem::Memory &M, rtm::TransactionManager *T = nullptr);
   void disarm();
 

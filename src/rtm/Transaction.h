@@ -97,6 +97,7 @@ public:
 
   /// Installs (or clears) the abort-injection hook; not owned.
   void setFaultHook(TxFaultHook *H) { Hook = H; }
+  TxFaultHook *faultHook() const { return Hook; }
 
   /// Starts a transaction. Nesting is an architectural abort, not an
   /// error: a begin() while active aborts the running transaction with

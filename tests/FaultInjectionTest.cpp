@@ -12,14 +12,23 @@
 
 #include "codegen/Peephole.h"
 #include "core/FaultHarness.h"
+#include "core/ParallelEvaluator.h"
 #include "driver/CompilerDriver.h"
 #include "emu/Machine.h"
 #include "faults/FaultInjector.h"
+#include "gen/Differential.h"
+#include "ir/Parser.h"
 #include "isa/Program.h"
+#include "support/Hash.h"
 #include "support/Random.h"
 #include "workloads/PaperLoops.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 using namespace flexvec;
 using namespace flexvec::isa;
@@ -480,4 +489,183 @@ TEST(FaultHarness, FailNthAccessYieldsStructuredFaultReport) {
   EXPECT_EQ(Run.Injection.MemFaultsInjected, 1u);
   EXPECT_NE(Run.Outcome.Exec.FaultAddr, 0u);
   EXPECT_NE(Run.report().find("fault"), std::string::npos) << Run.report();
+}
+
+// --- The contract an unarmed memory side rests on ------------------------===//
+
+namespace {
+
+/// A memory hook that never fires: all it does is force every access down
+/// Memory's out-of-line path and switch the block copies off.
+class InertHook : public mem::FaultHook {
+public:
+  bool shouldFault(uint64_t, uint64_t, bool, uint64_t &) override {
+    return false;
+  }
+};
+
+/// What one run of a program over an invocation sequence leaves behind.
+struct HookedRun {
+  bool Ok = true;
+  std::vector<int64_t> Scalars; ///< Every scalar param, every invocation.
+  uint64_t Fingerprint = 0;
+  emu::ExecStats Exec;
+  rtm::TxStats Tx;
+  mem::MemoryStats Mem;
+};
+
+/// Runs \p CL over \p Invocations on a clone of \p Image with \p Hook (or
+/// none) installed by hand and a Tx-only injector armed for \p Storm.
+HookedRun runHooked(const ir::LoopFunction &F, const codegen::CompiledLoop &CL,
+                    const mem::Memory &Image,
+                    const std::vector<ir::Bindings> &Invocations,
+                    mem::FaultHook *Hook, const faults::TxFaultPlan &Storm) {
+  HookedRun Out;
+  mem::Memory M = Image.clone();
+  const bool Adaptive = CL.Kind == codegen::CodeGenKind::FlexVecAdaptive;
+  if (Adaptive)
+    M.map(driver::dispatch::CellAddr, driver::dispatch::CellSize);
+  emu::Machine Mach(M);
+  faults::FaultInjector Inj(faults::MemFaultPlan(), Storm);
+  Inj.arm(M, &Mach.tx());
+  M.setFaultHook(Hook);
+  for (const ir::Bindings &B : Invocations) {
+    Mach.resetRegisters();
+    for (size_t S = 0; S < B.ScalarValues.size(); ++S)
+      Mach.setScalar(codegen::scalarParamReg(static_cast<int>(S)).Index,
+                     B.ScalarValues[S]);
+    for (size_t A = 0; A < B.ArrayBases.size(); ++A)
+      Mach.setScalar(codegen::arrayBaseReg(static_cast<int>(A)).Index,
+                     static_cast<int64_t>(B.ArrayBases[A]));
+    emu::ExecResult R = Mach.run(CL.Prog);
+    Out.Exec.merge(R.Stats);
+    if (R.Reason != emu::StopReason::Halted) {
+      Out.Ok = false;
+      break;
+    }
+    for (size_t S = 0; S < F.scalars().size(); ++S)
+      Out.Scalars.push_back(Mach.getScalar(
+          codegen::scalarParamReg(static_cast<int>(S)).Index));
+  }
+  M.setFaultHook(nullptr);
+  Inj.disarm();
+  Out.Tx = Mach.txStats();
+  Out.Mem = M.stats();
+  if (Adaptive)
+    M.unmap(driver::dispatch::CellAddr, driver::dispatch::CellSize);
+  Out.Fingerprint = M.fingerprint();
+  return Out;
+}
+
+void expectSameRun(const HookedRun &A, const HookedRun &B,
+                   const std::string &Where) {
+  EXPECT_EQ(A.Ok, B.Ok) << Where;
+  EXPECT_EQ(A.Scalars, B.Scalars) << Where;
+  EXPECT_EQ(A.Fingerprint, B.Fingerprint) << Where;
+
+  const rtm::TxStats &T = A.Tx, &U = B.Tx;
+  EXPECT_EQ(std::vector<uint64_t>({T.Begins, T.Commits, T.Aborts,
+                                   T.AbortsByFault, T.AbortsByCapacity,
+                                   T.AbortsExplicit, T.AbortsByConflict,
+                                   T.AbortsSpurious, T.AbortsNested,
+                                   T.InjectedAborts, T.BytesLogged}),
+            std::vector<uint64_t>({U.Begins, U.Commits, U.Aborts,
+                                   U.AbortsByFault, U.AbortsByCapacity,
+                                   U.AbortsExplicit, U.AbortsByConflict,
+                                   U.AbortsSpurious, U.AbortsNested,
+                                   U.InjectedAborts, U.BytesLogged}))
+      << Where << ": TxStats";
+  EXPECT_EQ(A.Mem.TlbHits, B.Mem.TlbHits) << Where;
+  EXPECT_EQ(A.Mem.TlbMisses, B.Mem.TlbMisses) << Where;
+  EXPECT_EQ(A.Mem.CowCopies, B.Mem.CowCopies) << Where;
+
+  // SimdUnitStrideHits records which host path ran, so it is the one
+  // counter an installed hook may move.
+  const emu::ExecStats &E = A.Exec, &G = B.Exec;
+  EXPECT_EQ(std::vector<uint64_t>(
+                {E.Instructions, E.Branches, E.TakenBranches,
+                 E.MemoryAccesses, E.VectorOps, E.RtmRetries, E.RtmFallbacks,
+                 E.RtmBudgetExhausted, E.BackoffCycles, E.TraceBatches,
+                 E.VplSteps, E.VplPartitions, E.FFClips, E.FFSuppressedLanes,
+                 E.ConflictChecks, E.ConflictHits, E.SimdMaskShortcircuits}),
+            std::vector<uint64_t>(
+                {G.Instructions, G.Branches, G.TakenBranches,
+                 G.MemoryAccesses, G.VectorOps, G.RtmRetries, G.RtmFallbacks,
+                 G.RtmBudgetExhausted, G.BackoffCycles, G.TraceBatches,
+                 G.VplSteps, G.VplPartitions, G.FFClips, G.FFSuppressedLanes,
+                 G.ConflictChecks, G.ConflictHits, G.SimdMaskShortcircuits}))
+      << Where << ": ExecStats";
+  EXPECT_EQ(E.MaskDensity, G.MaskDensity) << Where;
+  EXPECT_EQ(E.MaskDensityUsed, G.MaskDensityUsed) << Where;
+  EXPECT_EQ(E.RtmRetryDepth, G.RtmRetryDepth) << Where;
+  EXPECT_EQ(E.OpcodeCounts, G.OpcodeCounts) << Where;
+}
+
+} // namespace
+
+// FaultInjector::arm leaves the memory hook out under a Tx-only plan, which
+// is exact only because an installed hook that never fires is invisible:
+// Memory's inline TLB path and block copies book exactly what the
+// out-of-line per-access path books. Every generated variant of every
+// corpus loop runs with and without an inert hook, calm and under a
+// conflict storm.
+TEST(FaultInjector, InertMemoryHookIsInvisible) {
+  const std::filesystem::path Dir =
+      std::filesystem::path(FLEXVEC_SOURCE_DIR) / "tests" / "corpus";
+  std::vector<std::filesystem::path> Files;
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir))
+    if (Entry.path().extension() == ".fv")
+      Files.push_back(Entry.path());
+  std::sort(Files.begin(), Files.end());
+  ASSERT_FALSE(Files.empty());
+
+  const gen::Envelope E = gen::Envelope::classic();
+  gen::CheckOptions CO;
+  CO.Inputs.IndexMask = E.IndexMask;
+  CO.Inputs.IndexBound = E.TableSize;
+  CO.Inputs.ArraySlack = E.MaxAffineOffset + 4;
+
+  faults::TxFaultPlan Storm;
+  Storm.AbortProb = 0.5;
+  Storm.Reason = rtm::AbortReason::Conflict;
+  InertHook Hook;
+  uint64_t Unhooked = 0, Hooked = 0, Begins = 0;
+  for (const std::filesystem::path &Path : Files) {
+    const std::string Name = Path.stem().string();
+    std::ifstream In(Path);
+    std::ostringstream SS;
+    SS << In.rdbuf();
+    ir::ParseResult P = ir::parseLoop(SS.str());
+    ASSERT_TRUE(P) << Name << ": " << P.Error;
+    driver::CompileResult PR = driver::compileLoop(*P.F);
+
+    mem::Memory Image;
+    ir::Bindings B;
+    gen::buildRoundInputs(*P.F, fnv1a64(Name), 0, CO, Image, B);
+    const std::vector<ir::Bindings> Invocations(4, B);
+    for (unsigned V = 0; V < core::NumVariants; ++V) {
+      const codegen::CompiledLoop *CL =
+          core::selectVariant(PR, static_cast<core::VariantId>(V));
+      if (!CL)
+        continue;
+      for (const faults::TxFaultPlan &Tx : {faults::TxFaultPlan(), Storm}) {
+        const std::string Where =
+            Name + " " + core::variantName(static_cast<core::VariantId>(V)) +
+            (Tx.enabled() ? " storm" : " calm");
+        HookedRun Plain = runHooked(*P.F, *CL, Image, Invocations, nullptr, Tx);
+        HookedRun WithHook =
+            runHooked(*P.F, *CL, Image, Invocations, &Hook, Tx);
+        EXPECT_TRUE(Plain.Ok) << Where;
+        expectSameRun(Plain, WithHook, Where);
+        Unhooked += Plain.Exec.SimdUnitStrideHits;
+        Hooked += WithHook.Exec.SimdUnitStrideHits;
+        Begins += Plain.Tx.Begins;
+      }
+    }
+  }
+  // The comparison covers both fast paths and transactions: without the
+  // hook some unit-stride accesses collapsed to block copies, with it none.
+  EXPECT_GT(Unhooked, 0u);
+  EXPECT_EQ(Hooked, 0u);
+  EXPECT_GT(Begins, 0u);
 }

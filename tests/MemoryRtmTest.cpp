@@ -302,6 +302,68 @@ TEST(FaultInjector, DebugPeekPokeBypassInjection) {
   EXPECT_EQ(V, 123);
 }
 
+// arm() installs a hook only for a plan side that can fire, so a Tx-only
+// plan (a conflict storm) keeps the plain memory fast paths; each side's
+// counter counts only while that side is armed; disarm() clears both.
+TEST(FaultInjector, ArmsOnlyTheHooksItsPlanEnables) {
+  using namespace flexvec::isa;
+  ProgramBuilder B;
+  auto Done = B.createLabel();
+  B.movImm(Reg::scalar(1), 0x1000);
+  B.movImm(Reg::scalar(3), 42);
+  B.load(Reg::scalar(2), ElemType::I32, Reg::scalar(1), Reg::none(), 1, 0);
+  B.xbegin(Done);
+  B.store(ElemType::I32, Reg::scalar(1), Reg::none(), 1, 4, Reg::scalar(3));
+  B.xend();
+  B.bind(Done);
+  B.halt();
+  const Program P = B.finalize();
+
+  // Both sides enabled but inert: the range lies outside every access and
+  // the storm may inject nothing.
+  faults::MemFaultPlan MemOn;
+  MemOn.Ranges.push_back(
+      {0x100000, 0x100040, 1.0, faults::FaultDuration::Persistent});
+  faults::TxFaultPlan TxOn;
+  TxOn.AbortProb = 1.0;
+  TxOn.MaxInjected = 0;
+
+  struct Case {
+    const char *Name;
+    faults::MemFaultPlan Mem;
+    faults::TxFaultPlan Tx;
+  };
+  for (const Case &C : {Case{"tx-only", {}, TxOn},
+                        Case{"mem-only", MemOn, {}},
+                        Case{"both", MemOn, TxOn}}) {
+    Memory M;
+    M.map(0x1000, PageSize);
+    emu::Machine Mach(M);
+    faults::FaultInjector Inj(C.Mem, C.Tx);
+    Inj.arm(M, &Mach.tx());
+    const bool MemArmed = C.Mem.enabled(), TxArmed = C.Tx.enabled();
+    EXPECT_EQ(M.faultHook(),
+              MemArmed ? static_cast<mem::FaultHook *>(&Inj) : nullptr)
+        << C.Name;
+    EXPECT_EQ(Mach.tx().faultHook(),
+              TxArmed ? static_cast<rtm::TxFaultHook *>(&Inj) : nullptr)
+        << C.Name;
+
+    emu::ExecResult R = Mach.run(P);
+    ASSERT_EQ(R.Reason, emu::StopReason::Halted) << C.Name << R.describe();
+    EXPECT_EQ(Mach.txStats().Commits, 1u) << C.Name;
+    EXPECT_EQ(M.get<int32_t>(0x1004), 42) << C.Name;
+    EXPECT_EQ(Inj.stats().MemAccessesSeen > 0, MemArmed) << C.Name;
+    EXPECT_EQ(Inj.stats().TxOpsSeen > 0, TxArmed) << C.Name;
+    EXPECT_EQ(Inj.stats().MemFaultsInjected, 0u) << C.Name;
+    EXPECT_EQ(Inj.stats().TxAbortsInjected, 0u) << C.Name;
+
+    Inj.disarm();
+    EXPECT_EQ(M.faultHook(), nullptr) << C.Name;
+    EXPECT_EQ(Mach.tx().faultHook(), nullptr) << C.Name;
+  }
+}
+
 TEST(FaultInjector, ParseRangeFaultSpecs) {
   faults::RangeFault R;
   std::string Err;

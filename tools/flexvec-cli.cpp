@@ -44,7 +44,7 @@
 // Example:
 //   ./build/tools/flexvec-cli examples/loops/argmin.fv --run --trip=50000
 //   ./build/tools/flexvec-cli examples/loops/find_first.fv --fault-diff
-//       --fault-range=0x10000:0x20000:0.001
+//       --fault-seed=3 --fault-range=0x10000:0x40000:0.4
 //
 //===----------------------------------------------------------------------===//
 
